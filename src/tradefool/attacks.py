@@ -241,49 +241,57 @@ def delay_attack(observation, tuple_slice: slice, previous_tuple) -> np.ndarray:
     return served
 
 
-class _BestCandidate:
-    """Keeps the best (priority, then smallest L2) candidate seen so far."""
+def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice, target,
+            action_types, proposals, *, k_scale, max_iters: int, fallback_eps: float,
+            first_success: bool) -> PerturbationResult:
+    """The loop all perturbation attacks share: project -> classify -> keep best.
 
-    def __init__(self):
-        self.outcome = FAILURE
-        self.tuple = None
-        self.induced = -1
-        self.l2 = np.inf
-        self.eps = 0.0
-        self.iteration = 0
-
-    def offer(self, outcome, candidate, induced, l2, eps, iteration) -> None:
-        better = _PRIORITY[outcome] > _PRIORITY[self.outcome] or (
-            outcome == self.outcome and l2 < self.l2)
-        if better:
-            self.outcome = outcome
-            self.tuple = candidate
-            self.induced = induced
-            self.l2 = l2
-            self.eps = eps
-            self.iteration = iteration
-
-
-def _attacked_forward(net, observation, tuple_slice, candidate) -> int:
-    attacked = observation.copy()
-    attacked[tuple_slice] = candidate
-    return int(np.argmax(forward(net, attacked)))
-
-
-def _check_setup(net, observation, tuple_slice, k_scale, mode, target):
+    ``proposals(observation, x_orig, k, label)`` yields (eps, raw candidate
+    tuple) pairs, where ``label`` is the action the attack loss is about (the
+    target, or the greedy action when non-targeted) and ``k`` is ``k_scale``
+    checked against the tuple shape. The best candidate by (outcome priority,
+    then smallest L2) wins. first_success=True (the FGSM ladder) stops at the
+    first full success; otherwise (C&W) every proposal is tried, and a target
+    that is already greedy is a success with no proposal at all.
+    """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape[0] != net.input_dim:
         raise AttackError(
             f"observation dim {observation.shape[0]} != net input {net.input_dim}")
-    x = observation[tuple_slice].copy()
+    x_orig = observation[tuple_slice].copy()
     k = None
     if k_scale is not None:
         k = np.asarray(k_scale, dtype=np.float64)
-        if k.shape != x.shape:
-            raise AttackError(f"k scalars shape {k.shape} != tuple shape {x.shape}")
-    if mode == "targeted" and target is None:
+        if k.shape != x_orig.shape:
+            raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
+    if config.mode == "targeted" and target is None:
         raise AttackError("targeted mode requires a target action")
-    return observation, x, k
+    original_action = int(np.argmax(forward(net, observation)))
+    if not first_success and config.mode == "targeted" and original_action == target:
+        return PerturbationResult(perturbed=x_orig, outcome=SUCCESS,
+                                  induced_action=original_action, iterations=0,
+                                  final_eps=fallback_eps, l2=0.0)
+    label = target if config.mode == "targeted" else original_action
+    best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
+    attacked = observation.copy()
+    for iteration, (eps, proposal) in enumerate(
+            proposals(observation, x_orig, k, label), start=1):
+        candidate = project_constraints(proposal, x_orig, config.spec)
+        attacked[tuple_slice] = candidate
+        induced = int(np.argmax(forward(net, attacked)))
+        outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
+        priority = _PRIORITY[outcome]
+        l2 = float(np.linalg.norm(candidate - x_orig))
+        if priority > best_priority or (priority == best_priority and l2 < best_l2):
+            best_priority, best_l2 = priority, l2
+            best = (candidate, outcome, induced, iteration, eps)
+        if first_success and outcome == SUCCESS:
+            break
+    if best is None:
+        return PerturbationResult(perturbed=x_orig, outcome=FAILURE,
+                                  induced_action=original_action, iterations=max_iters,
+                                  final_eps=fallback_eps, l2=0.0)
+    return PerturbationResult(*best, l2=best_l2)
 
 
 def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
@@ -292,40 +300,22 @@ def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: s
 
     The gradient of the cross-entropy loss (against the current greedy
     action, or the adversarial target) is computed once at the original
-    observation; each ladder rung tries x +- eps * k (.) sign(g), projects it,
-    and classifies the induced action. Stops at the first full success.
+    observation; each ladder rung tries x +- eps * k (.) sign(g). Stops at the
+    first full success.
     """
-    observation, x_orig, k = _check_setup(
-        net, observation, tuple_slice, config.k_scale, config.mode, target)
-    original_action = int(np.argmax(forward(net, observation)))
-    if config.mode == "targeted":
-        grad = input_gradient(net, observation, "cross_entropy", target)
-        direction = -np.sign(grad[tuple_slice])  # descend toward the target
-    else:
-        grad = input_gradient(net, observation, "cross_entropy", original_action)
-        direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
-    best = _BestCandidate()
-    spec = config.spec
     ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
-    for iteration, eps in enumerate(ladder, start=1):
-        candidate = project_constraints(x_orig + eps * k * direction, x_orig, spec)
-        induced = _attacked_forward(net, observation, tuple_slice, candidate)
-        outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
-        best.offer(outcome, candidate, induced, float(np.linalg.norm(candidate - x_orig)),
-                   float(eps), iteration)
-        if outcome == SUCCESS:
-            break
-    return PerturbationResult(
-        perturbed=best.tuple if best.tuple is not None else x_orig,
-        outcome=best.outcome, induced_action=best.induced if best.induced >= 0
-        else original_action, iterations=best.iteration or config.eps_iters,
-        final_eps=best.eps or float(ladder[-1]), l2=0.0 if best.tuple is None else best.l2)
 
+    def rungs(observation, x_orig, k, label):
+        grad = input_gradient(net, observation, "cross_entropy", label)
+        direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
+        if config.mode == "targeted":
+            direction = -direction  # descend toward the target
+        for eps in ladder:
+            yield float(eps), x_orig + eps * k * direction
 
-def _margin_loss_action(mode: str, original_action: int, target: int | None):
-    if mode == "targeted":
-        return "deficit_margin", target  # descend until the target wins
-    return "lead_margin", original_action  # descend until the greedy action loses
+    return _attack(net, observation, config, tuple_slice, target, action_types, rungs,
+                   k_scale=config.k_scale, max_iters=config.eps_iters,
+                   fallback_eps=float(ladder[-1]), first_success=True)
 
 
 def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
@@ -334,45 +324,32 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
 
     The attacked tuple is affinely mapped into [0,1] using the constraint
     spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
-    descent on ||delta||^2 + c * margin. Every iterate is unscaled,
-    projected, and classified; the smallest-norm qualifying candidate wins.
+    descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
+    the smallest-norm qualifying candidate wins. ``config.k_scale`` is unused.
     """
-    observation, x_orig, _ = _check_setup(
-        net, observation, tuple_slice, None, config.mode, target)
-    original_action = int(np.argmax(forward(net, observation)))
-    if config.mode == "targeted" and original_action == target:
-        return PerturbationResult(perturbed=x_orig.copy(), outcome=SUCCESS,
-                                  induced_action=original_action, iterations=0,
-                                  final_eps=0.0, l2=0.0)
-    spec = config.spec
-    lo, hi = spec.box(x_orig.size)
-    width = hi - lo
-    x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
-    w = np.arctanh(2.0 * x_scaled - 1.0)
-    loss_spec, loss_action = _margin_loss_action(config.mode, original_action, target)
-    best = _BestCandidate()
-    attacked = observation.copy()
-    for iteration in range(1, config.cw_max_iters + 1):
-        adv_scaled = (np.tanh(w) + 1.0) / 2.0
-        adv = lo + adv_scaled * width
-        attacked[tuple_slice] = adv
-        grad = input_gradient(net, attacked, loss_spec, loss_action)[tuple_slice]
-        grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
-            * (1.0 - np.tanh(w) ** 2) / 2.0
-        if not np.all(np.isfinite(grad_w)):
-            break
-        w = w - config.cw_lr * grad_w
-        adv_scaled = (np.tanh(w) + 1.0) / 2.0
-        candidate = project_constraints(lo + adv_scaled * width, x_orig, spec)
-        induced = _attacked_forward(net, observation, tuple_slice, candidate)
-        outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
-        best.offer(outcome, candidate, induced, float(np.linalg.norm(candidate - x_orig)),
-                   0.0, iteration)
-    return PerturbationResult(
-        perturbed=best.tuple if best.tuple is not None else x_orig.copy(),
-        outcome=best.outcome, induced_action=best.induced if best.induced >= 0
-        else original_action, iterations=best.iteration or config.cw_max_iters,
-        final_eps=0.0, l2=0.0 if best.tuple is None else best.l2)
+
+    def iterates(observation, x_orig, k, label):
+        lo, hi = config.spec.box(x_orig.size)
+        width = hi - lo
+        x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
+        w = np.arctanh(2.0 * x_scaled - 1.0)
+        # crown the target, or dethrone the greedy action
+        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+        attacked = observation.copy()
+        for _ in range(config.cw_max_iters):
+            adv_scaled = (np.tanh(w) + 1.0) / 2.0
+            attacked[tuple_slice] = lo + adv_scaled * width
+            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+            grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
+                * (1.0 - np.tanh(w) ** 2) / 2.0
+            if not np.all(np.isfinite(grad_w)):
+                return
+            w = w - config.cw_lr * grad_w
+            yield 0.0, lo + (np.tanh(w) + 1.0) / 2.0 * width
+
+    return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
+                   k_scale=None, max_iters=config.cw_max_iters, fallback_eps=0.0,
+                   first_success=False)
 
 
 def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
@@ -383,36 +360,24 @@ def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
     clipped to at most lr * eps * k_d in magnitude so the emitted
     perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
     """
-    observation, x_orig, k = _check_setup(
-        net, observation, tuple_slice, config.k_scale, config.mode, target)
-    original_action = int(np.argmax(forward(net, observation)))
-    if config.mode == "targeted" and original_action == target:
-        return PerturbationResult(perturbed=x_orig.copy(), outcome=SUCCESS,
-                                  induced_action=original_action, iterations=0,
-                                  final_eps=config.cw_eps, l2=0.0)
-    loss_spec, loss_action = _margin_loss_action(config.mode, original_action, target)
-    spec = config.spec
-    step_cap = config.cw_lr * config.cw_eps * k
-    delta = np.zeros_like(x_orig)
-    best = _BestCandidate()
-    attacked = observation.copy()
-    for iteration in range(1, config.cw_max_iters + 1):
-        attacked[tuple_slice] = x_orig + delta
-        grad = input_gradient(net, attacked, loss_spec, loss_action)[tuple_slice]
-        objective_grad = 2.0 * delta + config.cw_const * grad
-        if not np.all(np.isfinite(objective_grad)):
-            break
-        delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-        candidate = project_constraints(x_orig + delta, x_orig, spec)
-        induced = _attacked_forward(net, observation, tuple_slice, candidate)
-        outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
-        best.offer(outcome, candidate, induced, float(np.linalg.norm(candidate - x_orig)),
-                   config.cw_eps, iteration)
-    return PerturbationResult(
-        perturbed=best.tuple if best.tuple is not None else x_orig.copy(),
-        outcome=best.outcome, induced_action=best.induced if best.induced >= 0
-        else original_action, iterations=best.iteration or config.cw_max_iters,
-        final_eps=config.cw_eps, l2=0.0 if best.tuple is None else best.l2)
+
+    def iterates(observation, x_orig, k, label):
+        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+        step_cap = config.cw_lr * config.cw_eps * k
+        delta = np.zeros_like(x_orig)
+        attacked = observation.copy()
+        for _ in range(config.cw_max_iters):
+            attacked[tuple_slice] = x_orig + delta
+            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+            objective_grad = 2.0 * delta + config.cw_const * grad
+            if not np.all(np.isfinite(objective_grad)):
+                return
+            delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+            yield config.cw_eps, x_orig + delta
+
+    return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
+                   k_scale=config.k_scale, max_iters=config.cw_max_iters,
+                   fallback_eps=config.cw_eps, first_success=False)
 
 
 def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,

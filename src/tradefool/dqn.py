@@ -1,4 +1,4 @@
-"""DQN training and greedy evaluation.
+"""DQN training.
 
 Plain SGD on the squared TD error, uniform experience replay, a periodically
 synchronized target network, epsilon-greedy exploration (optionally fixed-
@@ -204,45 +204,3 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
             sync_target(net, target)
 
     return net, trace
-
-
-@dataclass
-class EvaluationTrace:
-    rows: list[tuple] = field(default_factory=list)  # episode,step,action,reward,cum,net_worth
-    episode_rewards: list[float] = field(default_factory=list)
-    final_net_worths: list[float] = field(default_factory=list)
-
-
-def _rollout(env, pick_action, episodes: int, seed: int) -> EvaluationTrace:
-    rng_env = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    trace = EvaluationTrace()
-    for episode in range(episodes):
-        obs = env.reset(rng_env)
-        cum = 0.0
-        step = 0
-        worth = None
-        while True:
-            action = pick_action(obs)
-            result = env.step(action)
-            step += 1
-            cum += result.reward
-            worth = result.info.get("net_worth")
-            trace.rows.append((episode, step, action, result.reward, cum, worth))
-            obs = result.observation
-            if result.terminal:
-                break
-        trace.episode_rewards.append(cum)
-        if worth is not None:
-            trace.final_net_worths.append(worth)
-    return trace
-
-
-def evaluate(net: QNetwork, env, episodes: int, seed: int = 0) -> EvaluationTrace:
-    """Pure greedy rollout (epsilon = 0), no learning."""
-    return _rollout(env, lambda obs: int(np.argmax(forward(net, obs))), episodes, seed)
-
-
-def evaluate_random(env, episodes: int, seed: int = 0) -> EvaluationTrace:
-    """Uniform-random policy baseline."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    return _rollout(env, lambda obs: int(rng.integers(env.n_actions)), episodes, seed)

@@ -122,6 +122,17 @@ def _pick_start(rng_or_start, min_start: int, max_start: int) -> int:
     return int(rng_or_start.integers(min_start, max_start + 1))
 
 
+def _fill_window(obs: np.ndarray, values: np.ndarray, cursor: int, window: int,
+                 overrides: dict[int, np.ndarray] | None) -> None:
+    """Write the ``window`` feature tuples ending at ``cursor`` into the head
+    of ``obs``, oldest first, serving ``overrides[i]`` in place of tuple i."""
+    lo = cursor - window + 1
+    obs[:window * 3] = values[lo:cursor + 1].ravel()
+    for idx, tup in (overrides or {}).items():
+        if lo <= idx <= cursor:
+            obs[(idx - lo) * 3:(idx - lo + 1) * 3] = tup
+
+
 class BasicStockEnv:
     """Single-share long-only env over relative bar features.
 
@@ -180,13 +191,7 @@ class BasicStockEnv:
 
     def observation(self, overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
         obs = np.empty(self.observation_dim)
-        lo = self.cursor - self.window + 1
-        for k in range(self.window):
-            idx = lo + k
-            tup = self.features.values[idx]
-            if overrides and idx in overrides:
-                tup = overrides[idx]
-            obs[k * 3:(k + 1) * 3] = tup
+        _fill_window(obs, self.features.values, self.cursor, self.window, overrides)
         obs[-2] = self.holding
         close = self.closes[self.cursor]
         obs[-1] = (close - self.entry_price) / self.entry_price if self.holding else 0.0
@@ -287,13 +292,7 @@ class ManagedRiskEnv:
 
     def observation(self, overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
         obs = np.empty(self.observation_dim)
-        lo = self.cursor - self.window + 1
-        for k in range(self.window):
-            idx = lo + k
-            tup = self.features.values[idx]
-            if overrides and idx in overrides:
-                tup = overrides[idx]
-            obs[k * 3:(k + 1) * 3] = tup
+        _fill_window(obs, self.features.values, self.cursor, self.window, overrides)
         return obs
 
     def _execute(self, action: ManagedRiskAction, price: float) -> dict | None:

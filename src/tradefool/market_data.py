@@ -28,7 +28,8 @@ class MarketDataError(ValueError):
 
 @dataclass(frozen=True)
 class Bar:
-    """One OHLCV interval. Prices strictly positive, low <= open/close <= high."""
+    """One OHLCV interval. All finite; prices strictly positive,
+    low <= open/close <= high."""
 
     timestamp: int
     open: float
@@ -38,6 +39,9 @@ class Bar:
     volume: float = 0.0
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.open, self.high, self.low, self.close,
+                                       self.volume))):
+            raise MarketDataError("prices and volume must be finite")
         if min(self.open, self.high, self.low, self.close) <= 0:
             raise MarketDataError("prices must be > 0")
         if self.volume < 0:

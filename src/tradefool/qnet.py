@@ -245,5 +245,14 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
         weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
     )
+    layers = list(zip(net.sizes[:-1], net.sizes[1:]))
+    if len(net.weights) != len(layers) or len(net.biases) != len(layers):
+        raise QNetError(f"checkpoint has {len(net.weights)} weight and {len(net.biases)} "
+                        f"bias arrays for {len(layers)} layers of sizes {net.sizes}")
+    for i, (fan_in, fan_out) in enumerate(layers):
+        if net.weights[i].shape != (fan_in, fan_out) or net.biases[i].shape != (fan_out,):
+            raise QNetError(f"layer {i} has weights {net.weights[i].shape} and biases "
+                            f"{net.biases[i].shape}, sizes {net.sizes} need "
+                            f"({fan_in}, {fan_out}) and ({fan_out},)")
     net.check_finite()
     return net, payload.get("meta", {})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,6 +391,44 @@ class TestCwScaled:
         assert result.outcome == SUCCESS
         assert types[result.induced_action] == "sell"
         assert result.perturbed[2] < 50.0
+
+
+INVARIANT_CONFIGS = {
+    fgsm_attack: preset("basic-fgsm"),
+    cw_l2_box: preset("basic-cw", cw_max_iters=15),
+    cw_scaled: preset("basic-cw", cw_variant="scaled", cw_eps=0.01, cw_max_iters=15),
+}
+
+
+class TestAttackInvariants:
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("attack", list(INVARIANT_CONFIGS), ids=lambda a: a.__name__)
+    @given(st.integers(0, 2**32 - 1))
+    def test_result_invariants(self, attack, mode, seed):
+        rng = np.random.default_rng(seed)
+        net = QNetwork.initialize([9, 8, 3], rng)
+        high = rng.uniform(0, 0.005, size=3)
+        low = -rng.uniform(0, 0.005, size=3)
+        close = low + rng.uniform(0, 1, size=3) * (high - low)
+        obs = np.column_stack([high, low, close]).ravel()
+        config = replace(INVARIANT_CONFIGS[attack], mode=mode)
+        target = int(rng.integers(3)) if mode == "targeted" else None
+        result = attack(net, obs, config, slice(6, 9), target=target)
+
+        x_orig = obs[6:9]
+        assert result.l2 == pytest.approx(np.linalg.norm(result.perturbed - x_orig),
+                                          rel=1e-12, abs=1e-15)
+        if result.outcome != FAILURE:
+            assert validate_relative_tuple(result.perturbed)
+        original = int(np.argmax(forward(net, obs)))
+        if attack is not fgsm_attack and target == original:
+            # C&W: a target that is already greedy needs no perturbation
+            assert (result.outcome, result.iterations, result.l2) == (SUCCESS, 0, 0.0)
+        else:
+            assert result.outcome == classify_outcome(original, result.induced_action,
+                                                      mode, target)
+        max_iters = config.eps_iters if attack is fgsm_attack else config.cw_max_iters
+        assert result.iterations <= max_iters
 
 
 class TestPresets:

@@ -147,6 +147,21 @@ class TestAttack:
         assert run_cli("--out", str(tmp_path), "attack", "--checkpoint", str(bad),
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
 
+    @pytest.mark.parametrize("corrupt", ["wide_first_layer", "missing_bias"])
+    def test_malformed_checkpoint_is_user_error_before_manifest(self, tmp_path, data_csv,
+                                                                trained, corrupt):
+        ckpt = json.loads((trained / "checkpoint.json").read_text())
+        if corrupt == "wide_first_layer":
+            ckpt["weights"][0] = [[0.0] * 5 for _ in ckpt["weights"][0]]  # 32x5, sizes say 32x8
+        else:
+            ckpt["biases"].pop()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "attack", "--checkpoint", str(bad),
+                       "--data", str(data_csv), "--preset", "basic-fgsm") == 1
+        assert not (out / "manifest.jsonl").exists()
+
     def test_missing_checkpoint_flag_is_user_error(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "attack", "--preset", "basic-fgsm") == 1
 

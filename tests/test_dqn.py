@@ -8,12 +8,11 @@ from tradefool.dqn import (
     TrainerConfig,
     TrainingError,
     Transition,
-    evaluate,
-    evaluate_random,
     select_action,
     train,
 )
 from tradefool.envs import BasicStockEnv
+from tradefool.harness import run_control
 from tradefool.market_data import synthesize_bars
 from tradefool.qnet import QNetwork
 
@@ -177,29 +176,18 @@ class TestTrain:
         assert len(boundaries) == len(set(hashes)) - 1
 
 
+def random_policy_reward(env, start: int, rng) -> float:
+    """Total reward of a uniform-random policy over one episode from ``start``."""
+    env.reset(start)
+    total = 0.0
+    while True:
+        step = env.step(int(rng.integers(env.n_actions)))
+        total += step.reward
+        if step.terminal:
+            return total
+
+
 class TestEvaluate:
-    def test_deterministic_traces(self, small_env_bars):
-        env = BasicStockEnv(small_env_bars)
-        net = QNetwork.initialize([env.observation_dim, 8, 3], np.random.default_rng(0))
-        t1 = evaluate(net, env, episodes=3, seed=9)
-        t2 = evaluate(net, env, episodes=3, seed=9)
-        assert t1.rows == t2.rows
-
-    def test_episode_length_capped(self, small_env_bars):
-        env = BasicStockEnv(small_env_bars, episode_cap=50)
-        net = QNetwork.initialize([env.observation_dim, 8, 3], np.random.default_rng(0))
-        trace = evaluate(net, env, episodes=2, seed=1)
-        lengths = [sum(1 for r in trace.rows if r[0] == e) for e in range(2)]
-        assert lengths == [51, 51]  # terminal fires once length exceeds the cap
-
-    def test_zero_weight_net_constant_action_on_flat_data(self, flat_bars):
-        env = BasicStockEnv(flat_bars, commission_pct=0.1, episode_cap=30)
-        net = QNetwork(sizes=[32, 3], weights=[np.zeros((32, 3))], biases=[np.zeros(3)])
-        trace = evaluate(net, env, episodes=1, seed=0)
-        actions = {row[2] for row in trace.rows}
-        assert actions == {0}  # all-equal Q ties to wait
-        assert trace.episode_rewards[0] == 0.0
-
     def test_trained_beats_random_on_strong_uptrend(self):
         bars = synthesize_bars(3000, drift=3e-3, volatility=1e-4, seed=13)
         env = BasicStockEnv(bars, commission_pct=0.0, episode_cap=100)
@@ -208,9 +196,14 @@ class TestEvaluate:
                                target_sync_every=250, batch_size=32, hidden_sizes=(16,),
                                epsilon_decay_fraction=0.5)
         net, _ = train(env, config, seed=1)
-        greedy = evaluate(net, env, episodes=20, seed=77)
-        random_policy = evaluate_random(env, episodes=20, seed=77)
-        assert np.mean(greedy.episode_rewards) > np.mean(random_policy.episode_rewards)
+        rng = np.random.default_rng(77)
+        greedy, baseline = [], []
+        for seed in range(77, 97):
+            record = run_control(net, env, seed)
+            greedy.append(record.total_reward)
+            start = env.cursor - len(record)  # each step advances the cursor one bar
+            baseline.append(random_policy_reward(env, start, rng))
+        assert np.mean(greedy) > np.mean(baseline)
 
 
 class TestTrace:

@@ -64,6 +64,7 @@ class TestRunControl:
         env = BasicStockEnv(flat_bars, episode_cap=30)
         net = QNetwork(sizes=[32, 3], weights=[np.zeros((32, 3))], biases=[np.zeros(3)])
         record = run_control(net, env, seed=0)
+        assert set(record.actions) == {0}  # all-equal Q ties to wait
         assert record.total_reward == 0.0
         assert record.cum_rewards == [0.0] * len(record)
 

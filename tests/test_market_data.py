@@ -39,6 +39,14 @@ class TestLoadCsv:
         with pytest.raises(MarketDataError, match="row 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", ["120,10,inf,9,10.5,1", "120,10,11,9,nan,1",
+                                     "120,10,11,9,10.5,inf", "120,10,11,9,10.5,nan"])
+    def test_non_finite_price_or_volume_names_the_row(self, tmp_path, row):
+        path = tmp_path / "bars.csv"
+        write_csv(path, ["60,10,11,9,10.5,1", row])
+        with pytest.raises(MarketDataError, match="row 3: prices and volume must be finite"):
+            load_csv(path)
+
     def test_out_of_order_timestamps_rejected_not_reordered(self, tmp_path):
         path = tmp_path / "bars.csv"
         write_csv(path, ["120,10,11,9,10.5,1", "60,10,11,9,10.5,1", "180,10,11,9,10.5,1"])
