@@ -84,7 +84,7 @@ def attack_config(block: dict) -> AttackConfig:
         raise UserError(f"bad attack config: {exc}") from exc
 
 
-def build_env(env_block: dict, bars):
+def build_env(env_block: dict, market):
     block = dict(env_block)
     kind = block.pop("kind", None)
     if kind not in ("basic", "managed"):
@@ -93,7 +93,7 @@ def build_env(env_block: dict, bars):
         if key in block:
             block[key] = tuple(block[key])
     try:
-        return make_env(kind, bars, **block)
+        return make_env(kind, market, **block)
     except (TypeError, EnvError, MarketDataError) as exc:
         raise UserError(f"cannot build {kind} env: {exc}") from exc
 
@@ -126,7 +126,7 @@ def load_config_file(path) -> dict:
         raise UserError(f"cannot read config {path}: {exc}") from exc
 
 
-def _load_bars(path):
+def _load_market(path):
     if path is None:
         raise UserError("no data file given (flag --data or config data.path)")
     try:
@@ -139,7 +139,7 @@ def cmd_synth(args) -> int:
     if args.out is None:
         raise UserError("synth needs --out FILE")
     try:
-        bars = synthesize_bars(
+        market = synthesize_bars(
             n_bars=args.bars, drift=args.drift, volatility=args.volatility,
             seed=args.seed, start_price=args.start_price, momentum=args.momentum,
             bar_seconds=args.bar_seconds)
@@ -147,8 +147,8 @@ def cmd_synth(args) -> int:
         raise UserError(str(exc)) from exc
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    write_bars_csv(bars, args.out)
-    print(f"wrote {len(bars)} bars to {args.out}")
+    write_bars_csv(market, args.out)
+    print(f"wrote {len(market)} bars to {args.out}")
     return 0
 
 
@@ -170,8 +170,7 @@ def cmd_train(args) -> int:
         "seeds": [args.seed], "data": str(data_path), "data_digest": digest,
         "out": str(out_dir)})
 
-    bars = _load_bars(data_path)
-    env = build_env(env_block, bars)
+    env = build_env(env_block, _load_market(data_path))
     net, trace = train(env, tconfig, args.seed)
     meta = {"env": env_block, "data_digest": digest, "seed": args.seed,
             "trainer": dataclasses.asdict(tconfig)}
@@ -225,10 +224,10 @@ def cmd_attack(args) -> int:
     env_block = config_file.get("env") or meta.get("env")
     if not env_block:
         raise UserError("no env config in checkpoint meta or config file")
-    bars = _load_bars(data_path)
+    market = _load_market(data_path)
 
     def env_factory():
-        return build_env(env_block, bars)
+        return build_env(env_block, market)
 
     probe = env_factory()
     if probe.observation_dim != net.input_dim or probe.n_actions != net.n_actions:
@@ -278,6 +277,11 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def cmd_report(args) -> int:
     runs_dir = args.run_dir
     if not os.path.isdir(runs_dir):
@@ -290,16 +294,14 @@ def cmd_report(args) -> int:
         summary_path = os.path.join(run_dir, "summary.json")
         if not os.path.isfile(summary_path):
             continue
-        try:
-            with open(summary_path, encoding="utf-8") as handle:
-                summary = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UserError(f"corrupt run files in {run_dir}: {exc}") from exc
         meta_path = os.path.join(run_dir, "run.json")
-        meta = {}
-        if os.path.isfile(meta_path):
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
+        try:
+            summary = _read_json(summary_path)
+            meta = _read_json(meta_path) if os.path.isfile(meta_path) else {}
+        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+            raise UserError(f"corrupt run files in {run_dir}: {exc}") from exc
+        if not (isinstance(summary, dict) and isinstance(meta, dict)):
+            raise UserError(f"corrupt run files in {run_dir}: expected JSON objects")
         if meta.get("method") == "control":
             continue
         rows.append({

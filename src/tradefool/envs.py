@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market_data import Bar, FeatureSeries, build_feature_series
+from .market_data import FeatureSeries, Market, build_feature_series
 
 WAIT, BUY, CLOSE = 0, 1, 2
 
@@ -133,7 +133,51 @@ def _fill_window(obs: np.ndarray, values: np.ndarray, cursor: int, window: int,
             obs[(idx - lo) * 3:(idx - lo + 1) * 3] = tup
 
 
-class BasicStockEnv:
+class _MarketEnv:
+    """What both envs share: a window of one market's feature tuples ending
+    at ``cursor``, and episodes that end on a step cap or at the data end."""
+
+    tuple_dim = 3
+
+    def __init__(self, market: Market, mode: str, window: int, episode_cap: int):
+        if window < 1:
+            raise EnvError("window must be >= 1")
+        self.market = market
+        self.features: FeatureSeries = build_feature_series(market, mode)
+        self.window = window
+        self.episode_cap = int(episode_cap)
+        self.closes = market.close
+        self._min_start = self.features.warmup_length + window - 1
+        self._max_start = len(market) - 2
+        self.cursor = -1
+        self._done = True
+
+    @property
+    def window_length(self) -> int:
+        return self.window
+
+    @property
+    def recent_tuple_slice(self) -> slice:
+        return slice((self.window - 1) * 3, self.window * 3)
+
+    def feature_tuple(self, index: int) -> np.ndarray:
+        return self.features.tuple_at(index)
+
+    def _check_action(self, action: int) -> None:
+        if self._done:
+            raise EnvError("step() after terminal; call reset()")
+        if not 0 <= action < self.n_actions:
+            raise EnvError(f"action {action} out of range")
+
+    def _advance(self) -> bool:
+        """Move to the next bar; True when the episode ends there."""
+        self.steps += 1
+        self.cursor += 1
+        self._done = self.steps > self.episode_cap or self.cursor >= len(self.closes) - 1
+        return self._done
+
+
+class BasicStockEnv(_MarketEnv):
     """Single-share long-only env over relative bar features.
 
     Observation: window of 10 (rel_high, rel_low, rel_close) tuples, oldest
@@ -146,39 +190,14 @@ class BasicStockEnv:
     n_actions = 3
     action_types = None  # every action is its own type
 
-    def __init__(self, bars: list[Bar], window: int = 10, commission_pct: float = 0.1,
+    def __init__(self, market: Market, window: int = 10, commission_pct: float = 0.1,
                  episode_cap: int = 250):
-        if window < 1:
-            raise EnvError("window must be >= 1")
-        self.bars = bars
-        self.features: FeatureSeries = build_feature_series(bars, "relative")
-        self.window = window
+        super().__init__(market, "relative", window, episode_cap)
         self.commission_pct = float(commission_pct)
-        self.episode_cap = int(episode_cap)
-        self.closes = np.array([b.close for b in bars])
-        self._min_start = window - 1
-        self._max_start = len(bars) - 2
-        self.cursor = -1
-        self._done = True
-
-    @property
-    def tuple_dim(self) -> int:
-        return 3
-
-    @property
-    def window_length(self) -> int:
-        return self.window
 
     @property
     def observation_dim(self) -> int:
         return self.window * 3 + 2
-
-    @property
-    def recent_tuple_slice(self) -> slice:
-        return slice((self.window - 1) * 3, self.window * 3)
-
-    def feature_tuple(self, index: int) -> np.ndarray:
-        return self.features.tuple_at(index)
 
     def reset(self, rng_or_start) -> np.ndarray:
         self.cursor = _pick_start(rng_or_start, self._min_start, self._max_start)
@@ -198,10 +217,7 @@ class BasicStockEnv:
         return obs
 
     def step(self, action: int) -> StepResult:
-        if self._done:
-            raise EnvError("step() after terminal; call reset()")
-        if not 0 <= action < self.n_actions:
-            raise EnvError(f"action {action} out of range")
+        self._check_action(action)
         price = float(self.closes[self.cursor])
         reward = 0.0
         if action == BUY and not self.holding:
@@ -217,14 +233,11 @@ class BasicStockEnv:
             )
             self.holding = 0
             self.entry_price = 0.0
-        self.steps += 1
-        self.cursor += 1
-        terminal = self.steps > self.episode_cap or self.cursor >= len(self.bars) - 1
-        self._done = terminal
+        terminal = self._advance()
         return StepResult(self.observation(), reward, terminal, {"position": self.holding})
 
 
-class ManagedRiskEnv:
+class ManagedRiskEnv(_MarketEnv):
     """Portfolio env over (log_return, MACD, RSI) windows with bracket exits.
 
     Buy converts a fraction of cash into asset at the bar close and attaches
@@ -233,17 +246,12 @@ class ManagedRiskEnv:
     Reward is the Sharpe ratio of the episode's per-step net-worth returns.
     """
 
-    def __init__(self, bars: list[Bar], window: int = 20, episode_cap: int = 250,
+    def __init__(self, market: Market, window: int = 20, episode_cap: int = 250,
                  stops=(0.02, 0.04, 0.06), takes=(0.01, 0.02, 0.03), size_count: int = 10,
                  cash: float = 10_000.0, asset: float = 10.0,
                  risk_free: float = 0.0, sharpe_offset: float = 1e-9,
                  commission_pct: float = 0.0):
-        if window < 1:
-            raise EnvError("window must be >= 1")
-        self.bars = bars
-        self.features = build_feature_series(bars, "indicator")
-        self.window = window
-        self.episode_cap = int(episode_cap)
+        super().__init__(market, "indicator", window, episode_cap)
         self.action_table = build_action_table(stops, takes, size_count)
         self.action_types = [a.side for a in self.action_table]
         self.initial_cash = float(cash)
@@ -251,34 +259,14 @@ class ManagedRiskEnv:
         self.risk_free = float(risk_free)
         self.sharpe_offset = float(sharpe_offset)
         self.fee = float(commission_pct) / 100.0
-        self.closes = np.array([b.close for b in bars])
-        self._min_start = self.features.warmup_length + window - 1
-        self._max_start = len(bars) - 2
-        self.cursor = -1
-        self._done = True
 
     @property
     def n_actions(self) -> int:
         return len(self.action_table)
 
     @property
-    def tuple_dim(self) -> int:
-        return 3
-
-    @property
-    def window_length(self) -> int:
-        return self.window
-
-    @property
     def observation_dim(self) -> int:
         return self.window * 3
-
-    @property
-    def recent_tuple_slice(self) -> slice:
-        return slice((self.window - 1) * 3, self.window * 3)
-
-    def feature_tuple(self, index: int) -> np.ndarray:
-        return self.features.tuple_at(index)
 
     def reset(self, rng_or_start) -> np.ndarray:
         self.cursor = _pick_start(rng_or_start, self._min_start, self._max_start)
@@ -317,15 +305,16 @@ class ManagedRiskEnv:
         pf.trade_log.append(summary)
         return summary
 
-    def _fill_brackets(self, bar: Bar) -> None:
+    def _fill_brackets(self, index: int) -> None:
+        low, high = float(self.market.low[index]), float(self.market.high[index])
         pf = self.portfolio
         remaining: list[Order] = []
         for order in self.open_orders:
             if order.side == "buy":
                 stop_price = order.entry_price * (1.0 - order.stop)
                 take_price = order.entry_price * (1.0 + order.take)
-                fill = stop_price if bar.low <= stop_price else (
-                    take_price if bar.high >= take_price else None)
+                fill = stop_price if low <= stop_price else (
+                    take_price if high >= take_price else None)
                 if fill is None:
                     remaining.append(order)
                     continue
@@ -337,8 +326,8 @@ class ManagedRiskEnv:
             else:
                 stop_price = order.entry_price * (1.0 + order.stop)
                 take_price = order.entry_price * (1.0 - order.take)
-                fill = stop_price if bar.high >= stop_price else (
-                    take_price if bar.low <= take_price else None)
+                fill = stop_price if high >= stop_price else (
+                    take_price if low <= take_price else None)
                 if fill is None:
                     remaining.append(order)
                     continue
@@ -350,27 +339,21 @@ class ManagedRiskEnv:
         self.open_orders = remaining
 
     def step(self, action: int) -> StepResult:
-        if self._done:
-            raise EnvError("step() after terminal; call reset()")
-        if not 0 <= action < self.n_actions:
-            raise EnvError(f"action {action} out of range")
+        self._check_action(action)
         executed = self._execute(self.action_table[action], float(self.closes[self.cursor]))
-        self.steps += 1
-        self.cursor += 1
-        self._fill_brackets(self.bars[self.cursor])
+        terminal = self._advance()
+        self._fill_brackets(self.cursor)
         worth = net_worth(self.portfolio, self.closes[self.cursor])
         self.returns.append(float(worth / self._prev_net_worth - 1.0))
         self._prev_net_worth = worth
         reward = sharpe_reward(self.returns, self.risk_free, self.sharpe_offset)
-        terminal = self.steps > self.episode_cap or self.cursor >= len(self.bars) - 1
-        self._done = terminal
         info = {"net_worth": worth, "executed": executed}
         return StepResult(self.observation(), reward, terminal, info)
 
 
-def make_env(kind: str, bars: list[Bar], **kwargs):
+def make_env(kind: str, market: Market, **kwargs):
     if kind == "basic":
-        return BasicStockEnv(bars, **kwargs)
+        return BasicStockEnv(market, **kwargs)
     if kind == "managed":
-        return ManagedRiskEnv(bars, **kwargs)
+        return ManagedRiskEnv(market, **kwargs)
     raise EnvError(f"unknown env kind {kind!r}")

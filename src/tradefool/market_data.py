@@ -1,6 +1,6 @@
-"""OHLCV bar ingestion and the feature vectors the trading environments observe.
+"""OHLCV market data and the feature vectors the trading environments observe.
 
-Two feature families:
+A ``Market`` holds the bars as read-only numpy columns. Two feature families:
   * relative bars  -- (high-open)/open, (low-open)/open, (close-open)/open
   * indicators     -- log close-to-close return, MACD line, Wilder RSI
 
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import threading
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,63 +28,85 @@ class MarketDataError(ValueError):
     """Bad input data: unparseable rows, invariant violations, too few bars."""
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCV interval. All finite; prices strictly positive,
-    low <= open/close <= high."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float = 0.0
-
-    def validate(self) -> None:
-        if not all(map(math.isfinite, (self.open, self.high, self.low, self.close,
-                                       self.volume))):
-            raise MarketDataError("prices and volume must be finite")
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise MarketDataError("prices must be > 0")
-        if self.volume < 0:
-            raise MarketDataError("volume must be >= 0")
-        if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
-            raise MarketDataError(
-                f"OHLC ordering violated: o={self.open} h={self.high} l={self.low} c={self.close}"
-            )
+_CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
+_VALUE_COLUMNS = _CANONICAL_COLUMNS[1:]
 
 
-@dataclass(frozen=True)
-class RelativeBarFeatures:
-    """Bar prices expressed as ratios to the bar's open."""
+@dataclass(frozen=True, eq=False)
+class Market:
+    """OHLCV bars, oldest first, as read-only columns of one length:
+    ``timestamp`` int64, the prices and ``volume`` float64.
 
-    rel_high: float
-    rel_low: float
-    rel_close: float
+    ``load_csv`` returns only valid markets: finite, prices > 0, volume >= 0,
+    low <= open/close <= high and strictly increasing timestamps. Slicing
+    gives a market over a bar range. ``build_feature_series`` caches its
+    results here, so every env built on one market shares them.
+    """
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rel_high, self.rel_low, self.rel_close], dtype=np.float64)
+    timestamp: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+    _features: dict = field(default_factory=dict, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.timestamp)
+        for name in _CANONICAL_COLUMNS:
+            dtype = np.int64 if name == "timestamp" else np.float64
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            if column.shape != (n,):
+                raise MarketDataError(f"column {name} has shape {column.shape}, expected ({n},)")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, index: slice) -> Market:
+        if not isinstance(index, slice):
+            raise TypeError("a Market takes slices; read one bar from its columns")
+        return Market(*(getattr(self, name)[index] for name in _CANONICAL_COLUMNS))
 
 
-@dataclass(frozen=True)
-class IndicatorFeatures:
-    log_return: float
-    macd: float
-    rsi: float
+def _check_bars(source, market: Market) -> None:
+    """Raise MarketDataError naming the CSV row (the header is row 1) of the
+    first invalid bar; a bar breaking several invariants gives the first
+    reason in the order checked below."""
+    ts, o, h, l, c, v = (getattr(market, name) for name in _CANONICAL_COLUMNS)
+    masks = (~np.isfinite([o, h, l, c, v]).all(axis=0),
+             (np.array([o, h, l, c]) <= 0).any(axis=0),
+             v < 0,
+             ~((l <= o) & (o <= h) & (l <= c) & (c <= h)),
+             np.concatenate(([False], ts[1:] <= ts[:-1])))
+    failing = [(int(mask.argmax()), rank) for rank, mask in enumerate(masks) if mask.any()]
+    if failing:
+        i, rank = min(failing)
+        reason = ("prices and volume must be finite", "prices must be > 0", "volume must be >= 0",
+                  f"OHLC ordering violated: o={float(o[i])} h={float(h[i])} l={float(l[i])} "
+                  f"c={float(c[i])}",
+                  f"timestamp {int(ts[i])} not after {int(ts[i - 1])}")[rank]
+        raise MarketDataError(f"{source}: row {i + 2}: {reason}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.log_return, self.macd, self.rsi], dtype=np.float64)
+
+def _market_from_arrays(timestamps: array, values: array) -> Market:
+    """A market over ``timestamps`` and ``values``, the latter holding each
+    bar's (open, high, low, close, volume) in turn; the columns are views."""
+    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, len(_VALUE_COLUMNS))
+    return Market(np.frombuffer(timestamps, dtype=np.int64), *rows.T)
 
 
 @dataclass(frozen=True)
 class FeatureSeries:
-    """Per-bar feature tuples aligned to a bar series.
+    """Per-bar feature tuples aligned to a market.
 
     ``values[i]`` is valid only for ``i >= warmup_length``.
     """
 
     mode: str  # "relative" | "indicator"
-    values: np.ndarray  # shape (n_bars, 3)
+    values: np.ndarray  # shape (n_bars, 3), read-only
     warmup_length: int
 
     def __len__(self) -> int:
@@ -93,70 +117,56 @@ class FeatureSeries:
             raise MarketDataError(f"feature index {index} is inside the warmup region")
         return self.values[index]
 
-    @property
-    def tuple_dim(self) -> int:
-        return self.values.shape[1]
 
-
-_CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
-
-
-def load_csv(path, schema: dict[str, str] | None = None) -> list[Bar]:
-    """Load bars from a CSV with a header row.
+def load_csv(path, schema: dict[str, str] | None = None) -> Market:
+    """Load a market from a CSV with a header row.
 
     ``schema`` maps canonical column names (timestamp/open/high/low/close/volume)
     to the file's column names; identity by default. Volume is optional and
     defaults to 0. Rows must already be in strictly increasing timestamp order;
-    out-of-order data is an error, not silently reordered.
+    out-of-order data is an error, not silently reordered. Blank lines are
+    skipped; "row N" in an error counts the header as row 1 and skips them too.
     """
     schema = schema or {}
     colmap = {name: schema.get(name, name) for name in _CANONICAL_COLUMNS}
-    bars: list[Bar] = []
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise MarketDataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise MarketDataError(f"{path}: empty file")
+        # a repeated column name means its last column, as with csv.DictReader
+        position = {name: i for i, name in enumerate(header)}
         for required in ("timestamp", "open", "high", "low", "close"):
-            if colmap[required] not in reader.fieldnames:
+            if colmap[required] not in position:
                 raise MarketDataError(f"{path}: missing column {colmap[required]!r}")
-        has_volume = colmap["volume"] in reader.fieldnames
-        for row_number, row in enumerate(reader, start=2):  # header is line 1
+        t_at, o_at, h_at, l_at, c_at = (position[colmap[name]] for name in _CANONICAL_COLUMNS[:5])
+        v_at = position.get(colmap["volume"])
+        timestamps, values = array("q"), array("d")
+        row_number = 1  # header
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
             try:
-                bar = Bar(
-                    timestamp=int(row[colmap["timestamp"]]),
-                    open=float(row[colmap["open"]]),
-                    high=float(row[colmap["high"]]),
-                    low=float(row[colmap["low"]]),
-                    close=float(row[colmap["close"]]),
-                    volume=float(row[colmap["volume"]]) if has_volume else 0.0,
-                )
-                bar.validate()
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MarketDataError(f"{path}: row {row_number}: {exc}") from exc
-            if bars and bar.timestamp <= bars[-1].timestamp:
-                raise MarketDataError(
-                    f"{path}: row {row_number}: timestamp {bar.timestamp} not after "
-                    f"{bars[-1].timestamp}"
-                )
-            bars.append(bar)
-    if not bars:
+                timestamp = int(row[t_at])
+                parsed = (float(row[o_at]), float(row[h_at]), float(row[l_at]),
+                          float(row[c_at]), float(row[v_at]) if v_at is not None else 0.0)
+                timestamps.append(timestamp)
+            except (ValueError, OverflowError, IndexError) as exc:
+                reason = (f"{len(row)} fields, header has {len(header)}"
+                          if isinstance(exc, IndexError) else exc)
+                _check_bars(path, _market_from_arrays(timestamps, values))
+                raise MarketDataError(f"{path}: row {row_number}: {reason}") from exc
+            values.extend(parsed)
+    if not timestamps:
         raise MarketDataError(f"{path}: no data rows")
-    return bars
-
-
-def relative_features(bar: Bar) -> RelativeBarFeatures:
-    """Prices relative to open: ((h-o)/o, (l-o)/o, (c-o)/o)."""
-    if bar.open <= 0:
-        raise MarketDataError("open price must be > 0")
-    return RelativeBarFeatures(
-        rel_high=(bar.high - bar.open) / bar.open,
-        rel_low=(bar.low - bar.open) / bar.open,
-        rel_close=(bar.close - bar.open) / bar.open,
-    )
+    market = _market_from_arrays(timestamps, values)
+    _check_bars(path, market)
+    return market
 
 
 def ema(series, period: int) -> np.ndarray:
@@ -218,28 +228,44 @@ def _rsi_value(avg_gain: float, avg_loss: float) -> float:
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
-def build_feature_series(bars: list[Bar], mode: str) -> FeatureSeries:
-    """Compute the aligned feature series for a bar list.
+def build_feature_series(market: Market, mode: str) -> FeatureSeries:
+    """The market's feature series for ``mode``, computed on first use and
+    then shared, read-only, by every caller on that market.
 
     relative mode: warmup 0. indicator mode: warmup = MACD slow period, which
     dominates the RSI and log-return warmups.
     """
+    with market._lock:
+        series = market._features.get(mode)
+        if series is None:
+            series = market._features[mode] = _compute_feature_series(market, mode)
+    return series
+
+
+def _compute_feature_series(market: Market, mode: str) -> FeatureSeries:
     if mode == "relative":
-        values = np.array([relative_features(b).as_array() for b in bars], dtype=np.float64)
-        return FeatureSeries(mode="relative", values=values, warmup_length=0)
-    if mode == "indicator":
-        if len(bars) < MACD_SLOW:
+        o = market.open
+        if np.any(o <= 0):
+            raise MarketDataError("open price must be > 0")
+        values = np.column_stack([(market.high - o) / o, (market.low - o) / o,
+                                  (market.close - o) / o])
+        warmup = 0
+    elif mode == "indicator":
+        if len(market) < MACD_SLOW:
             raise MarketDataError(
-                f"indicator mode needs at least {MACD_SLOW} bars, got {len(bars)}"
+                f"indicator mode needs at least {MACD_SLOW} bars, got {len(market)}"
             )
-        closes = np.array([b.close for b in bars], dtype=np.float64)
-        log_returns = np.full(len(bars), np.nan)
+        closes = market.close
+        log_returns = np.full(len(market), np.nan)
         log_returns[1:] = np.log(closes[1:]) - np.log(closes[:-1])
         macd_line, _ = macd(closes)
         rsi_values = rsi(closes)
         values = np.column_stack([log_returns, macd_line, rsi_values])
-        return FeatureSeries(mode="indicator", values=values, warmup_length=MACD_SLOW)
-    raise MarketDataError(f"unknown feature mode {mode!r}")
+        warmup = MACD_SLOW
+    else:
+        raise MarketDataError(f"unknown feature mode {mode!r}")
+    values.flags.writeable = False
+    return FeatureSeries(mode=mode, values=values, warmup_length=warmup)
 
 
 def synthesize_bars(
@@ -251,7 +277,7 @@ def synthesize_bars(
     momentum: float = 0.0,
     bar_seconds: int = 60,
     start_timestamp: int = 1_577_836_800,
-) -> list[Bar]:
+) -> Market:
     """Geometric random walk OHLCV generator.
 
     Per-bar log return r_t = drift + momentum*(r_{t-1} - drift) + volatility*z_t.
@@ -264,42 +290,31 @@ def synthesize_bars(
         raise MarketDataError("n_bars must be >= 1")
     if not (-1.0 < momentum < 1.0):
         raise MarketDataError("momentum must be in (-1, 1)")
-    rng = np.random.default_rng(seed)
-    bars: list[Bar] = []
+    # Four standard normals per bar, in the order the per-bar draws
+    # (z, up wick, down wick, lognormal volume) take them from the generator.
+    draws = np.random.default_rng(seed).standard_normal((n_bars, 4)).tolist()
+    values = array("d")
     price = float(start_price)
     prev_ret = drift
-    for i in range(n_bars):
-        z = rng.standard_normal()
+    for z, up, down, log_volume in draws:
         ret = drift + momentum * (prev_ret - drift) + volatility * z
         prev_ret = ret
-        open_ = price
-        close = open_ * math.exp(ret)
-        wick_up = abs(rng.standard_normal()) * volatility * 0.5
-        wick_dn = abs(rng.standard_normal()) * volatility * 0.5
-        high = max(open_, close) * math.exp(wick_up)
-        low = min(open_, close) * math.exp(-wick_dn)
-        volume = float(rng.lognormal(mean=0.0, sigma=0.5))
-        bars.append(
-            Bar(
-                timestamp=start_timestamp + i * bar_seconds,
-                open=open_,
-                high=high,
-                low=low,
-                close=close,
-                volume=volume,
-            )
-        )
+        close = price * math.exp(ret)
+        values.extend((price,
+                       max(price, close) * math.exp(abs(up) * volatility * 0.5),
+                       min(price, close) * math.exp(-(abs(down) * volatility * 0.5)),
+                       close,
+                       math.exp(0.0 + 0.5 * log_volume)))  # Generator.lognormal(0.0, 0.5)
         price = close
-    return bars
+    timestamps = array("q", (start_timestamp + i * bar_seconds for i in range(n_bars)))
+    return _market_from_arrays(timestamps, values)
 
 
-def write_bars_csv(bars: list[Bar], path) -> None:
-    """Write bars in the canonical CSV layout (byte-deterministic)."""
+def write_bars_csv(market: Market, path) -> None:
+    """Write a market in the canonical CSV layout (byte-deterministic)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["timestamp", "open", "high", "low", "close", "volume"])
-        for bar in bars:
-            writer.writerow(
-                [bar.timestamp, repr(bar.open), repr(bar.high), repr(bar.low),
-                 repr(bar.close), repr(bar.volume)]
-            )
+        writer.writerow(_CANONICAL_COLUMNS)
+        writer.writerows(zip(market.timestamp.tolist(),
+                             *(map(repr, getattr(market, name).tolist())
+                               for name in _VALUE_COLUMNS)))

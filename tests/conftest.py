@@ -2,21 +2,24 @@ import hypothesis
 import numpy as np
 import pytest
 
-from tradefool.market_data import Bar, synthesize_bars
+from tradefool.market_data import Market, _check_bars, synthesize_bars
 
 hypothesis.settings.register_profile("default", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("default")
 
 
-def make_bar(timestamp, open_, high, low, close, volume=0.0) -> Bar:
-    bar = Bar(timestamp=timestamp, open=open_, high=high, low=low, close=close, volume=volume)
-    bar.validate()
-    return bar
+def make_market(rows) -> Market:
+    """A validated market from (timestamp, open, high, low, close[, volume]) rows;
+    volume defaults to 0."""
+    rows = [tuple(row) + (0.0,) * (6 - len(row)) for row in rows]
+    market = Market(*(np.array(column) for column in zip(*rows)))
+    _check_bars("make_market", market)
+    return market
 
 
 @pytest.fixture(scope="session")
 def flat_bars():
-    return [make_bar(60 * i, 100.0, 100.0, 100.0, 100.0) for i in range(400)]
+    return make_market((60 * i, 100.0, 100.0, 100.0, 100.0) for i in range(400))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
+from tradefool import cli, market_data
 from tradefool.cli import TRAINER_PRESETS, main, trainer_config
 
 
@@ -165,6 +167,26 @@ class TestAttack:
     def test_missing_checkpoint_flag_is_user_error(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "attack", "--preset", "basic-fgsm") == 1
 
+    def test_one_parse_and_one_feature_build_per_call(self, tmp_path, data_csv, trained,
+                                                      monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_csv", counted("load_csv", cli.load_csv))
+        monkeypatch.setattr(market_data, "_compute_feature_series",
+                            counted("features", market_data._compute_feature_series))
+        assert run_cli("--out", str(tmp_path), "attack",
+                       "--checkpoint", str(trained / "checkpoint.json"),
+                       "--data", str(data_csv), "--preset", "basic-fgsm",
+                       "--chances", "0.1,0.5,1.0", "--seeds", "0") == 0
+        assert len(os.listdir(tmp_path / "runs")) == 4  # a control and 3 chances
+        assert sorted(calls) == ["features", "load_csv"]
+
     def test_bad_thread_cap_is_user_error(self, tmp_path, data_csv, trained,
                                           monkeypatch):
         monkeypatch.setenv("TRADEFOOL_THREADS", "many")
@@ -210,6 +232,16 @@ class TestReport:
         assert run_cli("report", str(out)) == 0
         rows = (out / "summary_table.csv").read_text().splitlines()
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("text", ['{"method": ', "[1]"])
+    def test_corrupt_run_json_is_user_error_naming_the_run(self, tmp_path, sweep_dir,
+                                                           capsys, text):
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep_dir / "runs", copy / "runs")
+        run = sorted(r for r in os.listdir(copy / "runs") if not r.startswith("control"))[0]
+        (copy / "runs" / run / "run.json").write_text(text)
+        assert run_cli("report", str(copy)) == 1
+        assert os.path.join("runs", run) in capsys.readouterr().err
 
     def test_missing_directory_is_user_error(self, tmp_path):
         assert run_cli("report", str(tmp_path / "missing")) == 1

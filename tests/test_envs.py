@@ -15,25 +15,14 @@ from tradefool.envs import (
 )
 from tradefool.market_data import synthesize_bars
 
-from conftest import make_bar
-
-
-def ramp_bars(n, start=100.0, step=1.0):
-    bars = []
-    price = start
-    for i in range(n):
-        close = price + step
-        high, low = max(price, close), min(price, close)
-        bars.append(make_bar(60 * i, price, high, low, close))
-        price = close
-    return bars
+from conftest import make_market
 
 
 class TestBasicStep:
     def test_close_reward_hand_formula(self):
         # buy at 100, close at 110, C=0.1 -> 100*(110-100)/100 - 0.1 = 9.9
-        bars = [make_bar(60 * i, 100, 100, 100, 100) for i in range(12)]
-        bars += [make_bar(60 * (12 + i), 110, 110, 110, 110) for i in range(5)]
+        bars = make_market([(60 * i, 100, 100, 100, 100) for i in range(12)]
+                           + [(60 * (12 + i), 110, 110, 110, 110) for i in range(5)])
         env = BasicStockEnv(bars, commission_pct=0.1, episode_cap=15)
         env.reset(10)
         assert env.step(1).reward == pytest.approx(-0.1)  # buy at 100
@@ -206,8 +195,8 @@ class TestManagedStep:
     def test_bracket_stop_fills_at_stop_price(self):
         # entry at 100 with 2% stop; next bar dips to 97 -> filled at 98
         prices = [100.0] * 77 + [97.0, 97.0]
-        bars = [make_bar(60 * i, 100.0, 100.0, min(100.0, p), p)
-                for i, p in enumerate(prices)]
+        bars = make_market((60 * i, 100.0, 100.0, min(100.0, p), p)
+                           for i, p in enumerate(prices))
         env = ManagedRiskEnv(bars, cash=1000.0, asset=0.0, stops=(0.02,), takes=(0.5,),
                              size_count=1, episode_cap=10)
         env.reset(75)  # close 100; the 97-low bar arrives two steps later
@@ -221,8 +210,8 @@ class TestManagedStep:
 
     def test_sell_bracket_reenters_on_price_rise(self):
         prices = [100.0] * 77 + [103.0, 103.0]
-        bars = [make_bar(60 * i, 100.0, max(100.0, p), 100.0, p)
-                for i, p in enumerate(prices)]
+        bars = make_market((60 * i, 100.0, max(100.0, p), 100.0, p)
+                           for i, p in enumerate(prices))
         env = ManagedRiskEnv(bars, cash=0.0, asset=10.0, stops=(0.02,), takes=(0.5,),
                              size_count=1, episode_cap=10)
         env.reset(75)

@@ -6,18 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tradefool.market_data import (
+    Market,
     MarketDataError,
     build_feature_series,
     ema,
     load_csv,
     macd,
-    relative_features,
     rsi,
     synthesize_bars,
     write_bars_csv,
 )
 
-from conftest import make_bar
+from conftest import make_market
+
+COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 
 
 def write_csv(path, rows, header="timestamp,open,high,low,close,volume"):
@@ -28,10 +30,10 @@ class TestLoadCsv:
     def test_loads_three_rows_in_order(self, tmp_path):
         path = tmp_path / "bars.csv"
         write_csv(path, ["60,10,11,9,10.5,1", "120,10.5,11,10,10.8,2", "180,10.8,11,10,10.2,0"])
-        bars = load_csv(path)
-        assert len(bars) == 3
-        assert [b.timestamp for b in bars] == [60, 120, 180]
-        assert bars[0].close == 10.5
+        market = load_csv(path)
+        assert len(market) == 3
+        assert market.timestamp.tolist() == [60, 120, 180]
+        assert market.close[0] == 10.5
 
     def test_high_below_low_names_the_row(self, tmp_path):
         path = tmp_path / "bars.csv"
@@ -53,10 +55,16 @@ class TestLoadCsv:
         with pytest.raises(MarketDataError, match="row 3"):
             load_csv(path)
 
+    def test_invalid_row_reported_before_a_later_unparseable_row(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        write_csv(path, ["60,10,11,9,10.5,1", "120,10,9,11,10,1", "180,ten,11,9,10.5,1"])
+        with pytest.raises(MarketDataError, match="row 3: OHLC ordering violated"):
+            load_csv(path)
+
     def test_volume_optional(self, tmp_path):
         path = tmp_path / "bars.csv"
         write_csv(path, ["60,10,11,9,10.5"], header="timestamp,open,high,low,close")
-        assert load_csv(path)[0].volume == 0.0
+        assert load_csv(path).volume[0] == 0.0
 
     def test_missing_file_and_empty_series(self, tmp_path):
         with pytest.raises(MarketDataError):
@@ -69,38 +77,76 @@ class TestLoadCsv:
     def test_schema_mapping(self, tmp_path):
         path = tmp_path / "bars.csv"
         write_csv(path, ["60,10,11,9,10.5"], header="ts,o,h,l,c")
-        bars = load_csv(path, schema={"timestamp": "ts", "open": "o", "high": "h",
-                                      "low": "l", "close": "c"})
-        assert bars[0].high == 11
+        market = load_csv(path, schema={"timestamp": "ts", "open": "o", "high": "h",
+                                        "low": "l", "close": "c"})
+        assert market.high[0] == 11
+
+    @given(st.integers(1, 12), st.data(),
+           st.sampled_from(["inf", "nan", "zero_price", "negative_volume", "high_below_close",
+                            "repeated_timestamp", "short_row"]),
+           st.lists(st.booleans(), min_size=13, max_size=13))
+    def test_one_bad_row_is_named(self, tmp_path_factory, n_rows, data, fault, blank_after):
+        bad = data.draw(st.integers(1 if fault == "repeated_timestamp" else 0, n_rows - 1)
+                        if n_rows > 1 else st.just(0))
+        if fault == "repeated_timestamp" and bad == 0:
+            fault = "short_row"
+        rows = [[60 * (i + 1), 10.0 + i, 11.0 + i, 9.0 + i, 10.5 + i, 1.0]
+                for i in range(n_rows)]
+        row = rows[bad]
+        if fault in ("inf", "nan"):
+            row[data.draw(st.integers(1, 5))] = fault
+        elif fault == "zero_price":
+            row[data.draw(st.integers(1, 4))] = 0.0
+        elif fault == "negative_volume":
+            row[5] = -1.0
+        elif fault == "high_below_close":
+            row[4] = row[2] + 0.5
+        elif fault == "repeated_timestamp":
+            row[0] = rows[bad - 1][0]
+        else:
+            row.pop()
+        lines = []
+        for i, fields in enumerate(rows):
+            lines.append(",".join(map(str, fields)))
+            if blank_after[i]:
+                lines.append("")  # skipped, and not counted as a row
+        path = tmp_path_factory.mktemp("bad") / "bars.csv"
+        write_csv(path, lines)
+        with pytest.raises(MarketDataError, match=f": row {bad + 2}: "):
+            load_csv(path)
+
+
+def relative_tuple(open_, high, low, close):
+    return build_feature_series(make_market([(0, open_, high, low, close)]), "relative").values[0]
 
 
 class TestRelativeFeatures:
     def test_flat_bar_is_zero(self):
-        feats = relative_features(make_bar(0, 100, 100, 100, 100))
-        assert (feats.rel_high, feats.rel_low, feats.rel_close) == (0.0, 0.0, 0.0)
+        rel_high, rel_low, rel_close = relative_tuple(100, 100, 100, 100)
+        assert (rel_high, rel_low, rel_close) == (0.0, 0.0, 0.0)
 
     def test_hand_arithmetic(self):
-        feats = relative_features(make_bar(0, 100, 102, 99, 101))
-        assert feats.rel_high == pytest.approx(0.02)
-        assert feats.rel_low == pytest.approx(-0.01)
-        assert feats.rel_close == pytest.approx(0.01)
+        rel_high, rel_low, rel_close = relative_tuple(100, 102, 99, 101)
+        assert rel_high == pytest.approx(0.02)
+        assert rel_low == pytest.approx(-0.01)
+        assert rel_close == pytest.approx(0.01)
 
     def test_close_at_low_sample_shape(self):
         # (0, -0.004, -0.004): rel_close equals rel_low when the bar closes on its low
-        feats = relative_features(make_bar(0, 100, 100, 99.6, 99.6))
-        assert feats.rel_high == 0.0
-        assert feats.rel_low == pytest.approx(-0.004)
-        assert feats.rel_close == feats.rel_low
+        rel_high, rel_low, rel_close = relative_tuple(100, 100, 99.6, 99.6)
+        assert rel_high == 0.0
+        assert rel_low == pytest.approx(-0.004)
+        assert rel_close == rel_low
 
     @given(st.floats(10, 1000), st.floats(0, 0.1), st.floats(0, 0.1), st.floats(0, 1))
     def test_ordering_invariants(self, open_, up, down, mix):
         high = open_ * (1 + up)
         low = open_ * (1 - down)
         close = low + mix * (high - low)
-        feats = relative_features(make_bar(0, open_, high, low, close))
-        assert feats.rel_high >= 0
-        assert feats.rel_low <= 0
-        assert feats.rel_low <= feats.rel_close <= feats.rel_high
+        rel_high, rel_low, rel_close = relative_tuple(open_, high, low, close)
+        assert rel_high >= 0
+        assert rel_low <= 0
+        assert rel_low <= rel_close <= rel_high
 
 
 class TestEma:
@@ -227,16 +273,52 @@ class TestBuildFeatureSeries:
             series.tuple_at(49)
 
     def test_deterministic(self, trending_bars):
-        a = build_feature_series(trending_bars, "indicator")
-        b = build_feature_series(trending_bars, "indicator")
+        # slices are new markets, so each computes its own series
+        a = build_feature_series(trending_bars[:], "indicator")
+        b = build_feature_series(trending_bars[:], "indicator")
+        assert a is not b
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_relative_mode_matches_per_bar_arithmetic(self, trending_bars):
+        series = build_feature_series(trending_bars[:], "relative")
+        m = trending_bars
+        expected = [[(h - o) / o, (l - o) / o, (c - o) / o]
+                    for o, h, l, c in zip(m.open.tolist(), m.high.tolist(), m.low.tolist(),
+                                          m.close.tolist())]
+        assert np.array_equal(series.values, np.array(expected))
+
+    def test_computed_once_per_mode_and_read_only(self, trending_bars):
+        market = trending_bars[:]
+        series = build_feature_series(market, "relative")
+        assert build_feature_series(market, "relative") is series
+        assert build_feature_series(market, "indicator") is not series
+        with pytest.raises(ValueError):
+            series.values[0, 0] = 1.0
+
+
+def reference_synthesize(n_bars, drift=0.0, volatility=0.002, seed=0, start_price=100.0,
+                         momentum=0.0, bar_seconds=60, start_timestamp=1_577_836_800):
+    """synthesize_bars as a per-bar loop drawing each random number on its own."""
+    rng = np.random.default_rng(seed)
+    rows, price, prev_ret = [], float(start_price), drift
+    for i in range(n_bars):
+        ret = drift + momentum * (prev_ret - drift) + volatility * rng.standard_normal()
+        prev_ret = ret
+        open_, close = price, price * math.exp(ret)
+        wick_up = abs(rng.standard_normal()) * volatility * 0.5
+        wick_dn = abs(rng.standard_normal()) * volatility * 0.5
+        rows.append((start_timestamp + i * bar_seconds, open_,
+                     max(open_, close) * math.exp(wick_up), min(open_, close) * math.exp(-wick_dn),
+                     close, float(rng.lognormal(mean=0.0, sigma=0.5))))
+        price = close
+    return rows
 
 
 class TestSynthesize:
     def test_zero_volatility_is_flat(self):
-        bars = synthesize_bars(50, drift=0.0, volatility=0.0, seed=9)
-        for bar in bars:
-            assert bar.open == bar.high == bar.low == bar.close == 100.0
+        market = synthesize_bars(50, drift=0.0, volatility=0.0, seed=9)
+        for name in ("open", "high", "low", "close"):
+            assert np.all(getattr(market, name) == 100.0)
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -244,10 +326,33 @@ class TestSynthesize:
         write_bars_csv(synthesize_bars(200, drift=1e-4, volatility=0.01, seed=4), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("params", [
+        dict(n_bars=300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5),
+        dict(n_bars=120, drift=2e-4, volatility=0.01, momentum=-0.3, seed=77,
+             start_price=1000.0, bar_seconds=3600),
+    ])
+    def test_matches_per_bar_reference(self, params):
+        market = synthesize_bars(**params)
+        expected = list(zip(*reference_synthesize(**params)))
+        for name, column in zip(COLUMNS, expected):
+            assert getattr(market, name).tolist() == list(column), name
+
     def test_round_trips_through_load_csv(self, tmp_path):
-        path = tmp_path / "bars.csv"
-        bars = synthesize_bars(300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5)
-        write_bars_csv(bars, path)
+        path, again = tmp_path / "bars.csv", tmp_path / "again.csv"
+        market = synthesize_bars(300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5)
+        write_bars_csv(market, path)
         loaded = load_csv(path)
         assert len(loaded) == 300
-        assert all(math.isclose(x.close, y.close) for x, y in zip(bars, loaded))
+        for name in COLUMNS:
+            assert np.array_equal(getattr(loaded, name), getattr(market, name)), name
+        write_bars_csv(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestMarket:
+    def test_slices_are_read_only_markets(self, trending_bars):
+        part = trending_bars[10:20]
+        assert isinstance(part, Market) and len(part) == 10
+        assert part.close.tolist() == trending_bars.close[10:20].tolist()
+        with pytest.raises(ValueError):
+            part.close[0] = 1.0
