@@ -19,6 +19,7 @@ Attack families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,7 +267,7 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
             raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
     if config.mode == "targeted" and target is None:
         raise AttackError("targeted mode requires a target action")
-    original_action = int(np.argmax(forward(net, observation)))
+    original_action = int(forward(net, observation).argmax())
     if not first_success and config.mode == "targeted" and original_action == target:
         return PerturbationResult(perturbed=x_orig, outcome=SUCCESS,
                                   induced_action=original_action, iterations=0,
@@ -278,10 +279,11 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
             proposals(observation, x_orig, k, label), start=1):
         candidate = project_constraints(proposal, x_orig, config.spec)
         attacked[tuple_slice] = candidate
-        induced = int(np.argmax(forward(net, attacked)))
+        induced = int(forward(net, attacked).argmax())
         outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
         priority = _PRIORITY[outcome]
-        l2 = float(np.linalg.norm(candidate - x_orig))
+        d = candidate - x_orig
+        l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
         if priority > best_priority or (priority == best_priority and l2 < best_l2):
             best_priority, best_l2 = priority, l2
             best = (candidate, outcome, induced, iteration, eps)
@@ -342,7 +344,7 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
             grad = input_gradient(net, attacked, loss, label)[tuple_slice]
             grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
                 * (1.0 - np.tanh(w) ** 2) / 2.0
-            if not np.all(np.isfinite(grad_w)):
+            if not np.isfinite(grad_w).all():
                 return
             w = w - config.cw_lr * grad_w
             yield 0.0, lo + (np.tanh(w) + 1.0) / 2.0 * width
@@ -370,7 +372,7 @@ def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
             attacked[tuple_slice] = x_orig + delta
             grad = input_gradient(net, attacked, loss, label)[tuple_slice]
             objective_grad = 2.0 * delta + config.cw_const * grad
-            if not np.all(np.isfinite(objective_grad)):
+            if not np.isfinite(objective_grad).all():
                 return
             delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
             yield config.cw_eps, x_orig + delta

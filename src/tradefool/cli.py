@@ -121,9 +121,12 @@ def load_config_file(path) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UserError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UserError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _load_market(path):

@@ -71,7 +71,7 @@ class GradientBundle:
 
 
 def _forward_cached(net: QNetwork, x: np.ndarray):
-    """Batch forward pass keeping the activations needed for backprop."""
+    """Forward pass (one state or a batch) keeping the activations backprop needs."""
     activations = [x]
     a = x
     last = len(net.weights) - 1
@@ -85,28 +85,22 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
 def forward(net: QNetwork, state) -> np.ndarray:
     """Q-values for one state (1-D) or a batch of states (2-D)."""
     x = np.asarray(state, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != net.input_dim:
-        raise QNetError(f"state dim {x.shape[1]} != input dim {net.input_dim}")
-    q = _forward_cached(net, x)[-1]
-    return q[0] if single else q
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+        raise QNetError(f"state shape {x.shape} does not end in input dim {net.input_dim}")
+    return _forward_cached(net, x)[-1]
 
 
 def _backward(net: QNetwork, activations, dq: np.ndarray):
-    """Backprop dLoss/dQ through the net; returns (param grads, input grad)."""
-    weight_grads = [np.zeros_like(w) for w in net.weights]
-    bias_grads = [np.zeros_like(b) for b in net.biases]
+    """Backprop dLoss/dQ through the net; returns the parameter gradients."""
+    weight_grads = []
+    bias_grads = []
     delta = dq
     for i in range(len(net.weights) - 1, -1, -1):
-        a_prev = activations[i]
-        weight_grads[i] = a_prev.T @ delta
-        bias_grads[i] = delta.sum(axis=0)
-        delta = delta @ net.weights[i].T
+        weight_grads.append(activations[i].T @ delta)
+        bias_grads.append(delta.sum(axis=0))
         if i > 0:
-            delta = delta * (activations[i] > 0.0)
-    return weight_grads, bias_grads, delta
+            delta = (delta @ net.weights[i].T) * (activations[i] > 0.0)
+    return weight_grads[::-1], bias_grads[::-1]
 
 
 def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBundle:
@@ -138,7 +132,7 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBun
 
     dq = np.zeros_like(q)
     dq[rows, actions] = 2.0 * diff / len(batch)
-    weight_grads, bias_grads, _ = _backward(net, activations, dq)
+    weight_grads, bias_grads = _backward(net, activations, dq)
     return GradientBundle(loss=loss, weight_grads=weight_grads, bias_grads=bias_grads)
 
 
@@ -147,16 +141,25 @@ def _softmax(q: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _rival(q: np.ndarray, action: int) -> int:
+    """The best action other than ``action``; ties go to the lowest index."""
+    if q.shape[0] < 2:
+        raise QNetError("margin losses need at least two actions")
+    masked = q.copy()
+    masked[action] = -np.inf
+    rival = int(masked.argmax())
+    return rival + (rival == action)  # action 0 and every other Q is -inf
+
+
 def attack_loss_value(net: QNetwork, state, loss_spec: str, action: int) -> float:
     """Scalar attack loss at a state (used by finite-difference checks)."""
     q = forward(net, np.asarray(state, dtype=np.float64))
     if loss_spec == "cross_entropy":
         return float(-np.log(_softmax(q)[action] + 1e-300))
-    others = np.delete(q, action)
     if loss_spec == "lead_margin":
-        return float(max(0.0, q[action] - others.max()))
+        return float(max(0.0, q[action] - q[_rival(q, action)]))
     if loss_spec == "deficit_margin":
-        return float(max(0.0, others.max() - q[action]))
+        return float(max(0.0, q[_rival(q, action)] - q[action]))
     raise QNetError(f"unknown loss_spec {loss_spec!r}")
 
 
@@ -167,33 +170,34 @@ def input_gradient(net: QNetwork, state, loss_spec: str, action: int) -> np.ndar
       cross_entropy  -- -log softmax(Q)[action]
       lead_margin    -- max(0, Q[action] - best other Q)   (dethrone ``action``)
       deficit_margin -- max(0, best other Q - Q[action])   (crown ``action``)
+
+    Only dLoss/dx is backpropagated; the weight and bias products that
+    ``td_loss`` needs are skipped.
     """
     x = np.asarray(state, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise QNetError(f"state shape {x.shape} != ({net.input_dim},)")
     if not 0 <= action < net.n_actions:
         raise QNetError(f"action {action} out of range")
-    activations = _forward_cached(net, x[None, :])
-    q = activations[-1][0]
-    dq = np.zeros((1, net.n_actions))
+    activations = _forward_cached(net, x)
+    q = activations[-1]
     if loss_spec == "cross_entropy":
-        p = _softmax(q)
-        dq[0] = p
-        dq[0, action] -= 1.0
+        delta = _softmax(q)
+        delta[action] -= 1.0
     elif loss_spec in ("lead_margin", "deficit_margin"):
-        others = np.delete(q, action)
-        rival = int(np.argmax(others))
-        rival += rival >= action  # undo the delete offset
+        delta = np.zeros(net.n_actions)
+        rival = _rival(q, action)
         if loss_spec == "lead_margin" and q[action] - q[rival] > 0.0:
-            dq[0, action] = 1.0
-            dq[0, rival] = -1.0
+            delta[action] = 1.0
+            delta[rival] = -1.0
         elif loss_spec == "deficit_margin" and q[rival] - q[action] > 0.0:
-            dq[0, rival] = 1.0
-            dq[0, action] = -1.0
+            delta[rival] = 1.0
+            delta[action] = -1.0
     else:
         raise QNetError(f"unknown loss_spec {loss_spec!r}")
-    _, _, dx = _backward(net, activations, dq)
-    return dx[0]
+    for i in range(len(net.weights) - 1, 0, -1):
+        delta = (delta @ net.weights[i].T) * (activations[i] > 0.0)
+    return delta @ net.weights[0].T
 
 
 def sgd_step(net: QNetwork, grads: GradientBundle, learning_rate: float) -> QNetwork:

@@ -164,6 +164,16 @@ class TestAttack:
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("text", ["[1]", "3", "null"])
+    def test_non_object_config_is_user_error(self, tmp_path, data_csv, trained, capsys,
+                                             text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert run_cli("--config", str(cfg_path), "--out", str(tmp_path), "attack",
+                       "--checkpoint", str(trained / "checkpoint.json"),
+                       "--data", str(data_csv), "--preset", "basic-fgsm") == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_missing_checkpoint_flag_is_user_error(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "attack", "--preset", "basic-fgsm") == 1
 

@@ -6,6 +6,7 @@ from tradefool.qnet import (
     GradientBundle,
     QNetError,
     QNetwork,
+    _rival,
     attack_loss_value,
     forward,
     input_gradient,
@@ -128,6 +129,162 @@ class TestInputGradient:
             numeric = finite_difference_input_grad(net, x, loss_spec, action)
             for a, b in zip(analytic, numeric):
                 assert abs(a - b) <= 1e-4 * max(abs(a), abs(b)) + 1e-8
+
+
+# The full-backprop code that input_gradient, forward and td_loss replaced.
+# The lean paths must reproduce it bit for bit, so the checks below use exact
+# equality, never a tolerance.
+def reference_activations(net, x):
+    activations = [x]
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return activations
+
+
+def reference_backward(net, activations, dq):
+    weight_grads = [np.zeros_like(w) for w in net.weights]
+    bias_grads = [np.zeros_like(b) for b in net.biases]
+    delta = dq
+    for i in range(len(net.weights) - 1, -1, -1):
+        a_prev = activations[i]
+        weight_grads[i] = a_prev.T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * (activations[i] > 0.0)
+    return weight_grads, bias_grads, delta
+
+
+def reference_forward(net, x):
+    single = x.ndim == 1
+    q = reference_activations(net, x[None, :] if single else x)[-1]
+    return q[0] if single else q
+
+
+def reference_input_gradient(net, x, loss_spec, action):
+    activations = reference_activations(net, x[None, :])
+    q = activations[-1][0]
+    dq = np.zeros((1, net.n_actions))
+    if loss_spec == "cross_entropy":
+        e = np.exp(q - q.max())
+        dq[0] = e / e.sum()
+        dq[0, action] -= 1.0
+    else:
+        rival = int(np.argmax(np.delete(q, action)))
+        rival += rival >= action
+        if loss_spec == "lead_margin" and q[action] - q[rival] > 0.0:
+            dq[0, action] = 1.0
+            dq[0, rival] = -1.0
+        elif loss_spec == "deficit_margin" and q[rival] - q[action] > 0.0:
+            dq[0, rival] = 1.0
+            dq[0, action] = -1.0
+    return reference_backward(net, activations, dq)[2][0]
+
+
+def reference_td_grads(net, target, batch, gamma):
+    states = np.stack([t.state for t in batch])
+    next_q = reference_forward(target, np.stack([t.next_state for t in batch]))
+    actions = np.array([t.action for t in batch], dtype=np.intp)
+    rewards = np.array([t.reward for t in batch], dtype=np.float64)
+    terminal = np.array([t.terminal for t in batch], dtype=bool)
+    y = rewards + gamma * next_q.max(axis=1) * (~terminal)
+    activations = reference_activations(net, states)
+    rows = np.arange(len(batch))
+    diff = activations[-1][rows, actions] - y
+    dq = np.zeros_like(activations[-1])
+    dq[rows, actions] = 2.0 * diff / len(batch)
+    return float(np.mean(diff**2)), *reference_backward(net, activations, dq)[:2]
+
+
+# the two benchmark agents' shapes and a small net
+BIT_IDENTITY_SIZES = [[32, 64, 64, 3], [60, 16, 16, 181], [5, 7, 4]]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
+    @pytest.mark.parametrize("loss_spec", ["cross_entropy", "lead_margin", "deficit_margin"])
+    def test_input_gradient_matches_full_backprop(self, sizes, loss_spec):
+        rng = np.random.default_rng(sizes[0] * 1000 + sizes[-1])
+        for _ in range(4):
+            net = QNetwork.initialize(sizes, rng)
+            net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+            for _ in range(60):
+                x = rng.normal(size=net.input_dim) * rng.choice([1e-3, 1.0, 10.0])
+                action = int(rng.integers(net.n_actions))
+                assert np.array_equal(input_gradient(net, x, loss_spec, action),
+                                      reference_input_gradient(net, x, loss_spec, action))
+
+    @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
+    def test_forward_matches_cached_forward(self, sizes):
+        rng = np.random.default_rng(sizes[1])
+        net = QNetwork.initialize(sizes, rng)
+        net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+        for _ in range(50):
+            x = rng.normal(size=net.input_dim)
+            assert np.array_equal(forward(net, x), reference_forward(net, x))
+        for rows in (1, 7, 32):
+            batch = rng.normal(size=(rows, net.input_dim))
+            assert np.array_equal(forward(net, batch), reference_forward(net, batch))
+
+    @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
+    def test_td_loss_gradients_match_full_backprop(self, sizes):
+        rng = np.random.default_rng(sizes[2])
+        net = QNetwork.initialize(sizes, rng)
+        target = QNetwork.initialize(sizes, rng)
+        for batch_size in (1, 5, 32):
+            batch = [Transition(rng.normal(size=net.input_dim), int(rng.integers(net.n_actions)),
+                                float(rng.normal()), rng.normal(size=net.input_dim),
+                                bool(rng.random() < 0.2)) for _ in range(batch_size)]
+            bundle = td_loss(net, target, batch, 0.99)
+            loss, weight_grads, bias_grads = reference_td_grads(net, target, batch, 0.99)
+            assert bundle.loss == loss
+            assert len(bundle.weight_grads) == len(bundle.bias_grads) == len(net.weights)
+            for got, want in zip(bundle.weight_grads + bundle.bias_grads,
+                                 weight_grads + bias_grads):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestRival:
+    def test_tied_rival_picks_the_gradient(self):
+        # Q = (1, 3, 3, 0) at x = (1, 0); actions 1 and 2 tie but differ in
+        # dQ/dx, so the gradient shows which one was taken
+        net = linear_net([[1.0, 3.0, 3.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
+        x = np.array([1.0, 0.0])
+        grad = input_gradient(net, x, "deficit_margin", 3)
+        assert grad.tolist() == [3.0, 1.0]  # d(Q1 - Q3)/dx
+        assert attack_loss_value(net, x, "deficit_margin", 3) == 3.0
+        for spec in ("lead_margin", "deficit_margin"):
+            for action in range(4):
+                assert np.array_equal(input_gradient(net, x, spec, action),
+                                      reference_input_gradient(net, x, spec, action))
+
+    # ties go to the lowest index other than ``action``, as with the old
+    # np.delete + offset code; the all-zero Q comes from a zero net
+    @pytest.mark.parametrize("q, action, expected", [
+        ([0.5, 2.0, 1.0, 2.0], 1, 3),
+        ([0.5, 2.0, 1.0, 2.0], 3, 1),
+        ([0.5, 2.0, 1.0, 2.0], 0, 1),
+        ("zero_net", 0, 1),
+        ("zero_net", 1, 0),
+        ("zero_net", 2, 0),
+        ("zero_net", 3, 0),
+    ])
+    def test_rival_skips_action_and_breaks_ties_low(self, q, action, expected):
+        if q == "zero_net":
+            q = forward(zero_net([2, 4]), np.ones(2))
+        assert _rival(np.asarray(q, dtype=np.float64), action) == expected
+
+    def test_all_others_minus_infinity(self):
+        q = np.array([-np.inf, -np.inf, -np.inf])
+        assert [_rival(q, a) for a in range(3)] == [1, 0, 0]
+
+    def test_single_action_net_rejected(self):
+        with pytest.raises(QNetError):
+            _rival(np.array([1.0]), 0)
 
 
 class TestSgdStep:
