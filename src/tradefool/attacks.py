@@ -146,6 +146,8 @@ class AttackConfig:
             raise AttackError(f"unknown cw variant {self.cw_variant!r}")
         if self.constraint not in CONSTRAINT_SPECS:
             raise AttackError(f"unknown constraint set {self.constraint!r}")
+        if self.seed is not None and self.seed < 0:
+            raise AttackError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def spec(self) -> ConstraintSpec:
@@ -337,17 +339,22 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
         w = np.arctanh(2.0 * x_scaled - 1.0)
         # crown the target, or dethrone the greedy action
         loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+        tanh_w = np.tanh(w)
+        adv_scaled = (tanh_w + 1.0) / 2.0
         attacked = observation.copy()
+        attacked[tuple_slice] = lo + adv_scaled * width
         for _ in range(config.cw_max_iters):
-            adv_scaled = (np.tanh(w) + 1.0) / 2.0
-            attacked[tuple_slice] = lo + adv_scaled * width
             grad = input_gradient(net, attacked, loss, label)[tuple_slice]
             grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
-                * (1.0 - np.tanh(w) ** 2) / 2.0
+                * (1.0 - tanh_w ** 2) / 2.0
             if not np.isfinite(grad_w).all():
                 return
             w = w - config.cw_lr * grad_w
-            yield 0.0, lo + (np.tanh(w) + 1.0) / 2.0 * width
+            tanh_w = np.tanh(w)
+            adv_scaled = (tanh_w + 1.0) / 2.0
+            candidate = lo + adv_scaled * width
+            attacked[tuple_slice] = candidate  # the next iteration's point
+            yield 0.0, candidate
 
     return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
                    k_scale=None, max_iters=config.cw_max_iters, fallback_eps=0.0,

@@ -5,8 +5,7 @@ blocks drives everything; the trainer and attack blocks may name a preset
 and override individual fields. Every command appends a line to
 ``manifest.jsonl`` in the output directory (tool version, resolved
 configuration, seeds, input-data digest) before running. Output files are
-reproducible byte-for-byte from the manifest inputs. ``TRADEFOOL_THREADS``
-caps the attack sweep's in-process parallelism.
+reproducible byte-for-byte from the manifest inputs.
 
 Exit codes: 0 success, 1 user error, 2 internal invariant violation.
 """
@@ -25,7 +24,7 @@ from . import __version__
 from .attacks import AttackConfig, preset as attack_preset
 from .dqn import TrainerConfig, train
 from .envs import EnvError, make_env
-from .harness import HarnessError, max_sweep_workers, run_sweep
+from .harness import run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
 
@@ -165,6 +164,8 @@ def cmd_train(args) -> int:
     if not trainer_block:
         raise UserError("no trainer config (use --preset or a config trainer block)")
     tconfig = trainer_config(trainer_block)
+    if args.seed < 0:
+        raise UserError(f"seed must be >= 0, got {args.seed}")
     out_dir = args.out or "."
     digest = file_digest(data_path) if data_path else None
     append_manifest(out_dir, {
@@ -188,20 +189,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, kind) -> list:
     if not text.strip():
         return []
     try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UserError(f"bad list {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    try:
-        return [int(v) for v in text.split(",")]
+        return [kind(v) for v in text.split(",")]
     except ValueError as exc:
         raise UserError(f"bad list {text!r}: {exc}") from exc
 
@@ -227,23 +219,35 @@ def cmd_attack(args) -> int:
     env_block = config_file.get("env") or meta.get("env")
     if not env_block:
         raise UserError("no env config in checkpoint meta or config file")
-    market = _load_market(data_path)
-
-    def env_factory():
-        return build_env(env_block, market)
-
-    probe = env_factory()
-    if probe.observation_dim != net.input_dim or probe.n_actions != net.n_actions:
+    env = build_env(env_block, _load_market(data_path))
+    if env.observation_dim != net.input_dim or env.n_actions != net.n_actions:
         raise UserError(
             f"checkpoint ({net.input_dim} inputs, {net.n_actions} actions) does not match "
-            f"env ({probe.observation_dim} inputs, {probe.n_actions} actions)")
+            f"env ({env.observation_dim} inputs, {env.n_actions} actions)")
 
-    try:
-        max_sweep_workers()
-    except HarnessError as exc:
-        raise UserError(str(exc)) from exc
-    chances = _parse_float_list(args.chances) if args.chances is not None else [1.0]
-    seeds = _parse_int_list(args.seeds) if args.seeds else [args.seed]
+    chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
+    seeds = _parse_list(args.seeds, int) if args.seeds else [args.seed]
+    if any(seed < 0 for seed in seeds):
+        raise UserError(f"seeds must be >= 0, got {seeds}")
+    jobs: list[tuple[str, AttackConfig | None, int]] = []
+    run_meta: dict[str, dict] = {}
+    label = args.preset or base.method
+    for seed in seeds:
+        runs = [(f"control-s{seed}", None, {"method": "control", "mode": "", "chance": ""})]
+        if base.method == "delay":  # delay ignores the chance list
+            runs.append((f"{label}-s{seed}", base,
+                         {"method": "delay", "mode": "", "chance": 1.0}))
+        else:
+            runs += [(f"{label}-{base.mode}-c{chance:g}-s{seed}",
+                      attack_config({**attack_block, "chance": chance}),
+                      {"method": base.method, "mode": base.mode, "chance": chance})
+                     for chance in chances]
+        for name, config, meta_row in runs:
+            if name in run_meta:  # the second run would overwrite the first
+                raise UserError(f"two runs would share the name {name!r}; "
+                                "give distinct seeds and chances")
+            jobs.append((name, config, seed))
+            run_meta[name] = {**meta_row, "seed": seed}
     out_dir = args.out or "."
     append_manifest(out_dir, {
         "command": "attack", "config_path": args.config,
@@ -251,26 +255,8 @@ def cmd_attack(args) -> int:
         "chances": chances, "seeds": seeds, "data": str(data_path),
         "data_digest": file_digest(data_path),
         "checkpoint_digest": file_digest(args.checkpoint), "out": str(out_dir)})
-
-    jobs: list[tuple[str, AttackConfig | None, int]] = []
-    run_meta: dict[str, dict] = {}
-    label = args.preset or base.method
-    for seed in seeds:
-        name = f"control-s{seed}"
-        jobs.append((name, None, seed))
-        run_meta[name] = {"method": "control", "mode": "", "chance": "", "seed": seed}
-        if base.method == "delay":
-            name = f"{label}-s{seed}"  # delay ignores the chance list
-            jobs.append((name, base, seed))
-            run_meta[name] = {"method": "delay", "mode": "", "chance": 1.0, "seed": seed}
-        else:
-            for chance in chances:
-                name = f"{label}-{base.mode}-c{chance:g}-s{seed}"
-                jobs.append((name, dataclasses.replace(base, chance=chance), seed))
-                run_meta[name] = {"method": base.method, "mode": base.mode,
-                                  "chance": chance, "seed": seed}
     runs_dir = os.path.join(out_dir, "runs")
-    summaries = run_sweep(net, env_factory, jobs, runs_dir)
+    summaries = run_sweep(net, env, jobs, runs_dir)
     for name, meta_row in run_meta.items():
         with open(os.path.join(runs_dir, name, "run.json"), "w", encoding="utf-8") as handle:
             json.dump(meta_row, handle, sort_keys=True)

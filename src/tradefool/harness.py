@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,51 +311,35 @@ def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
 
 
 def max_sweep_workers() -> int:
-    value = os.environ.get("TRADEFOOL_THREADS", "").strip()
-    if value:
-        try:
-            workers = int(value)
-        except ValueError as exc:
-            raise HarnessError(f"TRADEFOOL_THREADS={value!r} is not an integer") from exc
-        if workers < 1:
-            raise HarnessError("TRADEFOOL_THREADS must be >= 1")
-        return workers
-    return min(8, os.cpu_count() or 1)
+    """Sweeps run on the calling thread, one job after another."""
+    return 1
 
 
-def run_sweep(net: QNetwork, env_factory, jobs: list[tuple[str, AttackConfig | None, int]],
+def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int]],
               out_dir) -> dict[str, dict]:
-    """Run (name, config, seed) jobs in parallel and export one report each.
+    """Run (name, config, seed) jobs one after another on ``env`` and export
+    one report each.
 
-    config=None runs a control. Attacked jobs are paired with the control of
-    the same seed for difference curves, so each seed's control is run first.
+    config=None runs a control. Every config is validated before the first
+    episode. Controls run first, so each attacked job is paired with the
+    control of its seed for difference curves. Each episode resets ``env``,
+    so reusing it gives the same runs as a fresh env per job.
     Returns {job name: summary dict} in sorted-name order.
     """
+    for _, config, _ in jobs:
+        if config is not None:
+            config.validate()
     os.makedirs(out_dir, exist_ok=True)
     controls: dict[int, RunRecord] = {}
-    control_jobs = [(name, seed) for name, config, seed in jobs if config is None]
-    attack_jobs = [(name, config, seed) for name, config, seed in jobs if config is not None]
-
-    def _control(args):
-        name, seed = args
-        record, ledger = _run_episode(net, env_factory(), seed, None)
-        return name, seed, record, ledger
-
-    def _attacked(args):
-        name, config, seed = args
-        record, ledger = _run_episode(net, env_factory(), seed, config)
-        return name, seed, record, ledger
-
     summaries: dict[str, dict] = {}
-    tuple_dim = env_factory().tuple_dim
-    with ThreadPoolExecutor(max_workers=max_sweep_workers()) as pool:
-        for name, seed, record, ledger in pool.map(_control, control_jobs):
+    for name, config, seed in sorted(jobs, key=lambda job: job[1] is not None):
+        record, ledger = _run_episode(net, env, seed, config)
+        control = None
+        if config is None:
             controls[seed] = record
-            export_report(ledger, record, os.path.join(out_dir, name), tuple_dim=tuple_dim)
-            summaries[name] = summary_dict(ledger, record)
-        for name, seed, record, ledger in pool.map(_attacked, attack_jobs):
+        else:
             control = controls.get(seed)
-            export_report(ledger, record, os.path.join(out_dir, name), control,
-                          tuple_dim=tuple_dim)
-            summaries[name] = summary_dict(ledger, record, control)
+        export_report(ledger, record, os.path.join(out_dir, name), control,
+                      tuple_dim=env.tuple_dim)
+        summaries[name] = summary_dict(ledger, record, control)
     return dict(sorted(summaries.items()))

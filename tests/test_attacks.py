@@ -453,6 +453,8 @@ class TestPresets:
             preset("no-such-preset")
         with pytest.raises(AttackError):
             preset("basic-fgsm", chance=1.5)
+        with pytest.raises(AttackError):
+            preset("basic-fgsm", seed=-1)
 
     def test_deterministic_results(self):
         rng = np.random.default_rng(3)

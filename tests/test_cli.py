@@ -105,6 +105,11 @@ class TestTrain:
         assert run_cli("--out", str(tmp_path), "train", "--preset", "basic",
                        "--data", str(tmp_path / "nope.csv")) == 1
 
+    def test_negative_seed_is_user_error(self, tmp_path, data_csv):
+        assert run_cli("--out", str(tmp_path), "--seed", "-1", "train", "--preset", "basic",
+                       "--data", str(data_csv)) == 1
+        assert not (tmp_path / "manifest.jsonl").exists()
+
 
 class TestAttack:
     def test_chance_grid_runs_per_seed(self, tmp_path, data_csv, trained):
@@ -197,13 +202,18 @@ class TestAttack:
         assert len(os.listdir(tmp_path / "runs")) == 4  # a control and 3 chances
         assert sorted(calls) == ["features", "load_csv"]
 
-    def test_bad_thread_cap_is_user_error(self, tmp_path, data_csv, trained,
-                                          monkeypatch):
-        monkeypatch.setenv("TRADEFOOL_THREADS", "many")
+    @pytest.mark.parametrize("flags", [
+        ["--chances", "0.5,1.5"],
+        ["--chances", "nan"],
+        ["--chances", "0.1,0.1000001"],  # both runs would be named c0.1
+        ["--seeds=-1"],
+    ])
+    def test_bad_sweep_input_is_user_error(self, tmp_path, data_csv, trained, flags):
         assert run_cli("--out", str(tmp_path), "attack",
                        "--checkpoint", str(trained / "checkpoint.json"),
-                       "--data", str(data_csv), "--preset", "basic-fgsm",
-                       "--chances", "1.0", "--seeds", "0") == 1
+                       "--data", str(data_csv), "--preset", "basic-fgsm", *flags) == 1
+        assert not (tmp_path / "manifest.jsonl").exists()
+        assert not (tmp_path / "runs").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,17 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tradefool.attacks import AttackConfig, preset
-from tradefool.envs import BasicStockEnv
+from tradefool.attacks import AttackConfig, AttackError, preset
+from tradefool.envs import BasicStockEnv, ManagedRiskEnv
 from tradefool.harness import (
     AttackLedger,
     HarnessError,
     RunRecord,
+    _run_episode,
     export_report,
     networth_difference,
     reward_difference,
@@ -231,16 +233,48 @@ class TestExportReport:
 
 
 class TestSweep:
-    def test_parallel_sweep_writes_all_runs(self, bars, net, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRADEFOOL_THREADS", "2")
-        jobs = [("control-s1", None, 1),
-                ("fgsm-c0.5-s1", preset("basic-fgsm", chance=0.5), 1),
+    def test_sweep_writes_all_runs(self, bars, net, tmp_path):
+        jobs = [("fgsm-c0.5-s1", preset("basic-fgsm", chance=0.5), 1),
+                ("control-s1", None, 1),
                 ("fgsm-c1-s1", preset("basic-fgsm", chance=1.0), 1)]
-        summaries = run_sweep(net, lambda: BasicStockEnv(bars), jobs, tmp_path)
+        summaries = run_sweep(net, BasicStockEnv(bars), jobs, tmp_path / "a")
         assert sorted(summaries) == sorted(j[0] for j in jobs)
         for name, _, _ in jobs:
-            assert (tmp_path / name / "summary.json").is_file()
-        assert (tmp_path / "fgsm-c1-s1" / "curves.csv").is_file()
+            assert (tmp_path / "a" / name / "summary.json").is_file()
+        assert (tmp_path / "a" / "fgsm-c0.5-s1" / "curves.csv").is_file()
+        assert (tmp_path / "a" / "fgsm-c1-s1" / "curves.csv").is_file()
+        control_first = [jobs[1], jobs[0], jobs[2]]
+        run_sweep(net, BasicStockEnv(bars), control_first, tmp_path / "b")
+        for name, _, _ in jobs:
+            for path in sorted((tmp_path / "a" / name).iterdir()):
+                assert path.read_bytes() == (tmp_path / "b" / name / path.name).read_bytes()
+
+    def test_bad_config_rejected_before_any_episode(self, bars, net, tmp_path):
+        jobs = [("control-s1", None, 1),
+                ("fgsm-c2-s1", replace(preset("basic-fgsm"), chance=2.0), 1)]
+        with pytest.raises(AttackError):
+            run_sweep(net, BasicStockEnv(bars), jobs, tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
+
+    def test_reused_managed_env_matches_fresh_env(self, bars):
+        reused = ManagedRiskEnv(bars, episode_cap=60)
+        net = QNetwork.initialize([reused.observation_dim, 16, reused.n_actions],
+                                  np.random.default_rng(11))
+        config = preset("managed-fgsm", chance=0.5)
+        traded = set()
+        for seed in (3, 8, 3, 21):
+            for attack in (None, config):
+                fresh_record, fresh_ledger = _run_episode(
+                    net, ManagedRiskEnv(bars, episode_cap=60), seed, attack)
+                record, ledger = _run_episode(net, reused, seed, attack)
+                assert record.actions == fresh_record.actions
+                assert record.rewards == fresh_record.rewards
+                assert record.net_worths == fresh_record.net_worths
+                assert ledger.counters() == fresh_ledger.counters()
+                assert [(r.outcome, r.action, r.induced, r.l2) for r in ledger.rows] == \
+                    [(r.outcome, r.action, r.induced, r.l2) for r in fresh_ledger.rows]
+                traded.update(reused.action_types[a] for a in record.actions)
+        assert {"buy", "sell"} <= traded  # episodes leave portfolio and order state behind
 
     def test_summary_dict_carries_totals(self, bars, net):
         env = BasicStockEnv(bars)
