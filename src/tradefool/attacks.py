@@ -197,9 +197,11 @@ def epsilon_ladder(start: float, end: float, n: int) -> np.ndarray:
     return np.geomspace(start, end, n)
 
 
-def least_q_target(net: QNetwork, observation) -> int:
-    """The adversarial target: the action the policy values least."""
-    return int(np.argmin(forward(net, observation)))
+def least_q_target(net: QNetwork, observation, q=None) -> int:
+    """The adversarial target: the action the policy values least.
+
+    ``q`` may carry the observation's Q-values, when the caller has them."""
+    return int(np.argmin(forward(net, observation) if q is None else q))
 
 
 def classify_outcome(original: int, induced: int, mode: str, target: int | None = None,
@@ -246,7 +248,7 @@ def delay_attack(observation, tuple_slice: slice, previous_tuple) -> np.ndarray:
 
 def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice, target,
             action_types, proposals, *, k_scale, max_iters: int, fallback_eps: float,
-            first_success: bool) -> PerturbationResult:
+            first_success: bool, q=None) -> PerturbationResult:
     """The loop all perturbation attacks share: project -> classify -> keep best.
 
     ``proposals(observation, x_orig, k, label)`` yields (eps, raw candidate
@@ -255,7 +257,8 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
     checked against the tuple shape. The best candidate by (outcome priority,
     then smallest L2) wins. first_success=True (the FGSM ladder) stops at the
     first full success; otherwise (C&W) every proposal is tried, and a target
-    that is already greedy is a success with no proposal at all.
+    that is already greedy is a success with no proposal at all. ``q``, when
+    given, is ``forward(net, observation)``, computed once by the caller.
     """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape[0] != net.input_dim:
@@ -269,7 +272,7 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
             raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
     if config.mode == "targeted" and target is None:
         raise AttackError("targeted mode requires a target action")
-    original_action = int(forward(net, observation).argmax())
+    original_action = int((forward(net, observation) if q is None else q).argmax())
     if not first_success and config.mode == "targeted" and original_action == target:
         return PerturbationResult(perturbed=x_orig, outcome=SUCCESS,
                                   induced_action=original_action, iterations=0,
@@ -299,7 +302,7 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
 
 
 def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-                target: int | None = None, action_types=None) -> PerturbationResult:
+                target: int | None = None, action_types=None, q=None) -> PerturbationResult:
     """Sign-of-gradient attack along a geometric epsilon ladder.
 
     The gradient of the cross-entropy loss (against the current greedy
@@ -319,17 +322,22 @@ def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: s
 
     return _attack(net, observation, config, tuple_slice, target, action_types, rungs,
                    k_scale=config.k_scale, max_iters=config.eps_iters,
-                   fallback_eps=float(ladder[-1]), first_success=True)
+                   fallback_eps=float(ladder[-1]), first_success=True, q=q)
 
 
 def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-              target: int | None = None, action_types=None) -> PerturbationResult:
+              target: int | None = None, action_types=None, q=None) -> PerturbationResult:
     """Carlini-Wagner L2 in a tanh-reparameterized box.
 
     The attacked tuple is affinely mapped into [0,1] using the constraint
     spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
     descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
     the smallest-norm qualifying candidate wins. ``config.k_scale`` is unused.
+
+    The descent stops at a fixed point: once a step leaves w unchanged after
+    at least one iterate, every later iterate would repeat the last one, and
+    a repeat never replaces the best candidate, so the result (``iterations``
+    included) is the one all ``cw_max_iters`` steps would give.
     """
 
     def iterates(observation, x_orig, k, label):
@@ -343,13 +351,16 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
         adv_scaled = (tanh_w + 1.0) / 2.0
         attacked = observation.copy()
         attacked[tuple_slice] = lo + adv_scaled * width
-        for _ in range(config.cw_max_iters):
+        for step in range(config.cw_max_iters):
             grad = input_gradient(net, attacked, loss, label)[tuple_slice]
             grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
                 * (1.0 - tanh_w ** 2) / 2.0
             if not np.isfinite(grad_w).all():
                 return
-            w = w - config.cw_lr * grad_w
+            next_w = w - config.cw_lr * grad_w
+            if step and np.array_equal(next_w, w):
+                return  # fixed point: the next iterate is the last one yielded
+            w = next_w
             tanh_w = np.tanh(w)
             adv_scaled = (tanh_w + 1.0) / 2.0
             candidate = lo + adv_scaled * width
@@ -358,16 +369,22 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
 
     return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
                    k_scale=None, max_iters=config.cw_max_iters, fallback_eps=0.0,
-                   first_success=False)
+                   first_success=False, q=q)
 
 
 def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-              target: int | None = None, action_types=None) -> PerturbationResult:
+              target: int | None = None, action_types=None, q=None) -> PerturbationResult:
     """Carlini-Wagner objective optimized directly in original feature units.
 
     Per-dimension steps are lr * eps * k_d times the objective gradient,
     clipped to at most lr * eps * k_d in magnitude so the emitted
     perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
+
+    The descent stops at a fixed point: once a step gives back the last
+    yielded delta (as it does where Q does not depend on the input, e.g. a
+    hidden layer with no active unit), every later iterate would repeat it,
+    and a repeat never replaces the best candidate, so the result
+    (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
     """
 
     def iterates(observation, x_orig, k, label):
@@ -375,26 +392,29 @@ def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
         step_cap = config.cw_lr * config.cw_eps * k
         delta = np.zeros_like(x_orig)
         attacked = observation.copy()
-        for _ in range(config.cw_max_iters):
+        for step in range(config.cw_max_iters):
             attacked[tuple_slice] = x_orig + delta
             grad = input_gradient(net, attacked, loss, label)[tuple_slice]
             objective_grad = 2.0 * delta + config.cw_const * grad
             if not np.isfinite(objective_grad).all():
                 return
-            delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+            next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+            if step and np.array_equal(next_delta, delta):
+                return  # fixed point: the next iterate is the last one yielded
+            delta = next_delta
             yield config.cw_eps, x_orig + delta
 
     return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
                    k_scale=config.k_scale, max_iters=config.cw_max_iters,
-                   fallback_eps=config.cw_eps, first_success=False)
+                   fallback_eps=config.cw_eps, first_success=False, q=q)
 
 
 def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
-                            target=None, action_types=None) -> PerturbationResult:
-    """Dispatch to the configured perturbation attack."""
+                            target=None, action_types=None, q=None) -> PerturbationResult:
+    """Dispatch to the configured perturbation attack; ``q`` as in ``_attack``."""
     if config.method == "fgsm":
-        return fgsm_attack(net, observation, config, tuple_slice, target, action_types)
+        return fgsm_attack(net, observation, config, tuple_slice, target, action_types, q)
     if config.method == "cw":
         attack = cw_l2_box if config.cw_variant == "box" else cw_scaled
-        return attack(net, observation, config, tuple_slice, target, action_types)
+        return attack(net, observation, config, tuple_slice, target, action_types, q)
     raise AttackError(f"{config.method!r} is not a perturbation attack")

@@ -58,9 +58,9 @@ def trainer_config(block: dict) -> TrainerConfig:
     if name and name not in TRAINER_PRESETS:
         raise UserError(f"unknown trainer preset {name!r}; have {sorted(TRAINER_PRESETS)}")
     fields.update(block)
-    if "hidden_sizes" in fields:
-        fields["hidden_sizes"] = tuple(fields["hidden_sizes"])
     try:
+        if "hidden_sizes" in fields:
+            fields["hidden_sizes"] = tuple(fields["hidden_sizes"])
         config = TrainerConfig(**fields)
         config.validate()
     except Exception as exc:  # noqa: BLE001 - surfaced as user error
@@ -71,9 +71,9 @@ def trainer_config(block: dict) -> TrainerConfig:
 def attack_config(block: dict) -> AttackConfig:
     block = dict(block)
     name = block.pop("preset", None)
-    if "k_scale" in block:
-        block["k_scale"] = tuple(block["k_scale"])
     try:
+        if "k_scale" in block:
+            block["k_scale"] = tuple(block["k_scale"])
         if name:
             return attack_preset(name, **block)
         config = AttackConfig(**block)
@@ -84,14 +84,16 @@ def attack_config(block: dict) -> AttackConfig:
 
 
 def build_env(env_block: dict, market):
+    if not isinstance(env_block, dict):
+        raise UserError(f"env config must be a JSON object, got {type(env_block).__name__}")
     block = dict(env_block)
     kind = block.pop("kind", None)
     if kind not in ("basic", "managed"):
         raise UserError(f"env kind must be 'basic' or 'managed', got {kind!r}")
-    for key in ("stops", "takes"):
-        if key in block:
-            block[key] = tuple(block[key])
     try:
+        for key in ("stops", "takes"):
+            if key in block:
+                block[key] = tuple(block[key])
         return make_env(kind, market, **block)
     except (TypeError, EnvError, MarketDataError) as exc:
         raise UserError(f"cannot build {kind} env: {exc}") from exc
@@ -125,6 +127,10 @@ def load_config_file(path) -> dict:
         raise UserError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UserError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    for name in ("data", "trainer", "attack"):  # null counts as absent; build_env checks env
+        if config.get(name) is not None and not isinstance(config[name], dict):
+            raise UserError(f"config block {name!r} must be a JSON object, "
+                            f"got {type(config[name]).__name__}")
     return config
 
 
@@ -156,9 +162,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config_file(args.config)
-    data_path = args.data or config.get("data", {}).get("path")
+    data_path = args.data or (config.get("data") or {}).get("path")
     env_block = config.get("env") or DEFAULT_ENVS[args.preset or "basic"]
-    trainer_block = dict(config.get("trainer", {}))
+    trainer_block = dict(config.get("trainer") or {})
     if args.preset:
         trainer_block.setdefault("preset", args.preset)
     if not trainer_block:
@@ -166,15 +172,15 @@ def cmd_train(args) -> int:
     tconfig = trainer_config(trainer_block)
     if args.seed < 0:
         raise UserError(f"seed must be >= 0, got {args.seed}")
+    env = build_env(env_block, _load_market(data_path))
     out_dir = args.out or "."
-    digest = file_digest(data_path) if data_path else None
+    digest = file_digest(data_path)
     append_manifest(out_dir, {
         "command": "train", "config_path": args.config,
         "config": {"env": env_block, "trainer": trainer_block},
         "seeds": [args.seed], "data": str(data_path), "data_digest": digest,
         "out": str(out_dir)})
 
-    env = build_env(env_block, _load_market(data_path))
     net, trace = train(env, tconfig, args.seed)
     meta = {"env": env_block, "data_digest": digest, "seed": args.seed,
             "trainer": dataclasses.asdict(tconfig)}
@@ -202,7 +208,7 @@ def cmd_attack(args) -> int:
     if args.checkpoint is None:
         raise UserError("attack needs --checkpoint")
     config_file = load_config_file(args.config)
-    attack_block = dict(config_file.get("attack", {}))
+    attack_block = dict(config_file.get("attack") or {})
     if args.preset:
         attack_block["preset"] = args.preset
     if args.mode:
@@ -215,7 +221,7 @@ def cmd_attack(args) -> int:
         net, meta = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise UserError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
-    data_path = args.data or config_file.get("data", {}).get("path")
+    data_path = args.data or (config_file.get("data") or {}).get("path")
     env_block = config_file.get("env") or meta.get("env")
     if not env_block:
         raise UserError("no env config in checkpoint meta or config file")
@@ -224,6 +230,9 @@ def cmd_attack(args) -> int:
         raise UserError(
             f"checkpoint ({net.input_dim} inputs, {net.n_actions} actions) does not match "
             f"env ({env.observation_dim} inputs, {env.n_actions} actions)")
+    if len(base.k_scale) != env.tuple_dim:
+        raise UserError(f"bad attack config: k_scale has {len(base.k_scale)} entries, "
+                        f"the env's feature tuple has {env.tuple_dim}")
 
     chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
     seeds = _parse_list(args.seeds, int) if args.seeds else [args.seed]

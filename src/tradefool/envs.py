@@ -15,7 +15,7 @@ attack harness can substitute past window tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ManagedRiskAction:
 class Portfolio:
     cash: float
     asset: float
-    trade_log: list = field(default_factory=list)
 
 
 @dataclass
@@ -300,10 +299,8 @@ class ManagedRiskEnv(_MarketEnv):
             Order(side=action.side, entry_price=price, quantity=quantity,
                   stop=action.stop, take=action.take)
         )
-        summary = {"step": self.steps, "side": action.side, "price": price,
-                   "quantity": quantity, "stop": action.stop, "take": action.take}
-        pf.trade_log.append(summary)
-        return summary
+        return {"step": self.steps, "side": action.side, "price": price,
+                "quantity": quantity, "stop": action.stop, "take": action.take}
 
     def _fill_brackets(self, index: int) -> None:
         low, high = float(self.market.low[index]), float(self.market.high[index])
@@ -321,8 +318,6 @@ class ManagedRiskEnv(_MarketEnv):
                 quantity = min(order.quantity, pf.asset)
                 pf.asset -= quantity
                 pf.cash += quantity * fill * (1.0 - self.fee)
-                pf.trade_log.append({"step": self.steps, "side": "bracket_sell",
-                                     "price": fill, "quantity": quantity})
             else:
                 stop_price = order.entry_price * (1.0 + order.stop)
                 take_price = order.entry_price * (1.0 - order.take)
@@ -334,8 +329,6 @@ class ManagedRiskEnv(_MarketEnv):
                 spend = min(order.quantity * fill, pf.cash)
                 pf.cash -= spend
                 pf.asset += spend * (1.0 - self.fee) / fill
-                pf.trade_log.append({"step": self.steps, "side": "bracket_buy",
-                                     "price": fill, "quantity": spend / fill})
         self.open_orders = remaining
 
     def step(self, action: int) -> StepResult:

@@ -182,7 +182,8 @@ def _run_episode(net, env, seed, config):
         else:
             gate = gate_rng.random()  # one draw per eligible timestep, unconditionally
             served = env.observation(overrides if overrides else None)
-            served_action = _greedy(net, served)
+            q = forward(net, served)  # shared with the target pick and the attack
+            served_action = int(np.argmax(q))
             ncn = bool(overrides) and served_action != _greedy(net, env.observation())
             orig_tuple = env.feature_tuple(cursor).copy()
             if ncn:
@@ -194,9 +195,9 @@ def _run_episode(net, env, seed, config):
                 ledger.rows.append(LedgerRow(t, "skipped", served_action, None, None, None,
                                              orig_tuple, None))
             else:
-                target = least_q_target(net, served) if config.mode == "targeted" else None
+                target = least_q_target(net, served, q) if config.mode == "targeted" else None
                 result = run_perturbation_attack(
-                    net, served, config, env.recent_tuple_slice, target, action_types)
+                    net, served, config, env.recent_tuple_slice, target, action_types, q)
                 if qualifies_for_persistence(result.outcome):
                     overrides[cursor] = result.perturbed.copy()
                     action = result.induced_action

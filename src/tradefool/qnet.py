@@ -242,6 +242,8 @@ def save_checkpoint(net: QNetwork, path, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[QNetwork, dict]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict) or not isinstance(payload.get("meta", {}), dict):
+        raise QNetError("a checkpoint and its meta must be JSON objects")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise QNetError(f"unsupported checkpoint version {payload.get('format_version')}")
     net = QNetwork(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradefool import attacks
 from tradefool.attacks import (
     FAILURE,
     NON_TARGET,
@@ -22,9 +23,10 @@ from tradefool.attacks import (
     least_q_target,
     preset,
     project_constraints,
+    run_perturbation_attack,
     validate_relative_tuple,
 )
-from tradefool.qnet import QNetwork, forward
+from tradefool.qnet import QNetwork, forward, input_gradient
 
 RELATIVE = preset("basic-fgsm").spec
 INDICATOR = preset("managed-fgsm").spec
@@ -393,33 +395,254 @@ class TestCwScaled:
         assert result.perturbed[2] < 50.0
 
 
+def reference_cw_l2_box(net, observation, config, tuple_slice, target=None,
+                        action_types=None):
+    """cw_l2_box as it was before the fixed-point exit: always cw_max_iters steps."""
+
+    def iterates(observation, x_orig, k, label):
+        lo, hi = config.spec.box(x_orig.size)
+        width = hi - lo
+        x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
+        w = np.arctanh(2.0 * x_scaled - 1.0)
+        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+        tanh_w = np.tanh(w)
+        adv_scaled = (tanh_w + 1.0) / 2.0
+        attacked = observation.copy()
+        attacked[tuple_slice] = lo + adv_scaled * width
+        for _ in range(config.cw_max_iters):
+            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+            grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
+                * (1.0 - tanh_w ** 2) / 2.0
+            if not np.isfinite(grad_w).all():
+                return
+            w = w - config.cw_lr * grad_w
+            tanh_w = np.tanh(w)
+            adv_scaled = (tanh_w + 1.0) / 2.0
+            candidate = lo + adv_scaled * width
+            attacked[tuple_slice] = candidate
+            yield 0.0, candidate
+
+    return attacks._attack(net, observation, config, tuple_slice, target, action_types,
+                           iterates, k_scale=None, max_iters=config.cw_max_iters,
+                           fallback_eps=0.0, first_success=False)
+
+
+def reference_cw_scaled(net, observation, config, tuple_slice, target=None,
+                        action_types=None):
+    """cw_scaled as it was before the fixed-point exit: always cw_max_iters steps."""
+
+    def iterates(observation, x_orig, k, label):
+        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+        step_cap = config.cw_lr * config.cw_eps * k
+        delta = np.zeros_like(x_orig)
+        attacked = observation.copy()
+        for _ in range(config.cw_max_iters):
+            attacked[tuple_slice] = x_orig + delta
+            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+            objective_grad = 2.0 * delta + config.cw_const * grad
+            if not np.isfinite(objective_grad).all():
+                return
+            delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+            yield config.cw_eps, x_orig + delta
+
+    return attacks._attack(net, observation, config, tuple_slice, target, action_types,
+                           iterates, k_scale=config.k_scale, max_iters=config.cw_max_iters,
+                           fallback_eps=config.cw_eps, first_success=False)
+
+
+CW_VARIANTS = {  # variant: (attack, its reference without the exit)
+    "box": (cw_l2_box, reference_cw_l2_box),
+    "scaled": (cw_scaled, reference_cw_scaled),
+}
+
+
+def result_bytes(result):
+    """Every field of a PerturbationResult, as exact bytes."""
+    return (result.perturbed.dtype.str, result.perturbed.shape, result.perturbed.tobytes(),
+            result.outcome, type(result.induced_action), result.induced_action,
+            result.iterations, np.float64(result.final_eps).tobytes(),
+            np.float64(result.l2).tobytes())
+
+
+def random_cw_call(rng):
+    """(net, observation, config, tuple_slice, target, action_types) drawn over
+    both variants, both modes, all three constraint sets and optional action
+    types. Hidden biases are pushed down so that some states have a dead
+    hidden layer, where the descent reaches a fixed point."""
+    window = int(rng.integers(1, 4))
+    n_in, n_actions = 3 * window, int(rng.integers(2, 6))
+    hidden = [int(rng.integers(2, 9)) for _ in range(rng.integers(1, 3))]
+    net = QNetwork.initialize([n_in, *hidden, n_actions], rng)
+    for bias in net.biases[:-1]:
+        bias[:] = -rng.exponential(rng.choice([0.0, 0.01, 1.0]), size=bias.size)
+    constraint = str(rng.choice(["relative_price", "indicator", "none"]))
+    if constraint == "relative_price":
+        high = rng.uniform(0, 0.05, window)
+        low = -rng.uniform(0, 0.05, window)
+        close = np.where(rng.random(window) < 0.3, high,
+                         low + rng.uniform(0, 1, window) * (high - low))
+        obs = np.column_stack([high, low, close]).ravel()
+    elif constraint == "indicator":
+        obs = np.column_stack([rng.normal(0, 0.01, window), rng.normal(0, 2, window),
+                               rng.uniform(0, 100, window)]).ravel()
+    else:
+        obs = rng.normal(0, 0.5, n_in)
+    mode = str(rng.choice(["non_targeted", "targeted"]))
+    config = AttackConfig(
+        method="cw", mode=mode, cw_variant=str(rng.choice(list(CW_VARIANTS))),
+        constraint=constraint, cw_max_iters=int(rng.integers(1, 40)),
+        cw_lr=float(rng.choice([0.5, 0.05])), cw_const=float(rng.choice([0.1, 1.0, 10.0])),
+        cw_eps=float(rng.choice([1.0, 0.01])),
+        k_scale=tuple(float(k) for k in rng.choice([0.01, 0.1, 1.0], 3)))
+    target = int(rng.integers(n_actions)) if mode == "targeted" else None
+    types = None if rng.random() < 0.5 else \
+        [str(t) for t in rng.choice(["hold", "buy", "sell"], n_actions)]
+    return net, obs, config, slice(n_in - 3, n_in), target, types
+
+
+def counting(monkeypatch, name):
+    """A list that grows by one per call of ``attacks.<name>``."""
+    calls, original = [], getattr(attacks, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, name, counted)
+    return calls
+
+
+class TestCwFixedPoint:
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    def test_dead_hidden_layer_stops_after_one_repeat(self, monkeypatch, variant, mode):
+        # no weight into the hidden layer: no unit is ever active, Q is constant
+        # and every margin gradient is zero
+        net = QNetwork(sizes=[6, 4, 2], weights=[np.zeros((6, 4)), np.ones((4, 2))],
+                       biases=[np.zeros(4), np.array([0.3, 0.1])])
+        # x_orig at the centre of the "none" box, so tanh(arctanh(.)) round-trips
+        # exactly and w, like delta, is fixed from the first step
+        obs = np.array([0.4, -0.2, 0.7, 0.0, 0.0, 0.0])
+        config = AttackConfig(method="cw", mode=mode, cw_variant=variant,
+                              cw_max_iters=100, constraint="none")
+        target = 1 if mode == "targeted" else None
+        attack, reference = CW_VARIANTS[variant]
+        expected = reference(net, obs, config, slice(3, 6), target)
+        calls = counting(monkeypatch, "input_gradient")
+        result = attack(net, obs, config, slice(3, 6), target)
+        assert len(calls) == 2  # the first iterate, then the step that repeats it
+        assert result_bytes(result) == result_bytes(expected)
+        assert (result.outcome, result.iterations) == (FAILURE, 1)
+
+    def test_box_keeps_descending_while_w_moves_under_a_repeated_candidate(self,
+                                                                          monkeypatch):
+        # near the box edge tanh is flat: a tiny constant margin gradient moves w
+        # by a few ulps per step while the candidate repeats for several steps,
+        # so the exit must compare w, not the candidate
+        net = linear_net([[1.0, -1.0]])
+        config = AttackConfig(method="cw", cw_variant="box", cw_const=5e-14,
+                              cw_max_iters=50, constraint="none", k_scale=(1.0,))
+        obs = np.array([0.99])
+        expected = reference_cw_l2_box(net, obs, config, slice(0, 1))
+        candidates = []
+
+        def recorded(candidate, original, spec):
+            candidates.append(candidate.tobytes())
+            return project_constraints(candidate, original, spec)
+
+        monkeypatch.setattr(attacks, "project_constraints", recorded)
+        calls = counting(monkeypatch, "input_gradient")
+        result = cw_l2_box(net, obs, config, slice(0, 1))
+        assert any(a == b for a, b in zip(candidates, candidates[1:]))
+        assert len(calls) == config.cw_max_iters
+        assert result_bytes(result) == result_bytes(expected)
+
+    def test_matches_reference_without_exit(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        calls = counting(monkeypatch, "input_gradient")
+        seen, stopped_early = set(), 0
+        for _ in range(1500):
+            net, obs, config, tuple_slice, target, types = random_cw_call(rng)
+            attack, reference = CW_VARIANTS[config.cw_variant]
+            expected = reference(net, obs, config, tuple_slice, target, types)
+            calls.clear()
+            result = attack(net, obs, config, tuple_slice, target, types)
+            assert result_bytes(result) == result_bytes(expected)
+            seen.add((config.cw_variant, config.mode, config.constraint, types is None))
+            stopped_early += 0 < len(calls) < config.cw_max_iters
+        assert len(seen) == 2 * 2 * 3 * 2
+        assert stopped_early >= 150  # the exit fired, so the comparison is not vacuous
+
+
+class TestSharedForward:
+    @pytest.mark.parametrize("method", ["fgsm", "box", "scaled"])
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    def test_given_q_changes_nothing_and_saves_one_forward(self, monkeypatch, method,
+                                                           mode):
+        rng = np.random.default_rng(17)
+        base = preset("basic-fgsm") if method == "fgsm" else \
+            preset("basic-cw", cw_variant=method, cw_eps=0.01, cw_max_iters=20)
+        config = replace(base, mode=mode)
+        forwards = counting(monkeypatch, "forward")
+        for _ in range(40):
+            net = QNetwork.initialize([9, 8, 5], rng)
+            obs = relative_window(rng)
+            q = forward(net, obs)
+            target = least_q_target(net, obs) if mode == "targeted" else None
+            assert least_q_target(net, obs, q) == least_q_target(net, obs)
+            forwards.clear()
+            without = run_perturbation_attack(net, obs, config, slice(6, 9), target)
+            n_without = len(forwards)
+            forwards.clear()
+            given = run_perturbation_attack(net, obs, config, slice(6, 9), target, q=q)
+            assert result_bytes(given) == result_bytes(without)
+            assert len(forwards) == n_without - 1
+
+
 INVARIANT_CONFIGS = {
     fgsm_attack: preset("basic-fgsm"),
     cw_l2_box: preset("basic-cw", cw_max_iters=15),
     cw_scaled: preset("basic-cw", cw_variant="scaled", cw_eps=0.01, cw_max_iters=15),
 }
+INDICATOR_INVARIANT_CONFIGS = {
+    fgsm_attack: preset("managed-fgsm"),
+    cw_l2_box: preset("basic-cw", constraint="indicator", cw_max_iters=15),
+    cw_scaled: preset("managed-cw", cw_max_iters=15),
+}
+
+
+def relative_window(rng):
+    """Three (rel_high, rel_low, rel_close) tuples, close between low and high."""
+    high = rng.uniform(0, 0.005, size=3)
+    low = -rng.uniform(0, 0.005, size=3)
+    close = low + rng.uniform(0, 1, size=3) * (high - low)
+    return np.column_stack([high, low, close]).ravel()
+
+
+def indicator_window(rng):
+    """Three (log_return, MACD, RSI) tuples; RSI is often on a bound, where a
+    step would leave [0, 100] but for the clamp."""
+    rsi = np.where(rng.random(3) < 0.5, rng.choice([0.0, 100.0], size=3),
+                   rng.uniform(0, 100, size=3))
+    return np.column_stack([rng.normal(0, 0.01, size=3), rng.normal(0, 2, size=3),
+                            rsi]).ravel()
 
 
 class TestAttackInvariants:
-    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
-    @pytest.mark.parametrize("attack", list(INVARIANT_CONFIGS), ids=lambda a: a.__name__)
-    @given(st.integers(0, 2**32 - 1))
-    def test_result_invariants(self, attack, mode, seed):
+    @staticmethod
+    def check_invariants(attack, mode, seed, configs, window):
+        """Run ``attack`` on a random net and window; return the result after
+        checking the invariants every constraint set shares."""
         rng = np.random.default_rng(seed)
         net = QNetwork.initialize([9, 8, 3], rng)
-        high = rng.uniform(0, 0.005, size=3)
-        low = -rng.uniform(0, 0.005, size=3)
-        close = low + rng.uniform(0, 1, size=3) * (high - low)
-        obs = np.column_stack([high, low, close]).ravel()
-        config = replace(INVARIANT_CONFIGS[attack], mode=mode)
+        obs = window(rng)
+        config = replace(configs[attack], mode=mode)
         target = int(rng.integers(3)) if mode == "targeted" else None
         result = attack(net, obs, config, slice(6, 9), target=target)
 
         x_orig = obs[6:9]
         assert result.l2 == pytest.approx(np.linalg.norm(result.perturbed - x_orig),
                                           rel=1e-12, abs=1e-15)
-        if result.outcome != FAILURE:
-            assert validate_relative_tuple(result.perturbed)
         original = int(np.argmax(forward(net, obs)))
         if attack is not fgsm_attack and target == original:
             # C&W: a target that is already greedy needs no perturbation
@@ -429,6 +652,26 @@ class TestAttackInvariants:
                                                       mode, target)
         max_iters = config.eps_iters if attack is fgsm_attack else config.cw_max_iters
         assert result.iterations <= max_iters
+        return result
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("attack", list(INVARIANT_CONFIGS), ids=lambda a: a.__name__)
+    @given(st.integers(0, 2**32 - 1))
+    def test_result_invariants(self, attack, mode, seed):
+        result = self.check_invariants(attack, mode, seed, INVARIANT_CONFIGS,
+                                       relative_window)
+        if result.outcome != FAILURE:
+            assert validate_relative_tuple(result.perturbed)
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("attack", list(INDICATOR_INVARIANT_CONFIGS),
+                             ids=lambda a: a.__name__)
+    @given(st.integers(0, 2**32 - 1))
+    def test_indicator_result_invariants(self, attack, mode, seed):
+        result = self.check_invariants(attack, mode, seed, INDICATOR_INVARIANT_CONFIGS,
+                                       indicator_window)
+        if result.outcome != FAILURE:
+            assert 0.0 <= result.perturbed[2] <= 100.0
 
 
 class TestPresets:

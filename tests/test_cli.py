@@ -154,14 +154,19 @@ class TestAttack:
         assert run_cli("--out", str(tmp_path), "attack", "--checkpoint", str(bad),
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
 
-    @pytest.mark.parametrize("corrupt", ["wide_first_layer", "missing_bias"])
+    @pytest.mark.parametrize("corrupt", ["wide_first_layer", "missing_bias", "meta_list",
+                                         "meta_env_string"])
     def test_malformed_checkpoint_is_user_error_before_manifest(self, tmp_path, data_csv,
                                                                 trained, corrupt):
         ckpt = json.loads((trained / "checkpoint.json").read_text())
         if corrupt == "wide_first_layer":
             ckpt["weights"][0] = [[0.0] * 5 for _ in ckpt["weights"][0]]  # 32x5, sizes say 32x8
-        else:
+        elif corrupt == "missing_bias":
             ckpt["biases"].pop()
+        elif corrupt == "meta_list":
+            ckpt["meta"] = ["basic"]
+        else:
+            ckpt["meta"]["env"] = "basic"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(ckpt))
         out = tmp_path / "out"
@@ -214,6 +219,32 @@ class TestAttack:
                        "--data", str(data_csv), "--preset", "basic-fgsm", *flags) == 1
         assert not (tmp_path / "manifest.jsonl").exists()
         assert not (tmp_path / "runs").exists()
+
+
+class TestConfigShapes:
+    @pytest.mark.parametrize("command, config", [
+        ("attack", {"attack": {"preset": "basic-fgsm", "k_scale": [1, 1]}}),  # tuple is 3-d
+        ("attack", {"attack": {"preset": "basic-fgsm", "k_scale": 1}}),
+        ("attack", {"data": "m.csv"}),
+        ("train", {"trainer": {"preset": "basic", "hidden_sizes": 8}}),
+        ("train", {"env": {"kind": "basic", "stops": 0.02}}),
+    ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
+            "basic_env_stops"])
+    def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
+                                                     capsys, command, config):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out), command,
+                "--data", str(data_csv)]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json"),
+                     "--preset", "basic-fgsm"]
+        else:
+            argv += ["--preset", "basic"]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefool.attacks import AttackConfig, AttackError, preset
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv
@@ -34,6 +36,22 @@ def net(bars):
     env = BasicStockEnv(bars)
     return QNetwork.initialize([env.observation_dim, 16, env.n_actions],
                                np.random.default_rng(6))
+
+
+@pytest.fixture(scope="module")
+def short_envs(bars):
+    """{kind: (env, net, [fgsm config, cw config])} with 30-step episodes."""
+    setups = {}
+    for kind, env, presets in (
+            ("basic", BasicStockEnv(bars, episode_cap=30),
+             [preset("basic-fgsm", eps_start=5e-3, eps_end=5e-2),
+              preset("basic-cw", cw_max_iters=5)]),
+            ("managed", ManagedRiskEnv(bars, episode_cap=30),
+             [preset("managed-fgsm"), preset("managed-cw", cw_max_iters=5)])):
+        net = QNetwork.initialize([env.observation_dim, 16, env.n_actions],
+                                  np.random.default_rng(len(kind)))
+        setups[kind] = (env, net, presets)
+    return setups
 
 
 def hair_trigger_net(observation_dim, window):
@@ -85,6 +103,17 @@ class TestRunAttacked:
         for chance in (0.3, 1.0):
             _, ledger = run_attacked(net, env, preset("basic-fgsm", chance=chance), seed=3)
             assert ledger.attempts + ledger.ncn + ledger.skipped == ledger.eligible
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["basic", "managed"]), cw=st.booleans(),
+           mode=st.sampled_from(["non_targeted", "targeted"]),
+           chance=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_partition_property(self, short_envs, kind, cw, mode, chance, seed):
+        env, net, presets = short_envs[kind]
+        config = replace(presets[cw], mode=mode, chance=chance)
+        record, ledger = run_attacked(net, env, config, seed=seed)
+        assert ledger.eligible == len(record)  # one ledger row per step
+        assert ledger.attempts + ledger.ncn + ledger.skipped == ledger.eligible
 
     def test_delay_on_constant_stream_equals_control(self, flat_bars, net):
         env = BasicStockEnv(flat_bars, episode_cap=50)
