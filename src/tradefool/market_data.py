@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -50,7 +50,6 @@ class Market:
     close: np.ndarray
     volume: np.ndarray
     _features: dict = field(default_factory=dict, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.timestamp)
@@ -126,25 +125,66 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
     defaults to 0. Rows must already be in strictly increasing timestamp order;
     out-of-order data is an error, not silently reordered. Blank lines are
     skipped; "row N" in an error counts the header as row 1 and skips them too.
+
+    The rows are parsed in one ``np.loadtxt`` pass. If that pass fails, warns
+    or finds no rows, the file is read again by ``_load_csv_rows``, the row
+    loop that names the first bad row, so both accept the same files and give
+    the same errors.
     """
-    schema = schema or {}
-    colmap = {name: schema.get(name, name) for name in _CANONICAL_COLUMNS}
+    with _open_csv(path) as handle:
+        _, positions = _read_header(path, csv.reader(handle), schema)
+        names = [name for name in _CANONICAL_COLUMNS if positions[name] is not None]
+        dtype = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)
+                          for name in names])
+        try:
+            # the rest of the open handle, so rows split as csv.reader splits
+            # them; warnings as errors: an empty file, or numpy < 2 truncating
+            # a float timestamp with a DeprecationWarning, goes to the row loop
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bars = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', usecols=[positions[name] for name in names],
+                                  ndmin=1)
+        except (ValueError, Warning):
+            bars = None
+    if bars is None or len(bars) == 0:
+        return _load_csv_rows(path, schema)
+    market = Market(*(bars[name] if name in names else np.zeros(len(bars))
+                      for name in _CANONICAL_COLUMNS))
+    _check_bars(path, market)
+    return market
+
+
+def _open_csv(path):
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise MarketDataError(f"cannot open {path}: {exc}") from exc
-    with handle:
+
+
+def _read_header(path, reader, schema: dict[str, str] | None) -> tuple[int, dict]:
+    """The number of header fields, and the position of each canonical column
+    among them (``None`` for a missing volume)."""
+    header = next(reader, None)
+    if header is None:
+        raise MarketDataError(f"{path}: empty file")
+    schema = schema or {}
+    colmap = {name: schema.get(name, name) for name in _CANONICAL_COLUMNS}
+    # a repeated column name means its last column, as with csv.DictReader
+    position = {name: i for i, name in enumerate(header)}
+    for required in _CANONICAL_COLUMNS[:5]:
+        if colmap[required] not in position:
+            raise MarketDataError(f"{path}: missing column {colmap[required]!r}")
+    return len(header), {name: position.get(colmap[name]) for name in _CANONICAL_COLUMNS}
+
+
+def _load_csv_rows(path, schema: dict[str, str] | None = None) -> Market:
+    """``load_csv`` one row at a time: the first row that does not parse is
+    named in the error, after any invalid bar before it."""
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise MarketDataError(f"{path}: empty file")
-        # a repeated column name means its last column, as with csv.DictReader
-        position = {name: i for i, name in enumerate(header)}
-        for required in ("timestamp", "open", "high", "low", "close"):
-            if colmap[required] not in position:
-                raise MarketDataError(f"{path}: missing column {colmap[required]!r}")
-        t_at, o_at, h_at, l_at, c_at = (position[colmap[name]] for name in _CANONICAL_COLUMNS[:5])
-        v_at = position.get(colmap["volume"])
+        width, positions = _read_header(path, reader, schema)
+        t_at, o_at, h_at, l_at, c_at, v_at = positions.values()
         timestamps, values = array("q"), array("d")
         row_number = 1  # header
         for row in reader:
@@ -157,7 +197,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
                           float(row[c_at]), float(row[v_at]) if v_at is not None else 0.0)
                 timestamps.append(timestamp)
             except (ValueError, OverflowError, IndexError) as exc:
-                reason = (f"{len(row)} fields, header has {len(header)}"
+                reason = (f"{len(row)} fields, header has {width}"
                           if isinstance(exc, IndexError) else exc)
                 _check_bars(path, _market_from_arrays(timestamps, values))
                 raise MarketDataError(f"{path}: row {row_number}: {reason}") from exc
@@ -235,10 +275,9 @@ def build_feature_series(market: Market, mode: str) -> FeatureSeries:
     relative mode: warmup 0. indicator mode: warmup = MACD slow period, which
     dominates the RSI and log-return warmups.
     """
-    with market._lock:
-        series = market._features.get(mode)
-        if series is None:
-            series = market._features[mode] = _compute_feature_series(market, mode)
+    series = market._features.get(mode)
+    if series is None:
+        series = market._features[mode] = _compute_feature_series(market, mode)
     return series
 
 

@@ -246,6 +246,9 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
         raise QNetError("a checkpoint and its meta must be JSON objects")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise QNetError(f"unsupported checkpoint version {payload.get('format_version')}")
+    for key in ("sizes", "weights", "biases"):
+        if not isinstance(payload.get(key), list):
+            raise QNetError(f"checkpoint {key!r} must be a list")
     net = QNetwork(
         sizes=[int(s) for s in payload["sizes"]],
         weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],

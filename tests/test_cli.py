@@ -155,7 +155,8 @@ class TestAttack:
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
 
     @pytest.mark.parametrize("corrupt", ["wide_first_layer", "missing_bias", "meta_list",
-                                         "meta_env_string"])
+                                         "meta_env_string", "no_sizes", "no_biases",
+                                         "sizes_int", "weights_null"])
     def test_malformed_checkpoint_is_user_error_before_manifest(self, tmp_path, data_csv,
                                                                 trained, corrupt):
         ckpt = json.loads((trained / "checkpoint.json").read_text())
@@ -165,6 +166,14 @@ class TestAttack:
             ckpt["biases"].pop()
         elif corrupt == "meta_list":
             ckpt["meta"] = ["basic"]
+        elif corrupt == "no_sizes":
+            del ckpt["sizes"]
+        elif corrupt == "no_biases":
+            del ckpt["biases"]
+        elif corrupt == "sizes_int":
+            ckpt["sizes"] = 5
+        elif corrupt == "weights_null":
+            ckpt["weights"] = None
         else:
             ckpt["meta"]["env"] = "basic"
         bad = tmp_path / "bad.json"

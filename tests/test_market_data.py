@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradefool import market_data
 from tradefool.market_data import (
     Market,
     MarketDataError,
@@ -114,6 +115,108 @@ class TestLoadCsv:
         write_csv(path, lines)
         with pytest.raises(MarketDataError, match=f": row {bad + 2}: "):
             load_csv(path)
+
+
+# Parts that one path might read differently from the other.
+TIMESTAMP_TOKENS = ["1.5", "12.0", "1e3", "1_000", " 7 ", "+8", "-0", str(2**53 + 1),
+                    str(2**63), "", "x"]
+VALUE_TOKENS = ["nan", "inf", "-Infinity", "1_0.5", "1e3", "12.0", " 10 ", "\t10", "", "ten"]
+FIELD_FORMS = ["{}", '"{}"', " {} ", "\t{}", '" {} "', '"{}" ']
+BAD_FIELD_FORMS = [' "{}"', '"{}', '{}"']
+EXTRA_LINES = [" ", "\t", "  \t", "# note", '""']
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text built from the parts the fast path and the row loop must agree
+    on, with the schema that names its columns (or None). Each field, row and
+    gap between rows goes wrong with chance ``noise``/20: a token, a bad quote,
+    a wrong field count or extra lines. At 0 every file with rows loads."""
+    noise = draw(st.sampled_from([0, 1, 4]))
+
+    def noisy():
+        return draw(st.integers(0, 19)) < noise
+
+    columns = list(COLUMNS if draw(st.booleans()) else COLUMNS[:5])
+    schema = {name: name[0] + "_col" for name in COLUMNS} if draw(st.booleans()) else None
+    canonical = {(schema or {}).get(name, name): name for name in COLUMNS}
+    header = draw(st.permutations([(schema or {}).get(name, name) for name in columns]))
+    if draw(st.booleans()):  # a repeated name: only its last column is read
+        repeated = draw(st.sampled_from(header))
+        header.insert(draw(st.integers(0, header.index(repeated))), repeated)
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "note")
+    last = {name: i for i, name in enumerate(header)}
+    start = draw(st.sampled_from([60, 2**53 - 120, 2**62]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 6))):
+        bar = {"timestamp": str(start + 60 * i), "open": repr(10.0 + i), "high": repr(11.0 + i),
+               "low": repr(9.0 + i), "close": repr(10.5 + i), "volume": repr(0.5 * i)}
+        fields = []
+        for at, name in enumerate(header):
+            if name not in canonical or last[name] != at:
+                fields.append(draw(st.sampled_from(["x", "1", "-1"])))
+                continue
+            text = bar[canonical[name]]
+            if noisy():
+                text = draw(st.sampled_from(TIMESTAMP_TOKENS if canonical[name] == "timestamp"
+                                            else VALUE_TOKENS))
+            forms = FIELD_FORMS + BAD_FIELD_FORMS if noisy() else FIELD_FORMS
+            fields.append(draw(st.sampled_from(forms)).format(text))
+        if noisy():
+            if draw(st.booleans()):
+                fields.append("1")
+            else:
+                fields.pop()
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("")  # skipped by both paths
+        if noisy():
+            lines.extend(draw(st.lists(st.sampled_from(EXTRA_LINES), min_size=1, max_size=2)))
+    return newline.join(lines) + newline, schema
+
+
+def load_outcome(load, path, schema):
+    """The market's columns as (dtype, bytes), or the error text."""
+    try:
+        market = load(path, schema)
+    except MarketDataError as exc:
+        return str(exc)
+    return [(getattr(market, name).dtype.str, getattr(market, name).tobytes())
+            for name in COLUMNS]
+
+
+class TestFastPathMatchesRowLoop:
+    @settings(max_examples=300)
+    @given(csv_files())
+    def test_same_market_or_same_error(self, tmp_path_factory, file):
+        text, schema = file
+        path = tmp_path_factory.mktemp("csv") / "bars.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (load_outcome(load_csv, path, schema)
+                == load_outcome(market_data._load_csv_rows, path, schema))
+
+    def test_fast_path_loads_without_the_row_loop(self, tmp_path, monkeypatch):
+        def row_loop(path, schema=None):
+            raise AssertionError(f"{path} fell back to the row loop")
+
+        market = synthesize_bars(300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5)
+        write_bars_csv(market, tmp_path / "bars.csv")
+        write_csv(tmp_path / "no_volume.csv", ["60,10,11,9,10.5", "120,10.5,11,10,10.8"],
+                  header="timestamp,open,high,low,close")
+        write_csv(tmp_path / "schema.csv", ['"60",x,1,10,11,9,10.5', '"120",x,2,10.5,11,10,10.8'],
+                  header='"ts",c,vol,o,h,l,c')  # a repeated name reads its last column
+        monkeypatch.setattr(market_data, "_load_csv_rows", row_loop)
+        loaded = load_csv(tmp_path / "bars.csv")
+        for name in COLUMNS:
+            assert np.array_equal(getattr(loaded, name), getattr(market, name)), name
+        assert load_csv(tmp_path / "no_volume.csv").volume.tolist() == [0.0, 0.0]
+        mapped = load_csv(tmp_path / "schema.csv", schema={
+            "timestamp": "ts", "open": "o", "high": "h", "low": "l", "close": "c",
+            "volume": "vol"})
+        assert mapped.timestamp.tolist() == [60, 120]
+        assert mapped.open.tolist() == [10.0, 10.5] and mapped.volume.tolist() == [1.0, 2.0]
 
 
 def relative_tuple(open_, high, low, close):
