@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnet import QNetwork, forward, sgd_step, sync_target, td_loss
+from .qnet import Batch, QNetwork, forward, sgd_step, sync_target, td_loss
 
 
 class TrainingError(RuntimeError):
@@ -30,33 +30,53 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with seeded uniform sampling."""
+    """Bounded FIFO transition store with seeded uniform sampling.
+
+    Transitions are stored by column, in arrays allocated on the first push
+    (``np.empty``, so rows never written take no memory). Transition ``k``
+    lives in slot ``k % capacity``, so once full each push evicts the oldest.
+    """
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise TrainingError("buffer capacity must be >= 1")
         self.capacity = int(capacity)
         self.rng = rng
-        self._items: list[Transition] = []
+        self._columns: Batch | None = None
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, transition: Transition) -> None:
         if not np.isfinite(transition.reward):
             raise TrainingError(f"non-finite reward {transition.reward}")
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition
-            self._next = (self._next + 1) % self.capacity
+        shapes = np.shape(transition.state), np.shape(transition.next_state)
+        if self._columns is None:
+            rows = (self.capacity, np.size(transition.state))
+            self._columns = Batch(np.empty(rows), np.empty(self.capacity, dtype=np.intp),
+                                  np.empty(self.capacity), np.empty(rows),
+                                  np.empty(self.capacity, dtype=bool))
+        states, actions, rewards, next_states, terminal = self._columns
+        if shapes != (states.shape[1:],) * 2:
+            raise TrainingError(f"transition states of shapes {shapes[0]} and {shapes[1]} "
+                                f"do not match buffer rows {states.shape[1:]}")
+        slot = self._next
+        states[slot] = transition.state
+        actions[slot] = transition.action
+        rewards[slot] = transition.reward
+        next_states[slot] = transition.next_state
+        terminal[slot] = transition.terminal
+        self._next = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if not self._items:
+    def sample(self, batch_size: int) -> Batch:
+        """``batch_size`` transitions drawn uniformly with replacement."""
+        if self._size == 0:
             raise TrainingError("cannot sample from an empty buffer")
-        idx = self.rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = self.rng.integers(0, self._size, size=batch_size)
+        return Batch(*(column.take(idx, axis=0) for column in self._columns))
 
 
 @dataclass

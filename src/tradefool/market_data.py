@@ -10,6 +10,7 @@ must not serve them to an environment.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -129,7 +130,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
     The rows are parsed in one ``np.loadtxt`` pass. If that pass fails, warns
     or finds no rows, the file is read again by ``_load_csv_rows``, the row
     loop that names the first bad row, so both accept the same files and give
-    the same errors.
+    the same errors. A file that is not UTF-8 text is an error.
     """
     with _open_csv(path) as handle:
         _, positions = _read_header(path, csv.reader(handle), schema)
@@ -155,11 +156,18 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
     return market
 
 
+@contextlib.contextmanager
 def _open_csv(path):
+    """The file as UTF-8 text; a byte that does not decode is a ``MarketDataError``."""
     try:
-        return open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise MarketDataError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise MarketDataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _read_header(path, reader, schema: dict[str, str] | None) -> tuple[int, dict]:

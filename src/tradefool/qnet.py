@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,31 @@ class QNetwork:
 
     def check_finite(self) -> None:
         for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise QNetError("non-finite network parameters")
+
+
+class Batch(NamedTuple):
+    """A training batch by column: row ``i`` of every array is one transition."""
+
+    states: np.ndarray  # (n, input_dim)
+    actions: np.ndarray  # (n,) intp
+    rewards: np.ndarray  # (n,) float64
+    next_states: np.ndarray  # (n, input_dim)
+    terminal: np.ndarray  # (n,) bool
+
+
+def _as_batch(batch) -> Batch:
+    """``batch`` itself, or a sequence of transitions stacked by column."""
+    if isinstance(batch, Batch):
+        return batch
+    if len(batch) == 0:
+        raise QNetError("empty batch")
+    return Batch(np.stack([t.state for t in batch]),
+                 np.array([t.action for t in batch], dtype=np.intp),
+                 np.array([t.reward for t in batch], dtype=np.float64),
+                 np.stack([t.next_state for t in batch]),
+                 np.array([t.terminal for t in batch], dtype=bool))
 
 
 @dataclass
@@ -104,34 +128,31 @@ def _backward(net: QNetwork, activations, dq: np.ndarray):
 
 
 def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBundle:
-    """Mean squared TD error over a transition batch.
+    """Mean squared TD error over a ``Batch`` or a sequence of transitions.
 
     y = r + gamma * max_a' Q_target(s', a'), or y = r for terminal rows; the
     target branch is treated as a constant.
     """
     if not 0.0 <= gamma <= 1.0:
         raise QNetError(f"gamma must be in [0,1], got {gamma}")
-    if len(batch) == 0:
+    states, actions, rewards, next_states, terminal = _as_batch(batch)
+    n = len(actions)
+    if n == 0:
         raise QNetError("empty batch")
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    terminal = np.array([t.terminal for t in batch], dtype=bool)
 
     next_q = forward(target, next_states)
     y = rewards + gamma * next_q.max(axis=1) * (~terminal)
 
     activations = _forward_cached(net, states)
     q = activations[-1]
-    rows = np.arange(len(batch))
+    rows = np.arange(n)
     diff = q[rows, actions] - y
     loss = float(np.mean(diff**2))
     if not np.isfinite(loss):
         raise QNetError("non-finite TD loss")
 
     dq = np.zeros_like(q)
-    dq[rows, actions] = 2.0 * diff / len(batch)
+    dq[rows, actions] = 2.0 * diff / n
     weight_grads, bias_grads = _backward(net, activations, dq)
     return GradientBundle(loss=loss, weight_grads=weight_grads, bias_grads=bias_grads)
 
@@ -249,8 +270,11 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
     for key in ("sizes", "weights", "biases"):
         if not isinstance(payload.get(key), list):
             raise QNetError(f"checkpoint {key!r} must be a list")
+    sizes = payload["sizes"]
+    if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
+        raise QNetError(f"checkpoint sizes {sizes} must be two or more positive integers")
     net = QNetwork(
-        sizes=[int(s) for s in payload["sizes"]],
+        sizes=sizes,
         weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
         biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
     )

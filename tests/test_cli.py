@@ -105,6 +105,13 @@ class TestTrain:
         assert run_cli("--out", str(tmp_path), "train", "--preset", "basic",
                        "--data", str(tmp_path / "nope.csv")) == 1
 
+    def test_non_utf8_data_is_user_error(self, tmp_path, data_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data_csv.read_bytes().rstrip(b"\n") + b"\xe9\n")
+        assert run_cli("--out", str(tmp_path), "train", "--preset", "basic",
+                       "--data", str(bad)) == 1
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_negative_seed_is_user_error(self, tmp_path, data_csv):
         assert run_cli("--out", str(tmp_path), "--seed", "-1", "train", "--preset", "basic",
                        "--data", str(data_csv)) == 1
@@ -156,7 +163,8 @@ class TestAttack:
 
     @pytest.mark.parametrize("corrupt", ["wide_first_layer", "missing_bias", "meta_list",
                                          "meta_env_string", "no_sizes", "no_biases",
-                                         "sizes_int", "weights_null"])
+                                         "sizes_int", "weights_null", "sizes_null",
+                                         "sizes_float"])
     def test_malformed_checkpoint_is_user_error_before_manifest(self, tmp_path, data_csv,
                                                                 trained, corrupt):
         ckpt = json.loads((trained / "checkpoint.json").read_text())
@@ -174,6 +182,10 @@ class TestAttack:
             ckpt["sizes"] = 5
         elif corrupt == "weights_null":
             ckpt["weights"] = None
+        elif corrupt == "sizes_null":
+            ckpt["sizes"] = [None] * len(ckpt["sizes"])
+        elif corrupt == "sizes_float":
+            ckpt["sizes"][0] += 0.7  # 32.7 once truncated to 32 and attacked
         else:
             ckpt["meta"]["env"] = "basic"
         bad = tmp_path / "bad.json"

@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import tradefool.dqn as dqn_module
+from tradefool.cli import DEFAULT_ENVS, TRAINER_PRESETS
 from tradefool.dqn import (
     ReplayBuffer,
     TrainerConfig,
@@ -11,10 +13,10 @@ from tradefool.dqn import (
     select_action,
     train,
 )
-from tradefool.envs import BasicStockEnv
+from tradefool.envs import BasicStockEnv, make_env
 from tradefool.harness import run_control
 from tradefool.market_data import synthesize_bars
-from tradefool.qnet import QNetwork
+from tradefool.qnet import Batch, QNetwork, td_loss
 
 
 def small_config(**overrides):
@@ -66,22 +68,126 @@ class TestReplayBuffer:
         for i in range(7):
             buf.push(self.transition(i))
             assert len(buf) <= 3
-        kept = sorted(t.reward for t in buf._items)
-        assert kept == [4.0, 5.0, 6.0]
+        batch = buf.sample(200)
+        assert set(batch.rewards.tolist()) == {4.0, 5.0, 6.0}
+        # the columns stay aligned row by row
+        assert np.array_equal(batch.states[:, 0], batch.rewards)
+        assert np.array_equal(batch.next_states[:, 0], batch.rewards)
 
     def test_sampling_uniform_over_contents(self):
         buf = ReplayBuffer(4, np.random.default_rng(5))
         for i in range(4):
             buf.push(self.transition(i))
-        draws = [t.reward for t in buf.sample(8000)]
-        counts = np.bincount(np.array(draws, dtype=int), minlength=4)
+        draws = buf.sample(8000).rewards
+        counts = np.bincount(draws.astype(int), minlength=4)
         sigma = np.sqrt(8000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 2000) < 4 * sigma)
+
+    @pytest.mark.parametrize("state, next_state", [
+        (np.zeros(2), np.zeros(1)), (np.zeros(1), np.zeros(2)),
+        (np.zeros((1, 1)), np.zeros((1, 1))), (np.float64(0.0), np.zeros(1))])
+    def test_state_shape_mismatch_raises_at_push(self, state, next_state):
+        buf = ReplayBuffer(4, np.random.default_rng(0))
+        buf.push(self.transition(0))
+        with pytest.raises(TrainingError, match="do not match buffer rows"):
+            buf.push(Transition(state, 0, 0.0, next_state, False))
+        assert len(buf) == 1
+
+    def test_first_push_must_have_matching_1d_states(self):
+        with pytest.raises(TrainingError, match="do not match buffer rows"):
+            ReplayBuffer(4, np.random.default_rng(0)).push(
+                Transition(np.zeros((2, 2)), 0, 0.0, np.zeros((2, 2)), False))
+        with pytest.raises(TrainingError, match="do not match buffer rows"):
+            ReplayBuffer(4, np.random.default_rng(0)).push(
+                Transition(np.zeros(3), 0, 0.0, np.zeros(2), False))
 
     def test_rejects_non_finite_reward(self):
         buf = ReplayBuffer(2, np.random.default_rng(0))
         with pytest.raises(TrainingError):
             buf.push(Transition(np.zeros(1), 0, float("nan"), np.zeros(1), False))
+
+
+# The list-of-transitions replay buffer and the np.stack batch builder that the
+# columnar ReplayBuffer replaced, kept as the reference it must match bit for bit.
+class ListReplayBuffer:
+    def __init__(self, capacity, rng):
+        self.capacity = int(capacity)
+        self.rng = rng
+        self._items = []
+        self._next = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def push(self, transition):
+        if not np.isfinite(transition.reward):
+            raise TrainingError(f"non-finite reward {transition.reward}")
+        if len(self._items) < self.capacity:
+            self._items.append(transition)
+        else:
+            self._items[self._next] = transition
+            self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self.rng.integers(0, len(self._items), size=batch_size)
+        return [self._items[i] for i in idx]
+
+
+def stack_batch(transitions):
+    return Batch(np.stack([t.state for t in transitions]),
+                 np.array([t.action for t in transitions], dtype=np.intp),
+                 np.array([t.reward for t in transitions], dtype=np.float64),
+                 np.stack([t.next_state for t in transitions]),
+                 np.array([t.terminal for t in transitions], dtype=bool))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReplayMatchesListReference:
+    def test_same_batches_and_gradients_as_buffer_wraps(self):
+        rng = np.random.default_rng(8)
+        columnar = ReplayBuffer(16, np.random.default_rng(3))
+        listed = ListReplayBuffer(16, np.random.default_rng(3))
+        net = QNetwork.initialize([5, 8, 3], np.random.default_rng(0))
+        target = QNetwork.initialize([5, 8, 3], np.random.default_rng(1))
+        for step in range(60):  # wraps the 16 slots three times
+            transition = Transition(rng.normal(size=5), int(rng.integers(3)),
+                                    float(rng.normal()), rng.normal(size=5),
+                                    bool(rng.random() < 0.2))
+            columnar.push(transition)
+            listed.push(transition)
+            assert len(columnar) == len(listed)
+            if step % 3:
+                continue
+            batch, reference = columnar.sample(7), listed.sample(7)
+            assert all(same_bits(got, want)
+                       for got, want in zip(batch, stack_batch(reference)))
+            got, want = td_loss(net, target, batch, 0.9), td_loss(net, target, reference, 0.9)
+            assert got.loss == want.loss
+            assert all(same_bits(g, w) for g, w in zip(got.weight_grads + got.bias_grads,
+                                                       want.weight_grads + want.bias_grads))
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("basic", dict(total_timesteps=1600, buffer_capacity=400)),
+        ("managed", dict(total_timesteps=1600, clip_rewards=True, hidden_sizes=(16, 16)))])
+    def test_train_matches_list_reference(self, small_env_bars, monkeypatch, preset,
+                                          overrides):
+        config = TrainerConfig(**{**TRAINER_PRESETS[preset], **overrides})
+        assert config.total_timesteps > config.buffer_capacity  # the buffer wraps
+        env_block = dict(DEFAULT_ENVS[preset])
+        kind = env_block.pop("kind")
+
+        def run():
+            return train(make_env(kind, small_env_bars, **env_block), config, seed=9)
+
+        net, trace = run()
+        monkeypatch.setattr(dqn_module, "ReplayBuffer", ListReplayBuffer)
+        ref_net, ref_trace = run()
+        assert all(same_bits(a, b) for a, b in zip(net.weights + net.biases,
+                                                   ref_net.weights + ref_net.biases))
+        assert trace.rows == ref_trace.rows
 
 
 class TestEpsilonSchedule:
@@ -151,10 +257,6 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(net1.weights, net2.weights))
 
     def test_target_network_constant_between_syncs(self, small_env_bars, monkeypatch):
-        import hashlib
-
-        import tradefool.dqn as dqn_module
-
         hashes = []
         original = dqn_module.td_loss
 

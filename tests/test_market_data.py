@@ -75,6 +75,14 @@ class TestLoadCsv:
         with pytest.raises(MarketDataError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("data", [b"timestamp,open,high,low,close\n60,10,11,9,10.5\xe9\n",
+                                      b"timestamp,open,high,low,close\xe9\n60,10,11,9,10.5\n"])
+    def test_non_utf8_file_is_an_error_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "bars.csv"
+        path.write_bytes(data)
+        with pytest.raises(MarketDataError, match=r"bars\.csv: not UTF-8 text"):
+            load_csv(path)
+
     def test_schema_mapping(self, tmp_path):
         path = tmp_path / "bars.csv"
         write_csv(path, ["60,10,11,9,10.5"], header="ts,o,h,l,c")

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from tradefool.dqn import Transition
 from tradefool.qnet import (
+    Batch,
     GradientBundle,
     QNetError,
     QNetwork,
@@ -87,8 +90,12 @@ class TestTdLoss:
 
     def test_rejects_bad_gamma_and_empty_batch(self):
         net = zero_net([1, 2])
-        with pytest.raises(QNetError):
+        with pytest.raises(QNetError, match="empty batch"):
             td_loss(net, net.clone(), [], 0.5)
+        no_rows = Batch(np.zeros((0, 1)), np.zeros(0, dtype=np.intp), np.zeros(0),
+                        np.zeros((0, 1)), np.zeros(0, dtype=bool))
+        with pytest.raises(QNetError, match="empty batch"):
+            td_loss(net, net.clone(), no_rows, 0.5)
         batch = [Transition(np.zeros(1), 0, 0.0, np.zeros(1), True)]
         with pytest.raises(QNetError):
             td_loss(net, net.clone(), batch, 1.5)
@@ -365,6 +372,18 @@ class TestCheckpoint:
         assert meta == {"env": {"kind": "basic"}}
         for a, b in zip(loaded.weights, net.weights):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sizes", [[None, 3], [5.0, 3], [5.5, 3], [True, 3], [5, 0],
+                                       [5], ["5", 3]])
+    def test_rejects_sizes_that_are_not_positive_ints(self, tmp_path, sizes):
+        net = QNetwork.initialize([5, 3], np.random.default_rng(11))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        payload = json.loads(path.read_text())
+        payload["sizes"] = sizes
+        path.write_text(json.dumps(payload))
+        with pytest.raises(QNetError, match="positive integers"):
+            load_checkpoint(path)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "ckpt.json"
