@@ -20,7 +20,7 @@ Attack families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,32 +152,6 @@ class AttackConfig:
     @property
     def spec(self) -> ConstraintSpec:
         return CONSTRAINT_SPECS[self.constraint]
-
-
-# Stock attack configurations, by environment.
-PRESETS = {
-    "delay": AttackConfig(method="delay"),
-    "basic-fgsm": AttackConfig(
-        method="fgsm", eps_start=1e-4, eps_end=1e-3, eps_iters=5,
-        k_scale=(1.0, 1.0, 1.0), constraint="relative_price"),
-    "basic-cw": AttackConfig(
-        method="cw", cw_variant="box", cw_max_iters=100, cw_lr=0.5, cw_const=0.1,
-        constraint="relative_price"),
-    "managed-fgsm": AttackConfig(
-        method="fgsm", eps_start=0.1, eps_end=3.0, eps_iters=5,
-        k_scale=(0.01, 0.01, 0.1), constraint="indicator"),
-    "managed-cw": AttackConfig(
-        method="cw", cw_variant="scaled", cw_eps=1.0, k_scale=(0.01, 1.0, 1.0),
-        cw_max_iters=100, cw_lr=0.5, cw_const=0.1, constraint="indicator"),
-}
-
-
-def preset(name: str, **overrides) -> AttackConfig:
-    if name not in PRESETS:
-        raise AttackError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    config = replace(PRESETS[name], **overrides)
-    config.validate()
-    return config
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ import json
 import os
 import sys
 
-from . import __version__
-from .attacks import AttackConfig, preset as attack_preset
-from .dqn import TrainerConfig, train
+from . import __version__, presets
+from .attacks import AttackConfig
+from .dqn import train
 from .envs import EnvError, make_env
 from .harness import run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
@@ -33,54 +33,12 @@ class UserError(Exception):
     """Bad flags, missing files, invalid configuration."""
 
 
-TRAINER_PRESETS = {
-    "basic": dict(
-        total_timesteps=100_000, gamma=0.99, learning_rate=1e-4,
-        buffer_capacity=100_000, learning_starts=1000, target_sync_every=1000,
-        epsilon_initial=1.0, epsilon_final=0.02, epsilon_decay_fraction=0.1),
-    "managed": dict(
-        total_timesteps=25_000, gamma=0.9999, learning_rate=1e-5,
-        buffer_capacity=1000, learning_starts=1000, target_sync_every=1000,
-        epsilon_initial=0.9, epsilon_final=0.05,
-        epsilon_decay_fraction=None, epsilon_decay_interval=200),
-}
-
-DEFAULT_ENVS = {
-    "basic": dict(kind="basic", window=10, commission_pct=0.1, episode_cap=250),
-    "managed": dict(kind="managed", window=20, episode_cap=250),
-}
-
-
-def trainer_config(block: dict) -> TrainerConfig:
-    block = dict(block)
-    name = block.pop("preset", None)
-    fields = dict(TRAINER_PRESETS.get(name, {})) if name else {}
-    if name and name not in TRAINER_PRESETS:
-        raise UserError(f"unknown trainer preset {name!r}; have {sorted(TRAINER_PRESETS)}")
-    fields.update(block)
+def _config(what: str, build, block: dict):
+    fields = dict(block)
     try:
-        if "hidden_sizes" in fields:
-            fields["hidden_sizes"] = tuple(fields["hidden_sizes"])
-        config = TrainerConfig(**fields)
-        config.validate()
+        return build(fields.pop("preset", None), **fields)
     except Exception as exc:  # noqa: BLE001 - surfaced as user error
-        raise UserError(f"bad trainer config: {exc}") from exc
-    return config
-
-
-def attack_config(block: dict) -> AttackConfig:
-    block = dict(block)
-    name = block.pop("preset", None)
-    try:
-        if "k_scale" in block:
-            block["k_scale"] = tuple(block["k_scale"])
-        if name:
-            return attack_preset(name, **block)
-        config = AttackConfig(**block)
-        config.validate()
-        return config
-    except Exception as exc:  # noqa: BLE001
-        raise UserError(f"bad attack config: {exc}") from exc
+        raise UserError(f"bad {what} config: {exc}") from exc
 
 
 def build_env(env_block: dict, market):
@@ -91,9 +49,6 @@ def build_env(env_block: dict, market):
     if kind not in ("basic", "managed"):
         raise UserError(f"env kind must be 'basic' or 'managed', got {kind!r}")
     try:
-        for key in ("stops", "takes"):
-            if key in block:
-                block[key] = tuple(block[key])
         return make_env(kind, market, **block)
     except (TypeError, EnvError, MarketDataError) as exc:
         raise UserError(f"cannot build {kind} env: {exc}") from exc
@@ -163,13 +118,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = load_config_file(args.config)
     data_path = args.data or (config.get("data") or {}).get("path")
-    env_block = config.get("env") or DEFAULT_ENVS[args.preset or "basic"]
     trainer_block = dict(config.get("trainer") or {})
     if args.preset:
         trainer_block.setdefault("preset", args.preset)
     if not trainer_block:
         raise UserError("no trainer config (use --preset or a config trainer block)")
-    tconfig = trainer_config(trainer_block)
+    tconfig = _config("trainer", presets.trainer, trainer_block)
+    env_block = config.get("env") or presets.ENV[trainer_block.get("preset") or "basic"]
     if args.seed < 0:
         raise UserError(f"seed must be >= 0, got {args.seed}")
     env = build_env(env_block, _load_market(data_path))
@@ -215,7 +170,7 @@ def cmd_attack(args) -> int:
         attack_block["mode"] = args.mode
     if not attack_block:
         raise UserError("no attack config (use --preset or a config attack block)")
-    base = attack_config(attack_block)
+    base = _config("attack", presets.attack, attack_block)
 
     try:
         net, meta = load_checkpoint(args.checkpoint)
@@ -248,7 +203,7 @@ def cmd_attack(args) -> int:
                          {"method": "delay", "mode": "", "chance": 1.0}))
         else:
             runs += [(f"{label}-{base.mode}-c{chance:g}-s{seed}",
-                      attack_config({**attack_block, "chance": chance}),
+                      _config("attack", presets.attack, {**attack_block, "chance": chance}),
                       {"method": base.method, "mode": base.mode, "chance": chance})
                      for chance in chances]
         for name, config, meta_row in runs:
@@ -280,6 +235,12 @@ def _read_json(path):
         return json.load(handle)
 
 
+# summary_table.csv columns after "run": from run.json, then from summary.json
+_REPORT_META = ("method", "mode", "chance", "seed")
+_REPORT_COUNTERS = ("eligible", "attempts", "failures", "ncn", "partial", "non_target", "successes")
+_REPORT_TOTALS = ("total_reward", "final_networth")
+
+
 def cmd_report(args) -> int:
     runs_dir = args.run_dir
     if not os.path.isdir(runs_dir):
@@ -302,27 +263,16 @@ def cmd_report(args) -> int:
             raise UserError(f"corrupt run files in {run_dir}: expected JSON objects")
         if meta.get("method") == "control":
             continue
-        rows.append({
-            "run": name,
-            "method": meta.get("method", ""), "mode": meta.get("mode", ""),
-            "chance": meta.get("chance", ""), "seed": meta.get("seed", ""),
-            "eligible": summary.get("eligible", 0), "attempts": summary.get("attempts", 0),
-            "failures": summary.get("failures", 0), "ncn": summary.get("ncn", 0),
-            "partial": summary.get("partial", 0), "non_target": summary.get("non_target", 0),
-            "successes": summary.get("successes", 0),
-            "total_reward": summary.get("total_reward", ""),
-            "final_networth": summary.get("final_networth", ""),
-        })
+        rows.append([name, *(meta.get(column, "") for column in _REPORT_META),
+                     *(summary.get(column, 0) for column in _REPORT_COUNTERS),
+                     *(summary.get(column, "") for column in _REPORT_TOTALS)])
     out_dir = args.out or args.run_dir
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "summary_table.csv")
-    fields = ["run", "method", "mode", "chance", "seed", "eligible", "attempts", "failures",
-              "ncn", "partial", "non_target", "successes", "total_reward", "final_networth"]
     with open(table_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(handle)
+        writer.writerow(["run", *_REPORT_META, *_REPORT_COUNTERS, *_REPORT_TOTALS])
+        writer.writerows(rows)
     print(f"{len(rows)} attack run(s) summarized in {table_path}")
     print("difference curves: per-run curves.csv files under", runs_dir)
     return 0
@@ -355,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", parents=[common], help="train a DQN agent")
-    p_train.add_argument("--preset", choices=sorted(TRAINER_PRESETS))
+    p_train.add_argument("--preset", choices=sorted(presets.TRAINER))
     p_train.add_argument("--data", help="OHLCV CSV path")
     p_train.set_defaults(func=cmd_train)
 

@@ -107,8 +107,14 @@ class TrainerConfig:
             )
         if self.total_timesteps < 1 or self.learning_rate <= 0:
             raise TrainingError("bad timesteps or learning rate")
+        if min(self.batch_size, self.buffer_capacity, self.target_sync_every) < 1:
+            raise TrainingError("batch_size, buffer_capacity and target_sync_every must be >= 1")
         if self.epsilon_decay_fraction is None and self.epsilon_decay_interval is None:
             raise TrainingError("one of decay fraction / decay interval must be set")
+        if self.epsilon_decay_interval is not None and self.epsilon_decay_interval < 1:
+            raise TrainingError("epsilon decay interval must be >= 1")
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.hidden_sizes):
+            raise TrainingError(f"hidden sizes must be ints >= 1, got {self.hidden_sizes}")
         if self.exploration not in ("epsilon_greedy", "param_noise"):
             raise TrainingError(f"unknown exploration mode {self.exploration!r}")
 

@@ -68,15 +68,12 @@ def net_worth(portfolio: Portfolio, price: float) -> float:
     return float(portfolio.cash + portfolio.asset * price)
 
 
-def sharpe_reward(returns, risk_free: float = 0.0, offset: float = 1e-9,
-                  window: int | None = None) -> float:
+def sharpe_reward(returns, risk_free: float = 0.0, offset: float = 1e-9) -> float:
     """(mean(R - risk_free) + offset) / (population std(R) + offset).
 
     Empty history yields 0; a flat history yields offset/offset = 1.
     """
     r = np.asarray(returns, dtype=np.float64)
-    if window is not None:
-        r = r[-window:]
     if r.size == 0:
         return 0.0
     return float((np.mean(r - risk_free) + offset) / (np.std(r) + offset))

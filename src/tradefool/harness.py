@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +52,20 @@ class LedgerRow:
     pert_tuple: np.ndarray | None
 
 
+_ATTEMPTS = (SUCCESS, PARTIAL, NON_TARGET, FAILURE)
+# the counter each outcome adds to; a delay row counts only as eligible
+_COUNTER = {SUCCESS: "successes", PARTIAL: "partial", NON_TARGET: "non_target",
+            FAILURE: "failures", "ncn": "ncn", "skipped": "skipped"}
+
+
 @dataclass
 class AttackLedger:
-    env_id: str
-    seed: int
-    config: AttackConfig | None
     rows: list[LedgerRow] = field(default_factory=list)
 
-    def _count(self, *outcomes) -> int:
-        return sum(1 for r in self.rows if r.outcome in outcomes)
+    def counters(self) -> dict:
+        tally = Counter(row.outcome for row in self.rows)
+        return {"eligible": len(self.rows), "attempts": sum(tally[o] for o in _ATTEMPTS),
+                **{name: tally[outcome] for outcome, name in _COUNTER.items()}}
 
     @property
     def eligible(self) -> int:
@@ -67,43 +73,15 @@ class AttackLedger:
 
     @property
     def attempts(self) -> int:
-        return self._count(SUCCESS, PARTIAL, NON_TARGET, FAILURE)
-
-    @property
-    def successes(self) -> int:
-        return self._count(SUCCESS)
-
-    @property
-    def partial(self) -> int:
-        return self._count(PARTIAL)
-
-    @property
-    def non_target(self) -> int:
-        return self._count(NON_TARGET)
-
-    @property
-    def failures(self) -> int:
-        return self._count(FAILURE)
+        return self.counters()["attempts"]
 
     @property
     def ncn(self) -> int:
-        return self._count("ncn")
+        return self.counters()["ncn"]
 
     @property
     def skipped(self) -> int:
-        return self._count("skipped")
-
-    def counters(self) -> dict:
-        return {
-            "eligible": self.eligible,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "failures": self.failures,
-            "partial": self.partial,
-            "non_target": self.non_target,
-            "ncn": self.ncn,
-            "skipped": self.skipped,
-        }
+        return self.counters()["skipped"]
 
 
 @dataclass
@@ -127,10 +105,6 @@ class RunRecord:
 
 def _greedy(net: QNetwork, obs) -> int:
     return int(np.argmax(forward(net, obs)))
-
-
-def _env_id(env) -> str:
-    return type(env).__name__
 
 
 def run_control(net: QNetwork, env, seed: int) -> RunRecord:
@@ -158,7 +132,7 @@ def _run_episode(net, env, seed, config):
     gate_rng = np.random.default_rng(gate_stream)
 
     record = RunRecord()
-    ledger = AttackLedger(env_id=_env_id(env), seed=seed, config=config)
+    ledger = AttackLedger()
     overrides: dict[int, np.ndarray] = {}
     window = env.window_length
     action_types = env.action_types

@@ -15,7 +15,7 @@ import csv
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class Market:
 
     ``load_csv`` returns only valid markets: finite, prices > 0, volume >= 0,
     low <= open/close <= high and strictly increasing timestamps. Slicing
-    gives a market over a bar range. ``build_feature_series`` caches its
-    results here, so every env built on one market shares them.
+    gives a market over a bar range.
     """
 
     timestamp: np.ndarray
@@ -50,7 +49,6 @@ class Market:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-    _features: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.timestamp)
@@ -277,19 +275,11 @@ def _rsi_value(avg_gain: float, avg_loss: float) -> float:
 
 
 def build_feature_series(market: Market, mode: str) -> FeatureSeries:
-    """The market's feature series for ``mode``, computed on first use and
-    then shared, read-only, by every caller on that market.
+    """The market's read-only feature series for ``mode``.
 
     relative mode: warmup 0. indicator mode: warmup = MACD slow period, which
     dominates the RSI and log-return warmups.
     """
-    series = market._features.get(mode)
-    if series is None:
-        series = market._features[mode] = _compute_feature_series(market, mode)
-    return series
-
-
-def _compute_feature_series(market: Market, mode: str) -> FeatureSeries:
     if mode == "relative":
         o = market.open
         if np.any(o <= 0):

@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from tradefool.attacks import cw_l2_box, preset, project_constraints, validate_relative_tuple
+from tradefool.attacks import cw_l2_box, project_constraints, validate_relative_tuple
 from tradefool.cli import main as cli_main
 from tradefool.dqn import TrainerConfig, Transition, train
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv, build_action_table
 from tradefool.harness import run_attacked, run_control, write_ledger_csv
 from tradefool.market_data import macd, rsi, synthesize_bars, write_bars_csv
+from tradefool.presets import attack as preset
 from tradefool.qnet import (
     QNetwork,
     attack_loss_value,

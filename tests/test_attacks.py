@@ -21,11 +21,11 @@ from tradefool.attacks import (
     epsilon_ladder,
     fgsm_attack,
     least_q_target,
-    preset,
     project_constraints,
     run_perturbation_attack,
     validate_relative_tuple,
 )
+from tradefool.presets import attack as preset
 from tradefool.qnet import QNetwork, forward, input_gradient
 
 RELATIVE = preset("basic-fgsm").spec

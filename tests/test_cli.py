@@ -5,8 +5,8 @@ import shutil
 
 import pytest
 
-from tradefool import cli, market_data
-from tradefool.cli import TRAINER_PRESETS, main, trainer_config
+from tradefool import cli, envs, presets
+from tradefool.cli import main
 
 
 def run_cli(*argv):
@@ -55,7 +55,7 @@ class TestSynth:
 
 class TestTrainerPresets:
     def test_basic_preset_values(self):
-        config = trainer_config({"preset": "basic"})
+        config = presets.trainer("basic")
         assert config.gamma == 0.99
         assert config.learning_rate == 1e-4
         assert config.buffer_capacity == 100_000
@@ -65,7 +65,7 @@ class TestTrainerPresets:
         assert (config.epsilon_decay_fraction, config.epsilon_final) == (0.1, 0.02)
 
     def test_managed_preset_values(self):
-        config = trainer_config({"preset": "managed"})
+        config = presets.trainer("managed")
         assert config.gamma == 0.9999
         assert config.learning_rate == 1e-5
         assert config.buffer_capacity == 1000
@@ -74,11 +74,11 @@ class TestTrainerPresets:
         assert config.total_timesteps == 100 * 250
 
     def test_preset_fields_overridable(self):
-        config = trainer_config({"preset": "basic", "total_timesteps": 50})
+        config = presets.trainer("basic", total_timesteps=50)
         assert config.total_timesteps == 50 and config.gamma == 0.99
 
     def test_preset_names(self):
-        assert sorted(TRAINER_PRESETS) == ["basic", "managed"]
+        assert sorted(presets.TRAINER) == ["basic", "managed"]
 
 
 class TestTrain:
@@ -111,6 +111,16 @@ class TestTrain:
         assert run_cli("--out", str(tmp_path), "train", "--preset", "basic",
                        "--data", str(bad)) == 1
         assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_default_env_follows_config_trainer_preset(self, tmp_path, data_csv):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trainer": {"preset": "managed",
+                                                    "total_timesteps": 300}}))
+        assert run_cli("--config", str(cfg_path), "--out", str(tmp_path), "train",
+                       "--data", str(data_csv)) == 0
+        checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert checkpoint["meta"]["env"]["kind"] == "managed"
+        assert checkpoint["sizes"][0] == 60  # 20 indicator tuples of 3
 
     def test_negative_seed_is_user_error(self, tmp_path, data_csv):
         assert run_cli("--out", str(tmp_path), "--seed", "-1", "train", "--preset", "basic",
@@ -219,8 +229,8 @@ class TestAttack:
             return wrapper
 
         monkeypatch.setattr(cli, "load_csv", counted("load_csv", cli.load_csv))
-        monkeypatch.setattr(market_data, "_compute_feature_series",
-                            counted("features", market_data._compute_feature_series))
+        monkeypatch.setattr(envs, "build_feature_series",
+                            counted("features", envs.build_feature_series))
         assert run_cli("--out", str(tmp_path), "attack",
                        "--checkpoint", str(trained / "checkpoint.json"),
                        "--data", str(data_csv), "--preset", "basic-fgsm",
@@ -242,6 +252,15 @@ class TestAttack:
         assert not (tmp_path / "runs").exists()
 
 
+# each once passed the config checks, so train wrote manifest.jsonl and then
+# crashed (exit 2) or, given True, built a 1-unit hidden layer
+TRAINER_FIELDS_OUT_OF_RANGE = [
+    {"buffer_capacity": 0}, {"target_sync_every": 0}, {"batch_size": 0}, {"batch_size": -3},
+    {"epsilon_decay_interval": 0}, {"epsilon_decay_interval": -2}, {"hidden_sizes": [0]},
+    {"hidden_sizes": [True]},
+]
+
+
 class TestConfigShapes:
     @pytest.mark.parametrize("command, config", [
         ("attack", {"attack": {"preset": "basic-fgsm", "k_scale": [1, 1]}}),  # tuple is 3-d
@@ -249,8 +268,13 @@ class TestConfigShapes:
         ("attack", {"data": "m.csv"}),
         ("train", {"trainer": {"preset": "basic", "hidden_sizes": 8}}),
         ("train", {"env": {"kind": "basic", "stops": 0.02}}),
+        *(("train", {"trainer": {"preset": "basic", "total_timesteps": 300,
+                                 "learning_starts": 100, **fields}})
+          for fields in TRAINER_FIELDS_OUT_OF_RANGE),
     ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
-            "basic_env_stops"])
+            "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
+            "batch_size_negative", "epsilon_decay_interval_0",
+            "epsilon_decay_interval_negative", "hidden_size_0", "hidden_size_bool"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"

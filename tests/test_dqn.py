@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import tradefool.dqn as dqn_module
-from tradefool.cli import DEFAULT_ENVS, TRAINER_PRESETS
 from tradefool.dqn import (
     ReplayBuffer,
     TrainerConfig,
@@ -16,6 +15,7 @@ from tradefool.dqn import (
 from tradefool.envs import BasicStockEnv, make_env
 from tradefool.harness import run_control
 from tradefool.market_data import synthesize_bars
+from tradefool.presets import ENV, TRAINER
 from tradefool.qnet import Batch, QNetwork, td_loss
 
 
@@ -174,9 +174,9 @@ class TestReplayMatchesListReference:
         ("managed", dict(total_timesteps=1600, clip_rewards=True, hidden_sizes=(16, 16)))])
     def test_train_matches_list_reference(self, small_env_bars, monkeypatch, preset,
                                           overrides):
-        config = TrainerConfig(**{**TRAINER_PRESETS[preset], **overrides})
+        config = TrainerConfig(**{**TRAINER[preset], **overrides})
         assert config.total_timesteps > config.buffer_capacity  # the buffer wraps
-        env_block = dict(DEFAULT_ENVS[preset])
+        env_block = dict(ENV[preset])
         kind = env_block.pop("kind")
 
         def run():

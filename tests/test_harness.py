@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradefool.attacks import AttackConfig, AttackError, preset
+from tradefool.attacks import AttackConfig, AttackError
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv
 from tradefool.harness import (
     AttackLedger,
@@ -23,6 +23,7 @@ from tradefool.harness import (
     summary_dict,
 )
 from tradefool.market_data import synthesize_bars
+from tradefool.presets import attack as preset
 from tradefool.qnet import QNetwork
 
 
@@ -228,7 +229,7 @@ class TestDifferences:
 
 class TestExportReport:
     def test_empty_ledger_gives_header_only_csv_and_zero_counters(self, tmp_path):
-        ledger = AttackLedger(env_id="BasicStockEnv", seed=0, config=None)
+        ledger = AttackLedger()
         record = RunRecord()
         export_report(ledger, record, tmp_path)
         lines = (tmp_path / "ledger.csv").read_text().splitlines()
