@@ -223,11 +223,13 @@ def ema(series, period: int) -> np.ndarray:
     if values.size == 0:
         raise MarketDataError("ema input is empty")
     alpha = 2.0 / (period + 1.0)
-    out = np.empty_like(values)
-    out[0] = values[0]
-    for t in range(1, values.size):
-        out[t] = alpha * values[t] + (1.0 - alpha) * out[t - 1]
-    return out
+    # Python float arithmetic is numpy's IEEE double arithmetic without a numpy
+    # scalar per step; array("d") holds the values unboxed, so no list of float
+    # objects builds up.
+    out = array("d", values[:1].tobytes())
+    for x in array("d", values[1:].tobytes()):
+        out.append(alpha * x + (1.0 - alpha) * out[-1])
+    return np.frombuffer(out)
 
 
 def macd(closes, fast: int = MACD_FAST, slow: int = MACD_SLOW, signal: int = MACD_SIGNAL):
@@ -256,13 +258,15 @@ def rsi(closes, period: int = RSI_PERIOD) -> np.ndarray:
     deltas = np.diff(closes)
     gains = np.where(deltas > 0, deltas, 0.0)
     losses = np.where(deltas < 0, -deltas, 0.0)
-    avg_gain = gains[:period].mean()
-    avg_loss = losses[:period].mean()
-    out[period] = _rsi_value(avg_gain, avg_loss)
-    for t in range(period, deltas.size):
-        avg_gain = (avg_gain * (period - 1) + gains[t]) / period
-        avg_loss = (avg_loss * (period - 1) + losses[t]) / period
-        out[t + 1] = _rsi_value(avg_gain, avg_loss)
+    avg_gain = float(gains[:period].mean())
+    avg_loss = float(losses[:period].mean())
+    values = array("d", [_rsi_value(avg_gain, avg_loss)])  # Python floats, as in ema
+    for gain, loss in zip(array("d", gains[period:].tobytes()),
+                          array("d", losses[period:].tobytes())):
+        avg_gain = (avg_gain * (period - 1) + gain) / period
+        avg_loss = (avg_loss * (period - 1) + loss) / period
+        values.append(_rsi_value(avg_gain, avg_loss))
+    out[period:] = values
     return out
 
 
@@ -321,29 +325,48 @@ def synthesize_bars(
     momentum=0 is a plain geometric random walk; a nonzero value makes the
     recent bar informative about the next one (negative = mean reversion).
     Wick sizes scale with volatility, so volatility=0 (with drift 0) yields
-    flat bars.
+    flat bars. Parameters, or prices, that ``load_csv`` would refuse are a
+    ``MarketDataError``.
     """
     if n_bars < 1:
         raise MarketDataError("n_bars must be >= 1")
     if not (-1.0 < momentum < 1.0):
         raise MarketDataError("momentum must be in (-1, 1)")
+    for ok, error in ((seed >= 0, f"seed must be >= 0, got {seed}"),
+                      (bar_seconds >= 1, f"bar_seconds must be >= 1, got {bar_seconds}"),
+                      (math.isfinite(start_price) and start_price > 0,
+                       f"start_price must be finite and > 0, got {start_price}"),
+                      (math.isfinite(volatility) and volatility >= 0,
+                       f"volatility must be finite and >= 0, got {volatility}"),
+                      (math.isfinite(drift), f"drift must be finite, got {drift}")):
+        if not ok:
+            raise MarketDataError(error)
     # Four standard normals per bar, in the order the per-bar draws
     # (z, up wick, down wick, lognormal volume) take them from the generator.
     draws = np.random.default_rng(seed).standard_normal((n_bars, 4)).tolist()
     values = array("d")
     price = float(start_price)
     prev_ret = drift
-    for z, up, down, log_volume in draws:
-        ret = drift + momentum * (prev_ret - drift) + volatility * z
-        prev_ret = ret
-        close = price * math.exp(ret)
-        values.extend((price,
-                       max(price, close) * math.exp(abs(up) * volatility * 0.5),
-                       min(price, close) * math.exp(-(abs(down) * volatility * 0.5)),
-                       close,
-                       math.exp(0.0 + 0.5 * log_volume)))  # Generator.lognormal(0.0, 0.5)
-        price = close
-    timestamps = array("q", (start_timestamp + i * bar_seconds for i in range(n_bars)))
+    try:
+        for z, up, down, log_volume in draws:
+            ret = drift + momentum * (prev_ret - drift) + volatility * z
+            prev_ret = ret
+            close = price * math.exp(ret)
+            values.extend((price,
+                           max(price, close) * math.exp(abs(up) * volatility * 0.5),
+                           min(price, close) * math.exp(-(abs(down) * volatility * 0.5)),
+                           close,
+                           math.exp(0.0 + 0.5 * log_volume)))  # Generator.lognormal(0.0, 0.5)
+            price = close
+        timestamps = array("q", (start_timestamp + i * bar_seconds for i in range(n_bars)))
+    except OverflowError as exc:
+        raise MarketDataError(f"synthesized bars overflow: {exc}") from exc
+    # the wicks bracket open and close by construction, so bars whose values are
+    # all finite and > 0 pass load_csv; max and min check that without temporaries
+    bars = np.frombuffer(values)
+    if not (math.isfinite(bars.max()) and bars.min() > 0):
+        raise MarketDataError(f"synthesized prices leave the positive finite range with "
+                              f"drift {drift}, volatility {volatility}")
     return _market_from_arrays(timestamps, values)
 
 

@@ -4,11 +4,17 @@ Hidden layers are rectified, the output layer is linear, one Q-value per
 action. Besides parameter gradients for TD training, the network exposes
 analytic gradients of attack losses with respect to its *input*, which the
 gradient-based observation attacks need.
+
+Parameters live in one float64 vector, ``QNetwork.params``, and each update's
+gradients in one of the same layout, so SGD and the finiteness check are one
+array operation each. ``weights`` and ``biases`` are views of ``params``, every
+weight matrix then every bias vector: write them in place, never rebind them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -19,6 +25,19 @@ class QNetError(ValueError):
     pass
 
 
+def _pack(weights, biases, flat=None) -> tuple[np.ndarray, list, list]:
+    """``flat`` (by default the arrays packed anew, in order) and views of it in their shapes."""
+    if flat is None:
+        weights, biases = ([np.asarray(a, dtype=np.float64) for a in arrays]
+                           for arrays in (weights, biases))
+        flat = np.concatenate([a.ravel() for a in (*weights, *biases)] or [np.empty(0)])
+    views, end = [], 0
+    for a in (*weights, *biases):
+        start, end = end, end + a.size
+        views.append(flat[start:end].reshape(a.shape))
+    return flat, views[:len(weights)], views[len(weights):]
+
+
 @dataclass
 class QNetwork:
     """Feedforward Q-function. ``sizes`` = [input_dim, hidden..., n_actions]."""
@@ -26,6 +45,10 @@ class QNetwork:
     sizes: list[int]
     weights: list[np.ndarray] = field(default_factory=list)  # each (fan_in, fan_out)
     biases: list[np.ndarray] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @classmethod
     def initialize(cls, sizes, rng: np.random.Generator) -> "QNetwork":
@@ -33,8 +56,7 @@ class QNetwork:
         sizes = [int(s) for s in sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise QNetError(f"bad layer sizes {sizes}")
-        weights = []
-        biases = []
+        weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
@@ -50,16 +72,11 @@ class QNetwork:
         return self.sizes[-1]
 
     def clone(self) -> "QNetwork":
-        return QNetwork(
-            sizes=list(self.sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return QNetwork(list(self.sizes), self.weights, self.biases)
 
     def check_finite(self) -> None:
-        for w, b in zip(self.weights, self.biases):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise QNetError("non-finite network parameters")
+        if not np.isfinite(self.params).all():
+            raise QNetError("non-finite network parameters")
 
 
 class Batch(NamedTuple):
@@ -87,11 +104,17 @@ def _as_batch(batch) -> Batch:
 
 @dataclass
 class GradientBundle:
-    """Loss value plus gradients shaped exactly like the network parameters."""
+    """Loss value plus gradients shaped like the parameters, as views of ``flat``."""
 
     loss: float
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, self.weight_grads, self.bias_grads = _pack(self.weight_grads,
+                                                                  self.bias_grads)
 
 
 def _forward_cached(net: QNetwork, x: np.ndarray):
@@ -100,8 +123,10 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
+        a = a @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
@@ -112,19 +137,6 @@ def forward(net: QNetwork, state) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
         raise QNetError(f"state shape {x.shape} does not end in input dim {net.input_dim}")
     return _forward_cached(net, x)[-1]
-
-
-def _backward(net: QNetwork, activations, dq: np.ndarray):
-    """Backprop dLoss/dQ through the net; returns the parameter gradients."""
-    weight_grads = []
-    bias_grads = []
-    delta = dq
-    for i in range(len(net.weights) - 1, -1, -1):
-        weight_grads.append(activations[i].T @ delta)
-        bias_grads.append(delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (activations[i] > 0.0)
-    return weight_grads[::-1], bias_grads[::-1]
 
 
 def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBundle:
@@ -147,14 +159,20 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBun
     q = activations[-1]
     rows = np.arange(n)
     diff = q[rows, actions] - y
-    loss = float(np.mean(diff**2))
-    if not np.isfinite(loss):
+    loss = float(np.add.reduce(diff**2) / n)  # np.mean's own computation
+    if not math.isfinite(loss):
         raise QNetError("non-finite TD loss")
 
-    dq = np.zeros_like(q)
-    dq[rows, actions] = 2.0 * diff / n
-    weight_grads, bias_grads = _backward(net, activations, dq)
-    return GradientBundle(loss=loss, weight_grads=weight_grads, bias_grads=bias_grads)
+    delta = np.zeros_like(q)
+    delta[rows, actions] = 2.0 * diff / n
+    flat, weight_grads, bias_grads = _pack(net.weights, net.biases, np.empty_like(net.params))
+    for i in range(len(net.weights) - 1, -1, -1):  # backprop dLoss/dQ into the views
+        np.matmul(activations[i].T, delta, out=weight_grads[i])
+        np.add.reduce(delta, axis=0, out=bias_grads[i])
+        if i > 0:
+            delta = delta @ net.weights[i].T
+            delta *= activations[i] > 0.0
+    return GradientBundle(loss, weight_grads, bias_grads, flat)
 
 
 def _softmax(q: np.ndarray) -> np.ndarray:
@@ -225,10 +243,9 @@ def sgd_step(net: QNetwork, grads: GradientBundle, learning_rate: float) -> QNet
     """In-place plain SGD update; returns the mutated network."""
     if learning_rate <= 0:
         raise QNetError(f"learning rate must be > 0, got {learning_rate}")
-    for w, gw in zip(net.weights, grads.weight_grads):
-        w -= learning_rate * gw
-    for b, gb in zip(net.biases, grads.bias_grads):
-        b -= learning_rate * gb
+    if grads.flat.shape != net.params.shape:
+        raise QNetError(f"{grads.flat.size} gradients for {net.params.size} parameters")
+    net.params -= learning_rate * grads.flat
     net.check_finite()
     return net
 
@@ -237,10 +254,7 @@ def sync_target(net: QNetwork, target: QNetwork) -> QNetwork:
     """Copy net parameters into the target snapshot (in place)."""
     if net.sizes != target.sizes:
         raise QNetError(f"shape mismatch: {net.sizes} vs {target.sizes}")
-    for tw, w in zip(target.weights, net.weights):
-        tw[...] = w
-    for tb, b in zip(target.biases, net.biases):
-        tb[...] = b
+    target.params[...] = net.params
     return target
 
 
@@ -273,11 +287,7 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
     sizes = payload["sizes"]
     if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
         raise QNetError(f"checkpoint sizes {sizes} must be two or more positive integers")
-    net = QNetwork(
-        sizes=sizes,
-        weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
-    )
+    net = QNetwork(sizes, payload["weights"], payload["biases"])
     layers = list(zip(net.sizes[:-1], net.sizes[1:]))
     if len(net.weights) != len(layers) or len(net.biases) != len(layers):
         raise QNetError(f"checkpoint has {len(net.weights)} weight and {len(net.biases)} "

@@ -52,6 +52,16 @@ class TestSynth:
     def test_missing_out_is_user_error(self):
         assert run_cli("synth", "--bars", "10") == 1
 
+    # parameters, or the prices they lead to, that load_csv would refuse
+    @pytest.mark.parametrize("bad", [
+        ("--seed", "-1"), ("--bar-seconds", "0"), ("--start-price", "-5"),
+        ("--start-price", "inf"), ("--volatility", "-1"), ("--volatility", "nan"),
+        ("--drift", "inf"), ("--drift", "500"), ("--drift", "1000"), ("--drift", "-800")])
+    def test_unloadable_parameters_are_user_errors(self, tmp_path, bad):
+        path = tmp_path / "bars.csv"
+        assert run_cli("synth", "--bars", "20", *bad, "--out", str(path)) == 1
+        assert not path.exists()
+
 
 class TestTrainerPresets:
     def test_basic_preset_values(self):

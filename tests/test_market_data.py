@@ -361,6 +361,58 @@ class TestRsi:
         assert np.all(valid >= 0.0) and np.all(valid <= 100.0)
 
 
+# The numpy-scalar loops that ema and rsi ran before their recurrences moved
+# to Python floats. Both do the same IEEE double arithmetic in the same order,
+# so the checks below use exact equality, never a tolerance.
+def reference_ema(series, period):
+    values = np.asarray(series, dtype=np.float64)
+    alpha = 2.0 / (period + 1.0)
+    out = np.empty_like(values)
+    out[0] = values[0]
+    for t in range(1, values.size):
+        out[t] = alpha * values[t] + (1.0 - alpha) * out[t - 1]
+    return out
+
+
+def reference_rsi(closes, period):
+    closes = np.asarray(closes, dtype=np.float64)
+    out = np.full(closes.size, np.nan)
+    if closes.size <= period:
+        return out
+    deltas = np.diff(closes)
+    gains = np.where(deltas > 0, deltas, 0.0)
+    losses = np.where(deltas < 0, -deltas, 0.0)
+    avg_gain = gains[:period].mean()
+    avg_loss = losses[:period].mean()
+    out[period] = market_data._rsi_value(avg_gain, avg_loss)
+    for t in range(period, deltas.size):
+        avg_gain = (avg_gain * (period - 1) + gains[t]) / period
+        avg_loss = (avg_loss * (period - 1) + losses[t]) / period
+        out[t + 1] = market_data._rsi_value(avg_gain, avg_loss)
+    return out
+
+
+class TestRecurrencesMatchNumpyLoops:
+    @pytest.mark.parametrize("period", [1, 2, 5, 10, 20, 50])
+    def test_random_series(self, period):
+        rng = np.random.default_rng(period)
+        for size in (1, 2, period, period + 1, period + 2, 3 * period + 7, 500):
+            closes = 100.0 * np.exp(np.cumsum(rng.normal(0, rng.choice([1e-4, 0.01, 0.3]), size)))
+            closes[rng.random(size) < 0.2] = closes[0]  # flat steps: zero gains and losses
+            assert np.array_equal(ema(closes, period), reference_ema(closes, period))
+            assert np.array_equal(rsi(closes, period), reference_rsi(closes, period),
+                                  equal_nan=True)
+            signed = rng.normal(0, 10, size)
+            assert np.array_equal(ema(signed, period), reference_ema(signed, period))
+
+    def test_up_and_down_runs(self):
+        for closes in ([100.0 + i for i in range(60)], [100.0 - 0.5 * i for i in range(60)],
+                       [100.0 + (i % 2) for i in range(300)]):
+            for period in (1, 20):
+                assert np.array_equal(rsi(closes, period), reference_rsi(closes, period),
+                                      equal_nan=True)
+
+
 class TestBuildFeatureSeries:
     def test_relative_mode_flat(self, flat_bars):
         series = build_feature_series(flat_bars[:10], "relative")

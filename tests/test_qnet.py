@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ def reference_td_grads(net, target, batch, gamma):
     return float(np.mean(diff**2)), *reference_backward(net, activations, dq)[:2]
 
 
+def reference_sgd_step(net, weight_grads, bias_grads, learning_rate):
+    """The per-array update that the one flat-vector update replaced."""
+    for w, gw in zip(net.weights, weight_grads):
+        w -= learning_rate * gw
+    for b, gb in zip(net.biases, bias_grads):
+        b -= learning_rate * gb
+
+
+def reference_sync_target(net, target):
+    for tw, w in zip(target.weights, net.weights):
+        tw[...] = w
+    for tb, b in zip(target.biases, net.biases):
+        tb[...] = b
+
+
+def list_layout(net):
+    """A copy of ``net`` as separate weight and bias arrays, sharing no memory."""
+    return SimpleNamespace(weights=[w.copy() for w in net.weights],
+                           biases=[b.copy() for b in net.biases])
+
+
 # the two benchmark agents' shapes and a small net
 BIT_IDENTITY_SIZES = [[32, 64, 64, 3], [60, 16, 16, 181], [5, 7, 4]]
 
@@ -218,7 +240,8 @@ class TestBitIdentity:
         rng = np.random.default_rng(sizes[0] * 1000 + sizes[-1])
         for _ in range(4):
             net = QNetwork.initialize(sizes, rng)
-            net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+            for b in net.biases:
+                b[...] = rng.normal(scale=0.1, size=b.shape)
             for _ in range(60):
                 x = rng.normal(size=net.input_dim) * rng.choice([1e-3, 1.0, 10.0])
                 action = int(rng.integers(net.n_actions))
@@ -229,7 +252,8 @@ class TestBitIdentity:
     def test_forward_matches_cached_forward(self, sizes):
         rng = np.random.default_rng(sizes[1])
         net = QNetwork.initialize(sizes, rng)
-        net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+        for b in net.biases:
+            b[...] = rng.normal(scale=0.1, size=b.shape)
         for _ in range(50):
             x = rng.normal(size=net.input_dim)
             assert np.array_equal(forward(net, x), reference_forward(net, x))
@@ -253,6 +277,35 @@ class TestBitIdentity:
             for got, want in zip(bundle.weight_grads + bundle.bias_grads,
                                  weight_grads + bias_grads):
                 assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
+    def test_training_matches_list_layout(self, sizes):
+        rng = np.random.default_rng(sizes[0] + sizes[-1])
+        net = QNetwork.initialize(sizes, rng)
+        for b in net.biases:
+            b[...] = rng.normal(scale=0.1, size=b.shape)
+        target = net.clone()
+        ref, ref_target = list_layout(net), list_layout(target)
+        initial = net.params.copy()
+        for step in range(1, 2001):
+            n = int(rng.integers(1, 33))
+            batch = Batch(rng.normal(size=(n, net.input_dim)),
+                          rng.integers(net.n_actions, size=n).astype(np.intp),
+                          rng.normal(size=n), rng.normal(size=(n, net.input_dim)),
+                          rng.random(n) < 0.1)
+            bundle = td_loss(net, target, batch, 0.99)
+            sgd_step(net, bundle, 1e-3)
+            loss, weight_grads, bias_grads = reference_td_grads(
+                ref, ref_target, [Transition(*row) for row in zip(*batch)], 0.99)
+            reference_sgd_step(ref, weight_grads, bias_grads, 1e-3)
+            assert bundle.loss == loss
+            if step % 100 == 0:
+                sync_target(net, target)
+                reference_sync_target(ref, ref_target)
+        assert np.abs(net.params - initial).max() > 1e-3  # the updates did move the net
+        for got, want in zip(net.weights + net.biases + target.weights + target.biases,
+                             ref.weights + ref.biases + ref_target.weights + ref_target.biases):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestRival:
@@ -292,6 +345,69 @@ class TestRival:
     def test_single_action_net_rejected(self):
         with pytest.raises(QNetError):
             _rival(np.array([1.0]), 0)
+
+
+def hand_nets(tmp_path):
+    """One net made each way a net is made: initialize, clone, load_checkpoint
+    and by hand."""
+    initialized = QNetwork.initialize([5, 7, 4, 3], np.random.default_rng(8))
+    save_checkpoint(initialized, tmp_path / "ckpt.json")
+    return [initialized, initialized.clone(), load_checkpoint(tmp_path / "ckpt.json")[0],
+            zero_net([4, 6, 2]), linear_net([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])]
+
+
+class TestFlatLayout:
+    def test_views_share_the_params_vector(self, tmp_path):
+        for net in hand_nets(tmp_path):
+            arrays = net.weights + net.biases
+            assert [w.shape for w in net.weights] == list(zip(net.sizes[:-1], net.sizes[1:]))
+            assert [b.shape for b in net.biases] == [(n,) for n in net.sizes[1:]]
+            assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+            assert np.array_equal(net.params, np.concatenate([a.ravel() for a in arrays]))
+            assert all(np.shares_memory(a, net.params) for a in arrays)
+            net.biases[-1][...] = 7.0
+            assert np.all(net.params[-net.n_actions:] == 7.0)
+
+    def test_hand_construction_copies_its_arrays(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        net = QNetwork(sizes=[2, 3], weights=[w], biases=[b])
+        assert not np.shares_memory(net.params, w) and not np.shares_memory(net.params, b)
+
+    def test_sync_and_clone_share_no_memory(self, tmp_path):
+        for net in hand_nets(tmp_path):
+            target = zero_net(net.sizes)
+            sync_target(net, target)
+            for other in (target, net.clone()):
+                assert np.array_equal(other.params, net.params)
+                assert not any(np.shares_memory(a, b)
+                               for a in [other.params, *other.weights, *other.biases]
+                               for b in [net.params, *net.weights, *net.biases])
+
+    def test_list_bundle_is_packed(self):
+        bundle = GradientBundle(0.0, [np.ones((2, 3))], [np.full(3, 2.0)])
+        assert bundle.flat.tolist() == [1.0] * 6 + [2.0] * 3
+        assert all(np.shares_memory(g, bundle.flat)
+                   for g in bundle.weight_grads + bundle.bias_grads)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_gradient_in_any_layer_raises(self, bad):
+        rng = np.random.default_rng(4)
+        net = QNetwork.initialize([5, 7, 4, 3], rng)
+        batch = [Transition(rng.normal(size=5), 1, 0.5, rng.normal(size=5), False)]
+        for layer in range(2 * len(net.weights)):
+            bundle = td_loss(net, net.clone(), batch, 0.9)
+            layer_grads = (bundle.weight_grads + bundle.bias_grads)[layer]
+            layer_grads.flat[int(rng.integers(layer_grads.size))] = bad
+            with pytest.raises(QNetError, match="non-finite"):
+                sgd_step(net.clone(), bundle, 1e-3)
+
+    def test_bundle_of_the_wrong_size_rejected(self):
+        net = zero_net([2, 4])
+        for weights, biases in (([np.zeros((2, 3))], [np.zeros(3)]),
+                                ([np.zeros((2, 4))], []),
+                                ([np.zeros((2, 4)), np.zeros((4, 1))], [np.zeros(4), np.zeros(1)])):
+            with pytest.raises(QNetError, match="gradients for 12 parameters"):
+                sgd_step(net, GradientBundle(0.0, weights, biases), 0.1)
 
 
 class TestSgdStep:
