@@ -144,10 +144,7 @@ def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator
 
 def _param_noise_action(net: QNetwork, state, sigma: float, rng: np.random.Generator) -> int:
     noisy = net.clone()
-    for w in noisy.weights:
-        w += sigma * rng.standard_normal(w.shape)
-    for b in noisy.biases:
-        b += sigma * rng.standard_normal(b.shape)
+    noisy.params += sigma * rng.standard_normal(noisy.params.size)
     return int(np.argmax(forward(noisy, state)))
 
 

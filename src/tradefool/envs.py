@@ -33,7 +33,7 @@ class StepResult:
     observation: np.ndarray
     reward: float
     terminal: bool
-    info: dict
+    net_worth: float | None = None  # after the step; None for an env without a portfolio
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,6 @@ class _MarketEnv:
         self._done = True
 
     @property
-    def window_length(self) -> int:
-        return self.window
-
-    @property
     def recent_tuple_slice(self) -> slice:
         return slice((self.window - 1) * 3, self.window * 3)
 
@@ -200,7 +196,6 @@ class BasicStockEnv(_MarketEnv):
         self.steps = 0
         self.holding = 0
         self.entry_price = 0.0
-        self.trade_log: list[dict] = []
         self._done = False
         return self.observation()
 
@@ -220,17 +215,12 @@ class BasicStockEnv(_MarketEnv):
             self.holding = 1
             self.entry_price = price
             reward = -self.commission_pct
-            self.trade_log.append({"step": self.steps, "kind": "buy", "price": price})
         elif action == CLOSE and self.holding:
             reward = 100.0 * (price - self.entry_price) / self.entry_price - self.commission_pct
-            self.trade_log.append(
-                {"step": self.steps, "kind": "close", "price": price,
-                 "entry_price": self.entry_price}
-            )
             self.holding = 0
             self.entry_price = 0.0
         terminal = self._advance()
-        return StepResult(self.observation(), reward, terminal, {"position": self.holding})
+        return StepResult(self.observation(), reward, terminal)
 
 
 class ManagedRiskEnv(_MarketEnv):
@@ -279,7 +269,7 @@ class ManagedRiskEnv(_MarketEnv):
         _fill_window(obs, self.features.values, self.cursor, self.window, overrides)
         return obs
 
-    def _execute(self, action: ManagedRiskAction, price: float) -> dict | None:
+    def _execute(self, action: ManagedRiskAction, price: float) -> None:
         pf = self.portfolio
         if action.side == "buy" and pf.cash > 0.0:
             spend = pf.cash * action.fraction
@@ -291,13 +281,11 @@ class ManagedRiskEnv(_MarketEnv):
             pf.asset -= quantity
             pf.cash += quantity * price * (1.0 - self.fee)
         else:
-            return None
+            return
         self.open_orders.append(
             Order(side=action.side, entry_price=price, quantity=quantity,
                   stop=action.stop, take=action.take)
         )
-        return {"step": self.steps, "side": action.side, "price": price,
-                "quantity": quantity, "stop": action.stop, "take": action.take}
 
     def _fill_brackets(self, index: int) -> None:
         low, high = float(self.market.low[index]), float(self.market.high[index])
@@ -330,15 +318,14 @@ class ManagedRiskEnv(_MarketEnv):
 
     def step(self, action: int) -> StepResult:
         self._check_action(action)
-        executed = self._execute(self.action_table[action], float(self.closes[self.cursor]))
+        self._execute(self.action_table[action], float(self.closes[self.cursor]))
         terminal = self._advance()
         self._fill_brackets(self.cursor)
         worth = net_worth(self.portfolio, self.closes[self.cursor])
         self.returns.append(float(worth / self._prev_net_worth - 1.0))
         self._prev_net_worth = worth
         reward = sharpe_reward(self.returns, self.risk_free, self.sharpe_offset)
-        info = {"net_worth": worth, "executed": executed}
-        return StepResult(self.observation(), reward, terminal, info)
+        return StepResult(self.observation(), reward, terminal, worth)
 
 
 def make_env(kind: str, market: Market, **kwargs):

@@ -67,22 +67,6 @@ class AttackLedger:
         return {"eligible": len(self.rows), "attempts": sum(tally[o] for o in _ATTEMPTS),
                 **{name: tally[outcome] for outcome, name in _COUNTER.items()}}
 
-    @property
-    def eligible(self) -> int:
-        return len(self.rows)
-
-    @property
-    def attempts(self) -> int:
-        return self.counters()["attempts"]
-
-    @property
-    def ncn(self) -> int:
-        return self.counters()["ncn"]
-
-    @property
-    def skipped(self) -> int:
-        return self.counters()["skipped"]
-
 
 @dataclass
 class RunRecord:
@@ -107,41 +91,31 @@ def _greedy(net: QNetwork, obs) -> int:
     return int(np.argmax(forward(net, obs)))
 
 
-def run_control(net: QNetwork, env, seed: int) -> RunRecord:
-    """One greedy episode with no interference."""
-    record, _ = _run_episode(net, env, seed, None)
-    return record
-
-
-def run_attacked(net: QNetwork, env, config: AttackConfig, seed: int):
-    """One greedy episode under the configured observation-channel attack.
+def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = None):
+    """One greedy episode: a control with ``config=None``, else under the
+    configured observation-channel attack. Returns (RunRecord, AttackLedger).
 
     The episode (env start) and the chance gate derive from ``seed``; an
     explicit ``config.seed`` overrides the gate stream only, so the same
     episode can be replayed under different attack randomness.
     """
-    config.validate()
-    return _run_episode(net, env, seed, config)
-
-
-def _run_episode(net, env, seed, config):
     env_stream, gate_stream = np.random.SeedSequence(seed).spawn(2)
+    if config is not None:
+        config.validate()
+        if config.seed is not None:
+            gate_stream = np.random.SeedSequence(config.seed)
     env.reset(np.random.default_rng(env_stream))
-    if config is not None and config.seed is not None:
-        gate_stream = np.random.SeedSequence(config.seed)
     gate_rng = np.random.default_rng(gate_stream)
 
     record = RunRecord()
     ledger = AttackLedger()
     overrides: dict[int, np.ndarray] = {}
-    window = env.window_length
-    action_types = env.action_types
     t = 0
     cum = 0.0
     while True:
         cursor = env.cursor
         if overrides:
-            overrides = {i: v for i, v in overrides.items() if i > cursor - window}
+            overrides = {i: v for i, v in overrides.items() if i > cursor - env.window}
         if config is None:
             action = _greedy(net, env.observation())
         elif config.method == "delay":
@@ -171,7 +145,7 @@ def _run_episode(net, env, seed, config):
             else:
                 target = least_q_target(net, served, q) if config.mode == "targeted" else None
                 result = run_perturbation_attack(
-                    net, served, config, env.recent_tuple_slice, target, action_types, q)
+                    net, served, config, env.recent_tuple_slice, target, env.action_types, q)
                 if qualifies_for_persistence(result.outcome):
                     overrides[cursor] = result.perturbed.copy()
                     action = result.induced_action
@@ -186,11 +160,10 @@ def _run_episode(net, env, seed, config):
         record.actions.append(action)
         record.rewards.append(step.reward)
         record.cum_rewards.append(cum)
-        worth = step.info.get("net_worth")
-        if worth is not None:
+        if step.net_worth is not None:
             if record.net_worths is None:
                 record.net_worths = []
-            record.net_worths.append(worth)
+            record.net_worths.append(step.net_worth)
         t += 1
         if step.terminal:
             break
@@ -308,7 +281,7 @@ def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int
     controls: dict[int, RunRecord] = {}
     summaries: dict[str, dict] = {}
     for name, config, seed in sorted(jobs, key=lambda job: job[1] is not None):
-        record, ledger = _run_episode(net, env, seed, config)
+        record, ledger = run_episode(net, env, seed, config)
         control = None
         if config is None:
             controls[seed] = record

@@ -21,7 +21,6 @@ import numpy as np
 
 MACD_FAST = 10
 MACD_SLOW = 50
-MACD_SIGNAL = 5
 RSI_PERIOD = 20
 
 
@@ -232,12 +231,9 @@ def ema(series, period: int) -> np.ndarray:
     return np.frombuffer(out)
 
 
-def macd(closes, fast: int = MACD_FAST, slow: int = MACD_SLOW, signal: int = MACD_SIGNAL):
-    """MACD line (fast EMA - slow EMA) and its signal line."""
-    closes = np.asarray(closes, dtype=np.float64)
-    line = ema(closes, fast) - ema(closes, slow)
-    signal_line = ema(line, signal)
-    return line, signal_line
+def macd(closes, fast: int = MACD_FAST, slow: int = MACD_SLOW) -> np.ndarray:
+    """MACD line: fast EMA minus slow EMA."""
+    return ema(closes, fast) - ema(closes, slow)
 
 
 def rsi(closes, period: int = RSI_PERIOD) -> np.ndarray:
@@ -299,7 +295,7 @@ def build_feature_series(market: Market, mode: str) -> FeatureSeries:
         closes = market.close
         log_returns = np.full(len(market), np.nan)
         log_returns[1:] = np.log(closes[1:]) - np.log(closes[:-1])
-        macd_line, _ = macd(closes)
+        macd_line = macd(closes)
         rsi_values = rsi(closes)
         values = np.column_stack([log_returns, macd_line, rsi_values])
         warmup = MACD_SLOW

@@ -4,6 +4,7 @@ attack or trainer config from an optional preset name and field overrides."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .attacks import AttackConfig, AttackError
 from .dqn import TrainerConfig, TrainingError
@@ -57,9 +58,16 @@ def _build(config_class, error, stock: dict, preset, fields: dict):
     if preset:
         fields = {**stock[preset], **fields}
     for field in dataclasses.fields(config_class):
-        # JSON gives lists; a scalar still fails here
-        if isinstance(field.default, tuple) and field.name in fields:
-            fields[field.name] = tuple(fields[field.name])
+        value = fields.get(field.name)
+        if value is None and (field.name not in fields or field.type.endswith(" | None")):
+            continue
+        kind = field.type.removesuffix(" | None")
+        number = {"int": int, "float": (int, float)}.get(kind)  # JSON may give any type
+        if isinstance(field.default, tuple):  # JSON gives lists; a scalar still fails here
+            fields[field.name] = tuple(value)
+        elif number and (isinstance(value, bool) or not isinstance(value, number)
+                         or not math.isfinite(value)):
+            raise error(f"{field.name} must be a finite {kind}, got {value!r}")
     config = config_class(**fields)
     config.validate()
     return config

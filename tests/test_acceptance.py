@@ -25,7 +25,7 @@ from tradefool.attacks import cw_l2_box, project_constraints, validate_relative_
 from tradefool.cli import main as cli_main
 from tradefool.dqn import TrainerConfig, Transition, train
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv, build_action_table
-from tradefool.harness import run_attacked, run_control, write_ledger_csv
+from tradefool.harness import run_episode, write_ledger_csv
 from tradefool.market_data import macd, rsi, synthesize_bars, write_bars_csv
 from tradefool.presets import attack as preset
 from tradefool.qnet import (
@@ -231,10 +231,10 @@ def test_delay_and_fgsm_reduce_reward(basic_agent):
     fgsm_config = preset("basic-fgsm", **BASIC_FGSM)
     control, delayed, attacked = [], [], []
     for seed in EVAL_SEEDS:
-        control.append(run_control(net, env, seed=seed).total_reward)
-        record, _ = run_attacked(net, env, preset("delay"), seed=seed)
+        control.append(run_episode(net, env, seed)[0].total_reward)
+        record, _ = run_episode(net, env, seed, preset("delay"))
         delayed.append(record.total_reward)
-        record, _ = run_attacked(net, env, fgsm_config, seed=seed)
+        record, _ = run_episode(net, env, seed, fgsm_config)
         attacked.append(record.total_reward)
     p_delay = st.ttest_rel(control, delayed, alternative="greater").pvalue
     p_fgsm = st.ttest_rel(control, attacked, alternative="greater").pvalue
@@ -252,8 +252,8 @@ def test_targeted_fgsm_networth_impact(managed_agent):
     config = preset("managed-fgsm", mode="targeted")
     not_better = 0
     for seed in MANAGED_EVAL_SEEDS:
-        control = run_control(net, env, seed=seed)
-        record, _ = run_attacked(net, env, config, seed=seed)
+        control, _ = run_episode(net, env, seed)
+        record, _ = run_episode(net, env, seed, config)
         not_better += record.final_net_worth <= control.final_net_worth
     assert not_better >= 15, f"attacked net-worth <= control in only {not_better}/20"
 
@@ -263,7 +263,7 @@ def test_ledger_partition_and_summary_consistency(basic_agent, tmp_path):
     net, env, _ = basic_agent
     for chance in (0.1, 0.5, 1.0):
         config = preset("basic-fgsm", chance=chance, **BASIC_FGSM)
-        _, ledger = run_attacked(net, env, config, seed=4242)
+        _, ledger = run_episode(net, env, 4242, config)
         counters = ledger.counters()
         assert counters["attempts"] + counters["ncn"] + counters["skipped"] == \
             counters["eligible"]
@@ -313,7 +313,7 @@ def test_cmd_attack_determinism(tmp_path):
 @criterion(10, "indicator oracles")
 def test_indicator_values_against_brute_force():
     closes = [42.0] * 200
-    line, _ = macd(closes)
+    line = macd(closes)
     assert np.all(line == 0.0)
 
     up = [100.0 + i for i in range(120)]
@@ -332,5 +332,5 @@ def test_indicator_values_against_brute_force():
     assert np.allclose(got[21:], expected_rsi[21:], atol=1e-9)
     expected_macd = (np.array(brute_force_ema(list(closes), 10))
                      - np.array(brute_force_ema(list(closes), 50)))
-    line, _ = macd(closes)
+    line = macd(closes)
     assert np.allclose(line, expected_macd, atol=1e-9)

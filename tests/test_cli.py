@@ -269,6 +269,16 @@ TRAINER_FIELDS_OUT_OF_RANGE = [
     {"epsilon_decay_interval": 0}, {"epsilon_decay_interval": -2}, {"hidden_sizes": [0]},
     {"hidden_sizes": [True]},
 ]
+# each crashed the run (exit 2) or, given NaN, ran silently: int fields need
+# ints (not bools), float fields finite numbers
+TRAINER_FIELDS_MALFORMED = [
+    {"batch_size": 2.5}, {"batch_size": True}, {"learning_starts": "x"},
+    {"learning_starts": None}, {"exploration": "param_noise", "param_noise_sigma": "abc"},
+    {"exploration": "param_noise", "param_noise_sigma": float("nan")},
+]
+ATTACK_FIELDS_MALFORMED = [
+    {"eps_iters": 2.5}, {"cw_max_iters": 2.5}, {"cw_lr": float("nan")}, {"seed": 1.5},
+]
 
 
 class TestConfigShapes:
@@ -280,11 +290,15 @@ class TestConfigShapes:
         ("train", {"env": {"kind": "basic", "stops": 0.02}}),
         *(("train", {"trainer": {"preset": "basic", "total_timesteps": 300,
                                  "learning_starts": 100, **fields}})
-          for fields in TRAINER_FIELDS_OUT_OF_RANGE),
+          for fields in TRAINER_FIELDS_OUT_OF_RANGE + TRAINER_FIELDS_MALFORMED),
+        *(("attack", {"attack": fields}) for fields in ATTACK_FIELDS_MALFORMED),
     ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
             "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
             "batch_size_negative", "epsilon_decay_interval_0",
-            "epsilon_decay_interval_negative", "hidden_size_0", "hidden_size_bool"])
+            "epsilon_decay_interval_negative", "hidden_size_0", "hidden_size_bool",
+            "batch_size_float", "batch_size_bool", "learning_starts_string",
+            "learning_starts_null", "param_noise_sigma_string", "param_noise_sigma_nan",
+            "eps_iters_float", "cw_max_iters_float", "cw_lr_nan", "attack_seed_float"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"

@@ -9,14 +9,15 @@ from tradefool.dqn import (
     TrainerConfig,
     TrainingError,
     Transition,
+    _param_noise_action,
     select_action,
     train,
 )
 from tradefool.envs import BasicStockEnv, make_env
-from tradefool.harness import run_control
+from tradefool.harness import run_episode
 from tradefool.market_data import synthesize_bars
 from tradefool.presets import ENV, TRAINER
-from tradefool.qnet import Batch, QNetwork, td_loss
+from tradefool.qnet import Batch, QNetwork, forward, td_loss
 
 
 def small_config(**overrides):
@@ -55,6 +56,37 @@ class TestSelectAction:
         p = 1.0 / 3.0
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 3 * sigma)
+
+
+def per_array_param_noise(net, state, sigma, rng):
+    """Reference: noise drawn array by array, every weight matrix, then every
+    bias vector. Returns (noisy net, its greedy action)."""
+    noisy = net.clone()
+    for w in noisy.weights:
+        w += sigma * rng.standard_normal(w.shape)
+    for b in noisy.biases:
+        b += sigma * rng.standard_normal(b.shape)
+    return noisy, int(np.argmax(forward(noisy, state)))
+
+
+class TestParamNoise:
+    def test_matches_per_array_reference(self, monkeypatch):
+        net = QNetwork.initialize([7, 5, 4, 6], np.random.default_rng(2))
+        before = net.params.copy()
+        state = np.random.default_rng(3).normal(size=7)
+        served = []  # the noisy net each call acts on
+        monkeypatch.setattr(dqn_module, "forward",
+                            lambda noisy, obs: served.append(noisy) or forward(noisy, obs))
+        actions = set()
+        for seed in range(12):
+            action = _param_noise_action(net, state, 0.5, np.random.default_rng(seed))
+            noisy, expected = per_array_param_noise(net, state, 0.5,
+                                                    np.random.default_rng(seed))
+            assert np.array_equal(served[-1].params, noisy.params)
+            assert action == expected
+            actions.add(action)
+        assert len(actions) > 1  # the noise moves the greedy action
+        assert np.array_equal(net.params, before)
 
 
 class TestReplayBuffer:
@@ -301,7 +333,7 @@ class TestEvaluate:
         rng = np.random.default_rng(77)
         greedy, baseline = [], []
         for seed in range(77, 97):
-            record = run_control(net, env, seed)
+            record, _ = run_episode(net, env, seed)
             greedy.append(record.total_reward)
             start = env.cursor - len(record)  # each step advances the cursor one bar
             baseline.append(random_policy_reward(env, start, rng))

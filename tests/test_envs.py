@@ -39,7 +39,7 @@ class TestBasicStep:
         env = BasicStockEnv(trending_bars)
         obs0 = env.reset(20)
         result = env.step(0)
-        assert result.reward == 0.0
+        assert result.reward == 0.0 and result.net_worth is None
         # the window slid: old tuple k+1 is new tuple k
         assert np.allclose(result.observation[:27], obs0[3:30])
 
@@ -47,14 +47,15 @@ class TestBasicStep:
         env = BasicStockEnv(flat_bars, commission_pct=0.1)
         env.reset(10)
         env.step(1)
+        entry = env.entry_price
         assert env.step(1).reward == 0.0
-        assert len(env.trade_log) == 1
+        assert env.holding == 1 and env.entry_price == entry
 
     def test_close_while_flat_is_noop(self, flat_bars):
         env = BasicStockEnv(flat_bars, commission_pct=0.1)
         env.reset(10)
         assert env.step(2).reward == 0.0
-        assert env.trade_log == []
+        assert env.holding == 0
 
     def test_position_flag_and_pnl_observation(self, trending_bars):
         env = BasicStockEnv(trending_bars)
@@ -94,16 +95,24 @@ class TestBasicStep:
         env.reset(50)
         rng = np.random.default_rng(8)
         total = 0.0
+        replayed = 0.0
+        entry = None  # the replayed position's entry price, None while flat
+        trades = 0
         terminal = False
         while not terminal:
-            result = env.step(int(rng.integers(3)))
+            action = int(rng.integers(3))
+            price = env.closes[env.cursor]  # the bar the action executes at
+            result = env.step(action)
             total += result.reward
             terminal = result.terminal
-        replayed = 0.0
-        for entry in env.trade_log:
-            replayed -= 0.2
-            if entry["kind"] == "close":
-                replayed += 100.0 * (entry["price"] - entry["entry_price"]) / entry["entry_price"]
+            if action == 1 and entry is None:
+                entry = price
+                replayed -= 0.2
+                trades += 1
+            elif action == 2 and entry is not None:
+                replayed += 100.0 * (price - entry) / entry - 0.2
+                entry = None
+        assert trades > 1
         assert total == pytest.approx(replayed)
 
 
@@ -178,7 +187,7 @@ class TestManagedStep:
         start = net_worth(env.portfolio, env.closes[env.cursor])
         for _ in range(5):
             result = env.step(0)
-        assert result.info["net_worth"] == pytest.approx(start)
+        assert result.net_worth == pytest.approx(start)
 
     def test_buy_converts_fraction_of_cash(self, managed_bars):
         # wide bracket so the exit cannot fill on the next bar
@@ -206,7 +215,7 @@ class TestManagedStep:
         assert env.portfolio.asset == pytest.approx(0.0)
         assert env.portfolio.cash == pytest.approx(1.0 + quantity * 98.0)
         assert not env.open_orders
-        assert result.info["net_worth"] < 1000.0
+        assert result.net_worth < 1000.0
 
     def test_sell_bracket_reenters_on_price_rise(self):
         prices = [100.0] * 77 + [103.0, 103.0]

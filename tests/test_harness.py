@@ -13,12 +13,10 @@ from tradefool.harness import (
     AttackLedger,
     HarnessError,
     RunRecord,
-    _run_episode,
     export_report,
     networth_difference,
     reward_difference,
-    run_attacked,
-    run_control,
+    run_episode,
     run_sweep,
     summary_dict,
 )
@@ -72,19 +70,20 @@ def hair_trigger_net(observation_dim, window):
 class TestRunControl:
     def test_same_seed_identical_records(self, bars, net):
         env = BasicStockEnv(bars)
-        a = run_control(net, env, seed=5)
-        b = run_control(net, env, seed=5)
+        a, ledger = run_episode(net, env, 5)
+        b = run_episode(net, env, 5)[0]
         assert a.rewards == b.rewards and a.actions == b.actions
+        assert ledger.rows == []  # a control ledgers nothing
 
     def test_record_length_equals_episode_length(self, bars, net):
         env = BasicStockEnv(bars, episode_cap=40)
-        record = run_control(net, env, seed=1)
+        record = run_episode(net, env, 1)[0]
         assert len(record) == 41
 
     def test_always_wait_policy_on_flat_data_scores_zero(self, flat_bars):
         env = BasicStockEnv(flat_bars, episode_cap=30)
         net = QNetwork(sizes=[32, 3], weights=[np.zeros((32, 3))], biases=[np.zeros(3)])
-        record = run_control(net, env, seed=0)
+        record = run_episode(net, env, 0)[0]
         assert set(record.actions) == {0}  # all-equal Q ties to wait
         assert record.total_reward == 0.0
         assert record.cum_rewards == [0.0] * len(record)
@@ -93,17 +92,20 @@ class TestRunControl:
 class TestRunAttacked:
     def test_chance_zero_equals_control(self, bars, net):
         env = BasicStockEnv(bars)
-        control = run_control(net, env, seed=9)
-        attacked, ledger = run_attacked(net, env, preset("basic-fgsm", chance=0.0), seed=9)
-        assert ledger.attempts == 0
-        assert ledger.skipped == ledger.eligible
+        control = run_episode(net, env, 9)[0]
+        attacked, ledger = run_episode(net, env, 9, preset("basic-fgsm", chance=0.0))
+        counters = ledger.counters()
+        assert counters["attempts"] == 0
+        assert counters["skipped"] == counters["eligible"]
         assert attacked.rewards == control.rewards
 
     def test_accounting_partition(self, bars, net):
         env = BasicStockEnv(bars)
         for chance in (0.3, 1.0):
-            _, ledger = run_attacked(net, env, preset("basic-fgsm", chance=chance), seed=3)
-            assert ledger.attempts + ledger.ncn + ledger.skipped == ledger.eligible
+            _, ledger = run_episode(net, env, 3, preset("basic-fgsm", chance=chance))
+            counters = ledger.counters()
+            assert counters["attempts"] + counters["ncn"] + counters["skipped"] == \
+                counters["eligible"]
 
     @settings(max_examples=40)
     @given(kind=st.sampled_from(["basic", "managed"]), cw=st.booleans(),
@@ -112,54 +114,58 @@ class TestRunAttacked:
     def test_partition_property(self, short_envs, kind, cw, mode, chance, seed):
         env, net, presets = short_envs[kind]
         config = replace(presets[cw], mode=mode, chance=chance)
-        record, ledger = run_attacked(net, env, config, seed=seed)
-        assert ledger.eligible == len(record)  # one ledger row per step
-        assert ledger.attempts + ledger.ncn + ledger.skipped == ledger.eligible
+        record, ledger = run_episode(net, env, seed, config)
+        counters = ledger.counters()
+        assert counters["eligible"] == len(record)  # one ledger row per step
+        assert counters["attempts"] + counters["ncn"] + counters["skipped"] == \
+            counters["eligible"]
 
     def test_delay_on_constant_stream_equals_control(self, flat_bars, net):
         env = BasicStockEnv(flat_bars, episode_cap=50)
-        control = run_control(net, env, seed=4)
-        attacked, ledger = run_attacked(net, env, preset("delay"), seed=4)
+        control = run_episode(net, env, 4)[0]
+        attacked, ledger = run_episode(net, env, 4, preset("delay"))
         assert attacked.rewards == control.rewards
-        assert ledger.attempts == 0 and ledger.eligible == len(attacked)
+        counters = ledger.counters()
+        assert counters["attempts"] == 0 and counters["eligible"] == len(attacked)
 
     def test_delay_serves_previous_tuple(self, bars, net):
         env = BasicStockEnv(bars)
-        _, ledger = run_attacked(net, env, preset("delay"), seed=2)
+        _, ledger = run_episode(net, env, 2, preset("delay"))
         assert ledger.rows[0].pert_tuple is None  # episode start served unchanged
         for row in ledger.rows[1:5]:
             assert row.pert_tuple is not None
 
     def test_successful_perturbation_persists_into_later_windows(self, flat_bars):
         env = BasicStockEnv(flat_bars, episode_cap=20)
-        net = hair_trigger_net(env.observation_dim, env.window_length)
+        net = hair_trigger_net(env.observation_dim, env.window)
         config = AttackConfig(method="fgsm", chance=1.0, eps_start=1e-4, eps_end=1e-3,
                               eps_iters=5, k_scale=(1.0, 1.0, 1.0),
                               constraint="relative_price")
-        _, ledger = run_attacked(net, env, config, seed=8)
+        _, ledger = run_episode(net, env, 8, config)
         outcomes = [r.outcome for r in ledger.rows]
         assert outcomes[0] == "success"
         # the poisoned tuple slides into the 2nd-newest slot, where it still
         # flips the greedy action: no fresh attempt, the step counts as NCN
         assert outcomes[1] == "ncn"
         assert outcomes[2] == "success"
-        assert ledger.attempts + ledger.ncn == ledger.eligible
+        counters = ledger.counters()
+        assert counters["attempts"] + counters["ncn"] == counters["eligible"]
 
     def test_ncn_steps_record_no_attempt(self, flat_bars):
         env = BasicStockEnv(flat_bars, episode_cap=20)
-        net = hair_trigger_net(env.observation_dim, env.window_length)
+        net = hair_trigger_net(env.observation_dim, env.window)
         config = AttackConfig(method="fgsm", chance=1.0, eps_start=1e-4, eps_end=1e-3,
                               eps_iters=5, k_scale=(1.0, 1.0, 1.0),
                               constraint="relative_price")
-        _, ledger = run_attacked(net, env, config, seed=8)
-        assert ledger.ncn > 0
+        _, ledger = run_episode(net, env, 8, config)
+        assert ledger.counters()["ncn"] > 0
         for row in ledger.rows:
             if row.outcome == "ncn":
                 assert row.induced is None and row.pert_tuple is None
 
     def test_targeted_mode_counts_partial_and_non_target(self, bars, net):
         env = BasicStockEnv(bars)
-        _, ledger = run_attacked(net, env, preset("basic-fgsm", mode="targeted"), seed=6)
+        _, ledger = run_episode(net, env, 6, preset("basic-fgsm", mode="targeted"))
         counters = ledger.counters()
         assert counters["attempts"] == (counters["successes"] + counters["failures"]
                                         + counters["partial"] + counters["non_target"])
@@ -169,7 +175,7 @@ class TestRunAttacked:
         env = BasicStockEnv(bars)
         for mode in ("non_targeted", "targeted"):
             config = preset("basic-fgsm", mode=mode, eps_start=5e-3, eps_end=5e-2)
-            _, ledger = run_attacked(net, env, config, seed=17)
+            _, ledger = run_episode(net, env, 17, config)
             checked = 0
             for row in ledger.rows:
                 if row.pert_tuple is not None:
@@ -177,10 +183,16 @@ class TestRunAttacked:
                     checked += 1
             assert checked > 0
 
+    def test_bad_config_rejected_before_reset(self, bars, net):
+        env = BasicStockEnv(bars)
+        with pytest.raises(AttackError):
+            run_episode(net, env, 1, replace(preset("basic-fgsm"), chance=2.0))
+        assert env.cursor == -1  # no episode started
+
     def test_ledger_deterministic_under_fixed_seed(self, bars, net):
         env = BasicStockEnv(bars)
-        _, ledger1 = run_attacked(net, env, preset("basic-fgsm", chance=0.5), seed=12)
-        _, ledger2 = run_attacked(net, env, preset("basic-fgsm", chance=0.5), seed=12)
+        _, ledger1 = run_episode(net, env, 12, preset("basic-fgsm", chance=0.5))
+        _, ledger2 = run_episode(net, env, 12, preset("basic-fgsm", chance=0.5))
         assert [r.outcome for r in ledger1.rows] == [r.outcome for r in ledger2.rows]
         assert ledger1.counters() == ledger2.counters()
 
@@ -239,7 +251,7 @@ class TestExportReport:
 
     def test_summary_counters_match_csv_tallies(self, bars, net, tmp_path):
         env = BasicStockEnv(bars)
-        record, ledger = run_attacked(net, env, preset("basic-fgsm"), seed=3)
+        record, ledger = run_episode(net, env, 3, preset("basic-fgsm"))
         export_report(ledger, record, tmp_path, tuple_dim=env.tuple_dim)
         rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
         outcomes = [line.split(",")[1] for line in rows]
@@ -252,8 +264,8 @@ class TestExportReport:
 
     def test_re_export_is_byte_identical(self, bars, net, tmp_path):
         env = BasicStockEnv(bars)
-        record, ledger = run_attacked(net, env, preset("basic-cw", chance=0.2), seed=13)
-        control = run_control(net, env, seed=13)
+        record, ledger = run_episode(net, env, 13, preset("basic-cw", chance=0.2))
+        control = run_episode(net, env, 13)[0]
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         export_report(ledger, record, dir_a, control)
         export_report(ledger, record, dir_b, control)
@@ -294,9 +306,9 @@ class TestSweep:
         traded = set()
         for seed in (3, 8, 3, 21):
             for attack in (None, config):
-                fresh_record, fresh_ledger = _run_episode(
+                fresh_record, fresh_ledger = run_episode(
                     net, ManagedRiskEnv(bars, episode_cap=60), seed, attack)
-                record, ledger = _run_episode(net, reused, seed, attack)
+                record, ledger = run_episode(net, reused, seed, attack)
                 assert record.actions == fresh_record.actions
                 assert record.rewards == fresh_record.rewards
                 assert record.net_worths == fresh_record.net_worths
@@ -308,8 +320,8 @@ class TestSweep:
 
     def test_summary_dict_carries_totals(self, bars, net):
         env = BasicStockEnv(bars)
-        record, ledger = run_attacked(net, env, preset("basic-fgsm"), seed=2)
-        control = run_control(net, env, seed=2)
+        record, ledger = run_episode(net, env, 2, preset("basic-fgsm"))
+        control = run_episode(net, env, 2)[0]
         summary = summary_dict(ledger, record, control)
         assert summary["total_reward"] == record.total_reward
         assert summary["control_total_reward"] == control.total_reward

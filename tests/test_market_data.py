@@ -285,20 +285,17 @@ def brute_force_ema(series, period):
 
 class TestMacd:
     def test_constant_closes_give_zero(self):
-        line, signal = macd([42.0] * 120)
-        assert np.allclose(line, 0.0)
-        assert np.allclose(signal, 0.0)
+        assert np.allclose(macd([42.0] * 120), 0.0)
 
     def test_ramp_eventually_positive_vs_brute_force(self):
         closes = [100.0 + i for i in range(100)]
-        line, _ = macd(closes)
+        line = macd(closes)
         expected = np.array(brute_force_ema(closes, 10)) - np.array(brute_force_ema(closes, 50))
         assert np.allclose(line, expected)
         assert np.all(line[10:] > 0)
 
     def test_single_element(self):
-        line, signal = macd([7.0])
-        assert line.tolist() == [0.0] and signal.tolist() == [0.0]
+        assert macd([7.0]).tolist() == [0.0]
 
 
 def brute_force_rsi(closes, period=20):
