@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnet import QNetwork, forward, input_gradient
+from .qnet import QNetwork, _forward_cached, forward, input_gradient
 
 SUCCESS = "success"
 PARTIAL = "partial"
@@ -93,6 +93,7 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
         return cand
     if spec.kind != "relative_price":
         raise AttackError(f"unknown constraint kind {spec.kind!r}")
+    cand, orig = cand.tolist(), orig.tolist()  # Python floats: the same IEEE operations
     high = max(cand[0], 0.0)
     low = min(cand[1], 0.0)
     if orig[2] == orig[0]:
@@ -140,8 +141,12 @@ class AttackConfig:
             raise AttackError("need 0 < eps_start <= eps_end")
         if self.eps_iters < 1 or self.cw_max_iters < 1:
             raise AttackError("iteration counts must be >= 1")
-        if any(not 0.0 < k <= 1.0 for k in self.k_scale):
-            raise AttackError("k scalars must be in (0, 1]")
+        if any(isinstance(k, bool) or not isinstance(k, (int, float)) or not 0.0 < k <= 1.0
+               for k in self.k_scale):
+            raise AttackError(f"k_scale entries must be numbers in (0, 1], got {self.k_scale}")
+        for name in ("cw_lr", "cw_eps", "cw_const"):
+            if not getattr(self, name) > 0.0:
+                raise AttackError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.cw_variant not in ("box", "scaled"):
             raise AttackError(f"unknown cw variant {self.cw_variant!r}")
         if self.constraint not in CONSTRAINT_SPECS:
@@ -225,14 +230,19 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
             first_success: bool, q=None) -> PerturbationResult:
     """The loop all perturbation attacks share: project -> classify -> keep best.
 
-    ``proposals(observation, x_orig, k, label)`` yields (eps, raw candidate
-    tuple) pairs, where ``label`` is the action the attack loss is about (the
+    ``proposals(observation, x_orig, k, label)`` yields (eps, proposal, q)
+    triples, where ``label`` is the action the attack loss is about (the
     target, or the greedy action when non-targeted) and ``k`` is ``k_scale``
-    checked against the tuple shape. The best candidate by (outcome priority,
-    then smallest L2) wins. first_success=True (the FGSM ladder) stops at the
-    first full success; otherwise (C&W) every proposal is tried, and a target
-    that is already greedy is a success with no proposal at all. ``q``, when
-    given, is ``forward(net, observation)``, computed once by the caller.
+    checked against the tuple shape. ``proposal`` is the raw candidate tuple
+    as a float64 array; ``q`` is None, or the Q-values of the observation with
+    ``proposal`` in the tuple slice. A candidate that projection leaves with
+    the proposal's exact bytes is classified by that ``q``; any other gets a
+    forward pass of its own. The best candidate by (outcome priority, then
+    smallest L2) wins. first_success=True (the FGSM ladder) stops at the first
+    full success; otherwise (C&W) every proposal is tried, and a target that
+    is already greedy is a success with no proposal at all. The ``q``
+    argument, when given, is ``forward(net, observation)``, computed once by
+    the caller.
     """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape[0] != net.input_dim:
@@ -254,11 +264,14 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
     attacked = observation.copy()
-    for iteration, (eps, proposal) in enumerate(
+    for iteration, (eps, proposal, q) in enumerate(
             proposals(observation, x_orig, k, label), start=1):
         candidate = project_constraints(proposal, x_orig, config.spec)
-        attacked[tuple_slice] = candidate
-        induced = int(forward(net, attacked).argmax())
+        # equal bytes imply equal values, and cost a tenth of np.array_equal
+        if q is None or candidate.tobytes() != proposal.tobytes():
+            attacked[tuple_slice] = candidate
+            q = forward(net, attacked)
+        induced = int(q.argmax())
         outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
         priority = _PRIORITY[outcome]
         d = candidate - x_orig
@@ -292,7 +305,7 @@ def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: s
         if config.mode == "targeted":
             direction = -direction  # descend toward the target
         for eps in ladder:
-            yield float(eps), x_orig + eps * k * direction
+            yield float(eps), x_orig + eps * k * direction, None
 
     return _attack(net, observation, config, tuple_slice, target, action_types, rungs,
                    k_scale=config.k_scale, max_iters=config.eps_iters,
@@ -318,28 +331,36 @@ def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
         lo, hi = config.spec.box(x_orig.size)
         width = hi - lo
         x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
-        w = np.arctanh(2.0 * x_scaled - 1.0)
+        w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
         # crown the target, or dethrone the greedy action
         loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
-        tanh_w = np.tanh(w)
-        adv_scaled = (tanh_w + 1.0) / 2.0
+        # the step runs on Python floats, with numpy's operations in numpy's order
+        # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
+        lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
+        lr, const = config.cw_lr, config.cw_const
+        tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
+        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
         attacked = observation.copy()
-        attacked[tuple_slice] = lo + adv_scaled * width
+        attacked[tuple_slice] = [low + s * span for low, s, span in zip(lo, adv_scaled, width)]
+        activations = _forward_cached(net, attacked)
         for step in range(config.cw_max_iters):
-            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
-            grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
-                * (1.0 - tanh_w ** 2) / 2.0
-            if not np.isfinite(grad_w).all():
+            grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+            grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
+                      for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
+                                                  tanh_w)]
+            if not all(map(math.isfinite, grad_w)):
                 return
-            next_w = w - config.cw_lr * grad_w
-            if step and np.array_equal(next_w, w):
+            next_w = [v - lr * g for v, g in zip(w, grad_w)]
+            if step and next_w == w:
                 return  # fixed point: the next iterate is the last one yielded
             w = next_w
-            tanh_w = np.tanh(w)
-            adv_scaled = (tanh_w + 1.0) / 2.0
-            candidate = lo + adv_scaled * width
+            tanh_w = np.tanh(w).tolist()
+            adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
+            candidate = np.array([low + s * span
+                                  for low, s, span in zip(lo, adv_scaled, width)])
             attacked[tuple_slice] = candidate  # the next iteration's point
-            yield 0.0, candidate
+            activations = _forward_cached(net, attacked)  # Q here, and the next backward
+            yield 0.0, candidate, activations[-1]
 
     return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
                    k_scale=None, max_iters=config.cw_max_iters, fallback_eps=0.0,
@@ -366,9 +387,10 @@ def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
         step_cap = config.cw_lr * config.cw_eps * k
         delta = np.zeros_like(x_orig)
         attacked = observation.copy()
+        attacked[tuple_slice] = x_orig + delta
+        activations = _forward_cached(net, attacked)
         for step in range(config.cw_max_iters):
-            attacked[tuple_slice] = x_orig + delta
-            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+            grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
             objective_grad = 2.0 * delta + config.cw_const * grad
             if not np.isfinite(objective_grad).all():
                 return
@@ -376,7 +398,10 @@ def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: sli
             if step and np.array_equal(next_delta, delta):
                 return  # fixed point: the next iterate is the last one yielded
             delta = next_delta
-            yield config.cw_eps, x_orig + delta
+            proposal = x_orig + delta
+            attacked[tuple_slice] = proposal  # the next iteration's point
+            activations = _forward_cached(net, attacked)  # Q here, and the next backward
+            yield config.cw_eps, proposal, activations[-1]
 
     return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
                    k_scale=config.k_scale, max_iters=config.cw_max_iters,

@@ -202,7 +202,8 @@ def attack_loss_value(net: QNetwork, state, loss_spec: str, action: int) -> floa
     raise QNetError(f"unknown loss_spec {loss_spec!r}")
 
 
-def input_gradient(net: QNetwork, state, loss_spec: str, action: int) -> np.ndarray:
+def input_gradient(net: QNetwork, state, loss_spec: str, action: int,
+                   activations=None) -> np.ndarray:
     """Analytic gradient of an attack loss with respect to the input.
 
     loss_spec:
@@ -211,14 +212,16 @@ def input_gradient(net: QNetwork, state, loss_spec: str, action: int) -> np.ndar
       deficit_margin -- max(0, best other Q - Q[action])   (crown ``action``)
 
     Only dLoss/dx is backpropagated; the weight and bias products that
-    ``td_loss`` needs are skipped.
+    ``td_loss`` needs are skipped. ``activations``, when given, is the list
+    ``_forward_cached(net, state)`` returned, and the forward pass is skipped.
     """
     x = np.asarray(state, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise QNetError(f"state shape {x.shape} != ({net.input_dim},)")
     if not 0 <= action < net.n_actions:
         raise QNetError(f"action {action} out of range")
-    activations = _forward_cached(net, x)
+    if activations is None:
+        activations = _forward_cached(net, x)
     q = activations[-1]
     if loss_spec == "cross_entropy":
         delta = _softmax(q)

@@ -397,7 +397,8 @@ class TestCwScaled:
 
 def reference_cw_l2_box(net, observation, config, tuple_slice, target=None,
                         action_types=None):
-    """cw_l2_box as it was before the fixed-point exit: always cw_max_iters steps."""
+    """cw_l2_box as it was before the fixed-point exit: always cw_max_iters steps.
+    It yields no Q, so every candidate gets a forward pass of its own."""
 
     def iterates(observation, x_orig, k, label):
         lo, hi = config.spec.box(x_orig.size)
@@ -420,7 +421,7 @@ def reference_cw_l2_box(net, observation, config, tuple_slice, target=None,
             adv_scaled = (tanh_w + 1.0) / 2.0
             candidate = lo + adv_scaled * width
             attacked[tuple_slice] = candidate
-            yield 0.0, candidate
+            yield 0.0, candidate, None
 
     return attacks._attack(net, observation, config, tuple_slice, target, action_types,
                            iterates, k_scale=None, max_iters=config.cw_max_iters,
@@ -429,7 +430,8 @@ def reference_cw_l2_box(net, observation, config, tuple_slice, target=None,
 
 def reference_cw_scaled(net, observation, config, tuple_slice, target=None,
                         action_types=None):
-    """cw_scaled as it was before the fixed-point exit: always cw_max_iters steps."""
+    """cw_scaled as it was before the fixed-point exit: always cw_max_iters steps.
+    It yields no Q, so every candidate gets a forward pass of its own."""
 
     def iterates(observation, x_orig, k, label):
         loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
@@ -443,7 +445,7 @@ def reference_cw_scaled(net, observation, config, tuple_slice, target=None,
             if not np.isfinite(objective_grad).all():
                 return
             delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-            yield config.cw_eps, x_orig + delta
+            yield config.cw_eps, x_orig + delta, None
 
     return attacks._attack(net, observation, config, tuple_slice, target, action_types,
                            iterates, k_scale=config.k_scale, max_iters=config.cw_max_iters,
@@ -597,6 +599,57 @@ class TestSharedForward:
             given = run_perturbation_attack(net, obs, config, slice(6, 9), target, q=q)
             assert result_bytes(given) == result_bytes(without)
             assert len(forwards) == n_without - 1
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    def test_cw_reuses_the_proposal_q_under_identity_projection(self, monkeypatch, variant,
+                                                                mode):
+        # constraint "none" returns every proposal unchanged, so each candidate
+        # is classified with the Q its generator computed at the proposal
+        rng = np.random.default_rng(23)
+        config = AttackConfig(method="cw", mode=mode, cw_variant=variant, cw_eps=0.01,
+                              cw_max_iters=20, constraint="none")
+        attack, reference = CW_VARIANTS[variant]
+        forwards = counting(monkeypatch, "forward")
+        projections = counting(monkeypatch, "project_constraints")
+        for _ in range(20):
+            net = QNetwork.initialize([9, 8, 5], rng)
+            obs = rng.normal(0, 0.5, 9)
+            q = forward(net, obs)
+            target = int(rng.integers(5)) if mode == "targeted" else None
+            expected = reference(net, obs, config, slice(6, 9), target)
+            forwards.clear()
+            result = attack(net, obs, config, slice(6, 9), target, q=q)
+            assert len(forwards) == 0
+            assert result_bytes(result) == result_bytes(expected)
+        assert len(projections) > 100  # candidates were classified
+
+    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    def test_cw_moved_candidate_gets_its_own_forward(self, monkeypatch, variant):
+        def moved(candidate, original, spec):
+            projections.append(1)
+            return project_constraints(candidate, original, spec) + 2e-3
+
+        rng = np.random.default_rng(29)
+        config = preset("basic-cw", cw_variant=variant, cw_eps=0.01, cw_max_iters=20)
+        attack, reference = CW_VARIANTS[variant]
+        projections = []
+        monkeypatch.setattr(attacks, "project_constraints", moved)
+        forwards = counting(monkeypatch, "forward")
+        outcomes = set()
+        for _ in range(40):
+            net = QNetwork.initialize([9, 8, 5], rng)
+            obs = relative_window(rng)
+            q = forward(net, obs)
+            expected = reference(net, obs, config, slice(6, 9))
+            forwards.clear()
+            projections.clear()
+            result = attack(net, obs, config, slice(6, 9), q=q)
+            assert len(projections) > 0
+            assert len(forwards) == len(projections)  # one per iterate
+            assert result_bytes(result) == result_bytes(expected)
+            outcomes.add(result.outcome)
+        assert outcomes == {SUCCESS, FAILURE}
 
 
 INVARIANT_CONFIGS = {

@@ -278,6 +278,8 @@ TRAINER_FIELDS_MALFORMED = [
 ]
 ATTACK_FIELDS_MALFORMED = [
     {"eps_iters": 2.5}, {"cw_max_iters": 2.5}, {"cw_lr": float("nan")}, {"seed": 1.5},
+    {"cw_lr": -0.5}, {"cw_lr": 0}, {"cw_eps": -1.0}, {"cw_const": 0.0},
+    {"k_scale": [True, True, True]}, {"k_scale": "abc"}, {"k_scale": [1.0, "x", 1.0]},
 ]
 
 
@@ -298,7 +300,9 @@ class TestConfigShapes:
             "epsilon_decay_interval_negative", "hidden_size_0", "hidden_size_bool",
             "batch_size_float", "batch_size_bool", "learning_starts_string",
             "learning_starts_null", "param_noise_sigma_string", "param_noise_sigma_nan",
-            "eps_iters_float", "cw_max_iters_float", "cw_lr_nan", "attack_seed_float"])
+            "eps_iters_float", "cw_max_iters_float", "cw_lr_nan", "attack_seed_float",
+            "cw_lr_negative", "cw_lr_0", "cw_eps_negative", "cw_const_0", "k_scale_bools",
+            "k_scale_string", "k_scale_entry_string"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"
@@ -312,7 +316,10 @@ class TestConfigShapes:
         else:
             argv += ["--preset", "basic"]
         assert run_cli(*argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if config.get("attack") in ATTACK_FIELDS_MALFORMED:
+            assert all(name in err for name in config["attack"])  # the message names it
         assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from tradefool.qnet import (
     GradientBundle,
     QNetError,
     QNetwork,
+    _forward_cached,
     _rival,
     attack_loss_value,
     forward,
@@ -247,6 +248,28 @@ class TestBitIdentity:
                 action = int(rng.integers(net.n_actions))
                 assert np.array_equal(input_gradient(net, x, loss_spec, action),
                                       reference_input_gradient(net, x, loss_spec, action))
+
+    @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
+    @pytest.mark.parametrize("loss_spec", ["cross_entropy", "lead_margin", "deficit_margin"])
+    def test_input_gradient_from_given_activations(self, sizes, loss_spec):
+        rng = np.random.default_rng(sizes[0] * 1000 + sizes[-1] + 1)
+        for _ in range(4):
+            net = QNetwork.initialize(sizes, rng)
+            for b in net.biases:
+                b[...] = rng.normal(scale=0.1, size=b.shape)
+            for _ in range(60):
+                x = rng.normal(size=net.input_dim) * rng.choice([1e-3, 1.0, 10.0])
+                action = int(rng.integers(net.n_actions))
+                given = input_gradient(net, x, loss_spec, action,
+                                       activations=_forward_cached(net, x))
+                assert given.tobytes() == input_gradient(net, x, loss_spec, action).tobytes()
+        activations = _forward_cached(net, x)  # given activations skip no check
+        with pytest.raises(QNetError):
+            input_gradient(net, x, loss_spec, net.n_actions, activations)
+        with pytest.raises(QNetError):
+            input_gradient(net, x[:-1], loss_spec, 0, activations)
+        with pytest.raises(QNetError):
+            input_gradient(net, x, "hinge", 0, activations)
 
     @pytest.mark.parametrize("sizes", BIT_IDENTITY_SIZES)
     def test_forward_matches_cached_forward(self, sizes):
