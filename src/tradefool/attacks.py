@@ -211,11 +211,6 @@ def classify_outcome(original: int, induced: int, mode: str, target: int | None 
     return NON_TARGET
 
 
-def qualifies_for_persistence(outcome: str) -> bool:
-    """Only these outcomes keep their perturbed tuple in the window."""
-    return outcome in (SUCCESS, PARTIAL)
-
-
 def delay_attack(observation, tuple_slice: slice, previous_tuple) -> np.ndarray:
     """Serve the t-1 tuple in the most recent slot; identity when there is
     no previous tuple yet (episode start)."""

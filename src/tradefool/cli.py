@@ -23,7 +23,7 @@ import sys
 from . import __version__, presets
 from .attacks import AttackConfig
 from .dqn import train
-from .envs import EnvError, make_env
+from .envs import ENVS, EnvError, make_env
 from .harness import run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
@@ -49,6 +49,7 @@ def build_env(env_block: dict, market):
     if kind not in ("basic", "managed"):
         raise UserError(f"env kind must be 'basic' or 'managed', got {kind!r}")
     try:
+        presets.check_fields(ENVS[kind], block, EnvError)
         return make_env(kind, market, **block)
     except (TypeError, EnvError, MarketDataError) as exc:
         raise UserError(f"cannot build {kind} env: {exc}") from exc
@@ -188,6 +189,10 @@ def cmd_attack(args) -> int:
     if len(base.k_scale) != env.tuple_dim:
         raise UserError(f"bad attack config: k_scale has {len(base.k_scale)} entries, "
                         f"the env's feature tuple has {env.tuple_dim}")
+    needs = {"relative_price": "relative", "indicator": "indicator"}.get(base.constraint)
+    if base.method != "delay" and needs not in (None, env.features.mode):
+        raise UserError(f"bad attack config: constraint {base.constraint!r} needs "
+                        f"{needs} features, the env has {env.features.mode} features")
 
     chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
     seeds = _parse_list(args.seeds, int) if args.seeds else [args.seed]

@@ -32,9 +32,9 @@ class Transition:
 class ReplayBuffer:
     """Bounded FIFO transition store with seeded uniform sampling.
 
-    Transitions are stored by column, in arrays allocated on the first push
-    (``np.empty``, so rows never written take no memory). Transition ``k``
-    lives in slot ``k % capacity``, so once full each push evicts the oldest.
+    Each push stores one step's fields by column, in arrays allocated on the
+    first push (``np.empty``, so rows never written take no memory). Transition
+    ``k`` lives in slot ``k % capacity``, so once full each push evicts the oldest.
     """
 
     def __init__(self, capacity: int, rng: np.random.Generator):
@@ -49,25 +49,25 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, transition: Transition) -> None:
-        if not np.isfinite(transition.reward):
-            raise TrainingError(f"non-finite reward {transition.reward}")
-        shapes = np.shape(transition.state), np.shape(transition.next_state)
+    def push(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
+        if not np.isfinite(reward):
+            raise TrainingError(f"non-finite reward {reward}")
+        shapes = np.shape(state), np.shape(next_state)
         if self._columns is None:
-            rows = (self.capacity, np.size(transition.state))
+            rows = (self.capacity, np.size(state))
             self._columns = Batch(np.empty(rows), np.empty(self.capacity, dtype=np.intp),
                                   np.empty(self.capacity), np.empty(rows),
                                   np.empty(self.capacity, dtype=bool))
-        states, actions, rewards, next_states, terminal = self._columns
+        states, actions, rewards, next_states, terminals = self._columns
         if shapes != (states.shape[1:],) * 2:
             raise TrainingError(f"transition states of shapes {shapes[0]} and {shapes[1]} "
                                 f"do not match buffer rows {states.shape[1:]}")
         slot = self._next
-        states[slot] = transition.state
-        actions[slot] = transition.action
-        rewards[slot] = transition.reward
-        next_states[slot] = transition.next_state
-        terminal[slot] = transition.terminal
+        states[slot] = state
+        actions[slot] = action
+        rewards[slot] = reward
+        next_states[slot] = next_state
+        terminals[slot] = terminal
         self._next = (slot + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -179,7 +179,8 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     buffer = ReplayBuffer(config.buffer_capacity, rng_buffer)
     trace = TrainingTrace()
 
-    obs = env.reset(rng_env)
+    env.reset(rng_env)
+    obs = env.observation()
     episode = 0
     episode_step = 0
     episode_reward = 0.0
@@ -196,9 +197,10 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
         else:
             action = select_action(net, obs, epsilon, rng_explore)
         result = env.step(action)
+        state, obs = obs, env.observation()
         stored_reward = float(np.clip(result.reward, -1.0, 1.0)) if config.clip_rewards \
             else result.reward
-        buffer.push(Transition(obs, action, stored_reward, result.observation, result.terminal))
+        buffer.push(state, action, stored_reward, obs, result.terminal)
 
         episode_step += 1
         episode_reward += result.reward
@@ -211,9 +213,8 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
             episode += 1
             episode_step = 0
             episode_reward = 0.0
-            obs = env.reset(rng_env)
-        else:
-            obs = result.observation
+            env.reset(rng_env)
+            obs = env.observation()
 
         if t > config.learning_starts and len(buffer) >= config.batch_size:
             batch = buffer.sample(config.batch_size)

@@ -9,8 +9,9 @@ index 0), bracket exits checked against bar low/high, Sharpe-ratio reward
 over the episode's net-worth returns, 20-bar window of indicator features.
 
 Both environments terminate on a step-count cap or data end only, never on
-the agent's actions, and serve observations through an override hook so an
-attack harness can substitute past window tuples.
+the agent's actions. ``step`` and ``reset`` build no observation: the one
+reader is ``observation(overrides)``, whose override hook lets an attack
+harness substitute past window tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class EnvError(ValueError):
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
     reward: float
     terminal: bool
     net_worth: float | None = None  # after the step; None for an env without a portfolio
@@ -152,9 +152,6 @@ class _MarketEnv:
     def recent_tuple_slice(self) -> slice:
         return slice((self.window - 1) * 3, self.window * 3)
 
-    def feature_tuple(self, index: int) -> np.ndarray:
-        return self.features.tuple_at(index)
-
     def _check_action(self, action: int) -> None:
         if self._done:
             raise EnvError("step() after terminal; call reset()")
@@ -191,13 +188,12 @@ class BasicStockEnv(_MarketEnv):
     def observation_dim(self) -> int:
         return self.window * 3 + 2
 
-    def reset(self, rng_or_start) -> np.ndarray:
+    def reset(self, rng_or_start) -> None:
         self.cursor = _pick_start(rng_or_start, self._min_start, self._max_start)
         self.steps = 0
         self.holding = 0
         self.entry_price = 0.0
         self._done = False
-        return self.observation()
 
     def observation(self, overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
         obs = np.empty(self.observation_dim)
@@ -220,7 +216,7 @@ class BasicStockEnv(_MarketEnv):
             self.holding = 0
             self.entry_price = 0.0
         terminal = self._advance()
-        return StepResult(self.observation(), reward, terminal)
+        return StepResult(reward, terminal)
 
 
 class ManagedRiskEnv(_MarketEnv):
@@ -233,7 +229,8 @@ class ManagedRiskEnv(_MarketEnv):
     """
 
     def __init__(self, market: Market, window: int = 20, episode_cap: int = 250,
-                 stops=(0.02, 0.04, 0.06), takes=(0.01, 0.02, 0.03), size_count: int = 10,
+                 stops: tuple[float, ...] = (0.02, 0.04, 0.06),
+                 takes: tuple[float, ...] = (0.01, 0.02, 0.03), size_count: int = 10,
                  cash: float = 10_000.0, asset: float = 10.0,
                  risk_free: float = 0.0, sharpe_offset: float = 1e-9,
                  commission_pct: float = 0.0):
@@ -254,7 +251,7 @@ class ManagedRiskEnv(_MarketEnv):
     def observation_dim(self) -> int:
         return self.window * 3
 
-    def reset(self, rng_or_start) -> np.ndarray:
+    def reset(self, rng_or_start) -> None:
         self.cursor = _pick_start(rng_or_start, self._min_start, self._max_start)
         self.steps = 0
         self.portfolio = Portfolio(cash=self.initial_cash, asset=self.initial_asset)
@@ -262,7 +259,6 @@ class ManagedRiskEnv(_MarketEnv):
         self.returns: list[float] = []
         self._prev_net_worth = net_worth(self.portfolio, self.closes[self.cursor])
         self._done = False
-        return self.observation()
 
     def observation(self, overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
         obs = np.empty(self.observation_dim)
@@ -325,12 +321,13 @@ class ManagedRiskEnv(_MarketEnv):
         self.returns.append(float(worth / self._prev_net_worth - 1.0))
         self._prev_net_worth = worth
         reward = sharpe_reward(self.returns, self.risk_free, self.sharpe_offset)
-        return StepResult(self.observation(), reward, terminal, worth)
+        return StepResult(reward, terminal, worth)
+
+
+ENVS = {"basic": BasicStockEnv, "managed": ManagedRiskEnv}
 
 
 def make_env(kind: str, market: Market, **kwargs):
-    if kind == "basic":
-        return BasicStockEnv(market, **kwargs)
-    if kind == "managed":
-        return ManagedRiskEnv(market, **kwargs)
-    raise EnvError(f"unknown env kind {kind!r}")
+    if kind not in ENVS:
+        raise EnvError(f"unknown env kind {kind!r}")
+    return ENVS[kind](market, **kwargs)

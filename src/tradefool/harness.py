@@ -30,7 +30,6 @@ from .attacks import (
     AttackConfig,
     delay_attack,
     least_q_target,
-    qualifies_for_persistence,
     run_perturbation_attack,
 )
 from .qnet import QNetwork, forward
@@ -119,13 +118,14 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
         if config is None:
             action = _greedy(net, env.observation())
         elif config.method == "delay":
-            previous = env.feature_tuple(cursor - 1) if t > 0 else None
-            served = delay_attack(env.observation(), env.recent_tuple_slice, previous)
+            clean = env.observation()
+            previous = env.features.tuple_at(cursor - 1) if t > 0 else None
+            served = delay_attack(clean, env.recent_tuple_slice, previous)
             action = _greedy(net, served)
             ledger.rows.append(LedgerRow(
-                t=t, outcome="delay", action=_greedy(net, env.observation()),
+                t=t, outcome="delay", action=_greedy(net, clean),
                 induced=action, eps=None, l2=None,
-                orig_tuple=env.feature_tuple(cursor).copy(),
+                orig_tuple=env.features.tuple_at(cursor).copy(),
                 pert_tuple=None if previous is None else np.asarray(previous, float).copy()))
         else:
             gate = gate_rng.random()  # one draw per eligible timestep, unconditionally
@@ -133,7 +133,7 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
             q = forward(net, served)  # shared with the target pick and the attack
             served_action = int(np.argmax(q))
             ncn = bool(overrides) and served_action != _greedy(net, env.observation())
-            orig_tuple = env.feature_tuple(cursor).copy()
+            orig_tuple = env.features.tuple_at(cursor).copy()
             if ncn:
                 action = served_action
                 ledger.rows.append(LedgerRow(t, "ncn", served_action, None, None, None,
@@ -146,7 +146,7 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
                 target = least_q_target(net, served, q) if config.mode == "targeted" else None
                 result = run_perturbation_attack(
                     net, served, config, env.recent_tuple_slice, target, env.action_types, q)
-                if qualifies_for_persistence(result.outcome):
+                if result.outcome in (SUCCESS, PARTIAL):  # the outcomes that persist
                     overrides[cursor] = result.perturbed.copy()
                     action = result.induced_action
                 else:

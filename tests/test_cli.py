@@ -3,10 +3,12 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from tradefool import cli, envs, presets
 from tradefool.cli import main
+from tradefool.qnet import QNetwork, save_checkpoint
 
 
 def run_cli(*argv):
@@ -281,6 +283,14 @@ ATTACK_FIELDS_MALFORMED = [
     {"cw_lr": -0.5}, {"cw_lr": 0}, {"cw_eps": -1.0}, {"cw_const": 0.0},
     {"k_scale": [True, True, True]}, {"k_scale": "abc"}, {"k_scale": [1.0, "x", 1.0]},
 ]
+# each crashed the run (exit 2), before or after manifest.jsonl was written,
+# or (a bool window) trained silently on a 1-bar window
+ENV_FIELDS_MALFORMED = [
+    {"kind": "basic", "episode_cap": "abc"}, {"kind": "basic", "commission_pct": "abc"},
+    {"kind": "basic", "window": 2.5}, {"kind": "managed", "stops": [0.02, "x"]},
+    {"kind": "basic", "commission_pct": float("nan")}, {"kind": "basic", "window": True},
+    {"kind": "basic", "window": 10**400},
+]
 
 
 class TestConfigShapes:
@@ -294,6 +304,10 @@ class TestConfigShapes:
                                  "learning_starts": 100, **fields}})
           for fields in TRAINER_FIELDS_OUT_OF_RANGE + TRAINER_FIELDS_MALFORMED),
         *(("attack", {"attack": fields}) for fields in ATTACK_FIELDS_MALFORMED),
+        *(("train", {"trainer": {"preset": "basic", "total_timesteps": 300,
+                                 "learning_starts": 100}, "env": fields})
+          for fields in ENV_FIELDS_MALFORMED),
+        ("attack", {"env": ENV_FIELDS_MALFORMED[0]}),
     ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
             "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
             "batch_size_negative", "epsilon_decay_interval_0",
@@ -302,7 +316,10 @@ class TestConfigShapes:
             "learning_starts_null", "param_noise_sigma_string", "param_noise_sigma_nan",
             "eps_iters_float", "cw_max_iters_float", "cw_lr_nan", "attack_seed_float",
             "cw_lr_negative", "cw_lr_0", "cw_eps_negative", "cw_const_0", "k_scale_bools",
-            "k_scale_string", "k_scale_entry_string"])
+            "k_scale_string", "k_scale_entry_string", "env_episode_cap_string",
+            "env_commission_string", "env_window_float", "managed_env_stops_entry_string",
+            "env_commission_nan", "env_window_bool", "env_window_huge",
+            "attack_env_episode_cap_string"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"
@@ -320,7 +337,59 @@ class TestConfigShapes:
         assert err.startswith("error: ")
         if config.get("attack") in ATTACK_FIELDS_MALFORMED:
             assert all(name in err for name in config["attack"])  # the message names it
+        if config.get("env") in ENV_FIELDS_MALFORMED:
+            assert all(name in err for name in config["env"] if name != "kind")
         assert not out.exists()
+
+    def test_bad_env_in_checkpoint_meta_is_user_error_before_manifest(
+            self, tmp_path, data_csv, trained, capsys):
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        checkpoint["meta"]["env"]["episode_cap"] = "abc"
+        ckpt_path = tmp_path / "checkpoint.json"
+        ckpt_path.write_text(json.dumps(checkpoint))
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "attack", "--checkpoint", str(ckpt_path),
+                       "--data", str(data_csv), "--preset", "basic-fgsm") == 1
+        assert "episode_cap" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def managed_checkpoint(tmp_path_factory):
+    """An untrained agent for a 3-action managed env."""
+    env_block = {"kind": "managed", "size_count": 1, "stops": [0.02], "takes": [0.01]}
+    net = QNetwork.initialize([60, 4, 3], np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("managed") / "checkpoint.json"
+    save_checkpoint(net, path, {"env": env_block})
+    return path
+
+
+class TestConstraintFitsEnv:
+    @pytest.mark.parametrize("agent, preset", [
+        ("basic", "managed-fgsm"), ("basic", "managed-cw"),
+        ("managed", "basic-fgsm"), ("managed", "basic-cw")])
+    def test_constraint_for_the_other_features_is_user_error_before_manifest(
+            self, tmp_path, data_csv, trained, managed_checkpoint, capsys, agent, preset):
+        checkpoint = trained / "checkpoint.json" if agent == "basic" else managed_checkpoint
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "attack", "--checkpoint", str(checkpoint),
+                       "--data", str(data_csv), "--preset", preset,
+                       "--chances", "1.0", "--seeds", "0") == 1
+        assert "constraint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("agent, config", [
+        ("basic", {"attack": {"preset": "managed-fgsm", "constraint": "none"}}),
+        ("managed", {"attack": {"preset": "basic-fgsm", "constraint": "none"}}),
+        ("managed", {"attack": {"preset": "delay", "constraint": "relative_price"}})])
+    def test_none_and_delay_run_on_either_env(self, tmp_path, data_csv, trained,
+                                              managed_checkpoint, agent, config):
+        checkpoint = trained / "checkpoint.json" if agent == "basic" else managed_checkpoint
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("--config", str(cfg_path), "--out", str(tmp_path / "out"), "attack",
+                       "--checkpoint", str(checkpoint), "--data", str(data_csv),
+                       "--chances", "1.0", "--seeds", "0") == 0
 
 
 @pytest.fixture(scope="module")

@@ -92,13 +92,13 @@ class TestParamNoise:
 class TestReplayBuffer:
     @staticmethod
     def transition(tag):
-        return Transition(np.array([tag], dtype=float), 0, float(tag),
-                          np.array([tag], dtype=float), False)
+        return (np.array([tag], dtype=float), 0, float(tag),
+                np.array([tag], dtype=float), False)
 
     def test_never_exceeds_capacity_and_fifo_eviction(self):
         buf = ReplayBuffer(3, np.random.default_rng(0))
         for i in range(7):
-            buf.push(self.transition(i))
+            buf.push(*self.transition(i))
             assert len(buf) <= 3
         batch = buf.sample(200)
         assert set(batch.rewards.tolist()) == {4.0, 5.0, 6.0}
@@ -109,7 +109,7 @@ class TestReplayBuffer:
     def test_sampling_uniform_over_contents(self):
         buf = ReplayBuffer(4, np.random.default_rng(5))
         for i in range(4):
-            buf.push(self.transition(i))
+            buf.push(*self.transition(i))
         draws = buf.sample(8000).rewards
         counts = np.bincount(draws.astype(int), minlength=4)
         sigma = np.sqrt(8000 * 0.25 * 0.75)
@@ -120,23 +120,23 @@ class TestReplayBuffer:
         (np.zeros((1, 1)), np.zeros((1, 1))), (np.float64(0.0), np.zeros(1))])
     def test_state_shape_mismatch_raises_at_push(self, state, next_state):
         buf = ReplayBuffer(4, np.random.default_rng(0))
-        buf.push(self.transition(0))
+        buf.push(*self.transition(0))
         with pytest.raises(TrainingError, match="do not match buffer rows"):
-            buf.push(Transition(state, 0, 0.0, next_state, False))
+            buf.push(state, 0, 0.0, next_state, False)
         assert len(buf) == 1
 
     def test_first_push_must_have_matching_1d_states(self):
         with pytest.raises(TrainingError, match="do not match buffer rows"):
             ReplayBuffer(4, np.random.default_rng(0)).push(
-                Transition(np.zeros((2, 2)), 0, 0.0, np.zeros((2, 2)), False))
+                np.zeros((2, 2)), 0, 0.0, np.zeros((2, 2)), False)
         with pytest.raises(TrainingError, match="do not match buffer rows"):
             ReplayBuffer(4, np.random.default_rng(0)).push(
-                Transition(np.zeros(3), 0, 0.0, np.zeros(2), False))
+                np.zeros(3), 0, 0.0, np.zeros(2), False)
 
     def test_rejects_non_finite_reward(self):
         buf = ReplayBuffer(2, np.random.default_rng(0))
         with pytest.raises(TrainingError):
-            buf.push(Transition(np.zeros(1), 0, float("nan"), np.zeros(1), False))
+            buf.push(np.zeros(1), 0, float("nan"), np.zeros(1), False)
 
 
 # The list-of-transitions replay buffer and the np.stack batch builder that the
@@ -151,9 +151,10 @@ class ListReplayBuffer:
     def __len__(self):
         return len(self._items)
 
-    def push(self, transition):
-        if not np.isfinite(transition.reward):
-            raise TrainingError(f"non-finite reward {transition.reward}")
+    def push(self, state, action, reward, next_state, terminal):
+        if not np.isfinite(reward):
+            raise TrainingError(f"non-finite reward {reward}")
+        transition = Transition(state, action, reward, next_state, terminal)
         if len(self._items) < self.capacity:
             self._items.append(transition)
         else:
@@ -185,11 +186,10 @@ class TestReplayMatchesListReference:
         net = QNetwork.initialize([5, 8, 3], np.random.default_rng(0))
         target = QNetwork.initialize([5, 8, 3], np.random.default_rng(1))
         for step in range(60):  # wraps the 16 slots three times
-            transition = Transition(rng.normal(size=5), int(rng.integers(3)),
-                                    float(rng.normal()), rng.normal(size=5),
-                                    bool(rng.random() < 0.2))
-            columnar.push(transition)
-            listed.push(transition)
+            fields = (rng.normal(size=5), int(rng.integers(3)), float(rng.normal()),
+                      rng.normal(size=5), bool(rng.random() < 0.2))
+            columnar.push(*fields)
+            listed.push(*fields)
             assert len(columnar) == len(listed)
             if step % 3:
                 continue
@@ -269,9 +269,9 @@ class TestTrain:
         stored = []
         original_push = ReplayBuffer.push
 
-        def spy(self, transition):
-            stored.append(transition.reward)
-            original_push(self, transition)
+        def spy(self, state, action, reward, next_state, terminal):
+            stored.append(reward)
+            original_push(self, state, action, reward, next_state, terminal)
 
         ReplayBuffer.push = spy
         try:
@@ -279,6 +279,20 @@ class TestTrain:
         finally:
             ReplayBuffer.push = original_push
         assert stored and all(-1.0 <= r <= 1.0 for r in stored)
+
+    def test_builds_no_transition(self, small_env_bars, monkeypatch):
+        def run():
+            return train(BasicStockEnv(small_env_bars), small_config(), seed=6)
+
+        net, trace = run()
+
+        def no_transition(*args, **kwargs):
+            raise AssertionError("train built a Transition")
+
+        monkeypatch.setattr(dqn_module, "Transition", no_transition)
+        fielded_net, fielded_trace = run()
+        assert net.params.tobytes() == fielded_net.params.tobytes()
+        assert trace.rows == fielded_trace.rows
 
     def test_param_noise_mode_runs_deterministically(self, small_env_bars):
         env1 = BasicStockEnv(small_env_bars)

@@ -37,11 +37,12 @@ class TestBasicStep:
 
     def test_wait_is_free_and_slides_window(self, trending_bars):
         env = BasicStockEnv(trending_bars)
-        obs0 = env.reset(20)
+        env.reset(20)
+        obs0 = env.observation()
         result = env.step(0)
         assert result.reward == 0.0 and result.net_worth is None
         # the window slid: old tuple k+1 is new tuple k
-        assert np.allclose(result.observation[:27], obs0[3:30])
+        assert np.allclose(env.observation()[:27], obs0[3:30])
 
     def test_buy_while_holding_is_noop(self, flat_bars):
         env = BasicStockEnv(flat_bars, commission_pct=0.1)
@@ -59,10 +60,12 @@ class TestBasicStep:
 
     def test_position_flag_and_pnl_observation(self, trending_bars):
         env = BasicStockEnv(trending_bars)
-        obs = env.reset(15)
+        env.reset(15)
+        obs = env.observation()
         assert obs[-2] == 0 and obs[-1] == 0.0
         entry = env.closes[env.cursor]
-        obs = env.step(1).observation
+        env.step(1)
+        obs = env.observation()
         assert obs[-2] == 1
         assert obs[-1] == pytest.approx(env.closes[env.cursor] / entry - 1.0)
 

@@ -89,6 +89,24 @@ class TestRunControl:
         assert record.cum_rewards == [0.0] * len(record)
 
 
+class TestObservationReads:
+    @pytest.mark.parametrize("kind", ["basic", "managed"])
+    @pytest.mark.parametrize("config", [None, preset("delay")], ids=["control", "delay"])
+    def test_one_observation_per_step(self, short_envs, monkeypatch, kind, config):
+        env, net, _ = short_envs[kind]
+        calls = []
+        observation = env.observation
+
+        def counted(overrides=None):
+            calls.append(overrides)
+            return observation(overrides)
+
+        monkeypatch.setattr(env, "observation", counted)
+        record = run_episode(net, env, 8, config)[0]
+        assert len(record) > 1 and len(calls) == len(record)
+        assert calls == [None] * len(record)
+
+
 class TestRunAttacked:
     def test_chance_zero_equals_control(self, bars, net):
         env = BasicStockEnv(bars)
