@@ -19,6 +19,7 @@ Attack families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,18 +170,20 @@ class PerturbationResult:
     l2: float
 
 
+@functools.lru_cache
 def epsilon_ladder(start: float, end: float, n: int) -> np.ndarray:
-    """Geometric interpolation from start to end inclusive."""
-    if n == 1:
-        return np.array([end])
-    return np.geomspace(start, end, n)
+    """Geometric interpolation from start to end inclusive, built once per
+    (start, end, n) and shared by every caller, so it is read-only."""
+    ladder = np.array([end]) if n == 1 else np.geomspace(start, end, n)
+    ladder.flags.writeable = False
+    return ladder
 
 
 def least_q_target(net: QNetwork, observation, q=None) -> int:
     """The adversarial target: the action the policy values least.
 
     ``q`` may carry the observation's Q-values, when the caller has them."""
-    return int(np.argmin(forward(net, observation) if q is None else q))
+    return int((forward(net, observation) if q is None else q).argmin())
 
 
 def classify_outcome(original: int, induced: int, mode: str, target: int | None = None,

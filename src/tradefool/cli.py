@@ -66,10 +66,18 @@ def file_digest(path) -> str:
     return hasher.hexdigest()
 
 
+def _open_output(out_dir, name: str, mode: str):
+    """``name`` in ``out_dir``, opened for writing; the directory is created first."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        return open(os.path.join(out_dir, name), mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UserError(f"cannot write {name} to output directory {out_dir}: {exc}") from exc
+
+
 def append_manifest(out_dir, entry: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     entry = {"tool_version": __version__, **entry}
-    with open(os.path.join(out_dir, "manifest.jsonl"), "a", encoding="utf-8") as handle:
+    with _open_output(out_dir, "manifest.jsonl", "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
@@ -109,9 +117,11 @@ def cmd_synth(args) -> int:
             bar_seconds=args.bar_seconds)
     except MarketDataError as exc:
         raise UserError(str(exc)) from exc
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    write_bars_csv(market, args.out)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+        write_bars_csv(market, args.out)
+    except OSError as exc:
+        raise UserError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {len(market)} bars to {args.out}")
     return 0
 
@@ -272,9 +282,8 @@ def cmd_report(args) -> int:
                      *(summary.get(column, 0) for column in _REPORT_COUNTERS),
                      *(summary.get(column, "") for column in _REPORT_TOTALS)])
     out_dir = args.out or args.run_dir
-    os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "summary_table.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as handle:
+    with _open_output(out_dir, "summary_table.csv", "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(["run", *_REPORT_META, *_REPORT_COUNTERS, *_REPORT_TOTALS])
         writer.writerows(rows)

@@ -139,13 +139,13 @@ def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator
         raise TrainingError(f"epsilon must be in [0,1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.n_actions))
-    return int(np.argmax(forward(net, state)))
+    return int(forward(net, state).argmax())
 
 
 def _param_noise_action(net: QNetwork, state, sigma: float, rng: np.random.Generator) -> int:
     noisy = net.clone()
     noisy.params += sigma * rng.standard_normal(noisy.params.size)
-    return int(np.argmax(forward(noisy, state)))
+    return int(forward(noisy, state).argmax())
 
 
 @dataclass
@@ -193,7 +193,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
             if epsilon > 0.0 and rng_explore.random() < epsilon:
                 action = _param_noise_action(net, obs, config.param_noise_sigma, rng_explore)
             else:
-                action = int(np.argmax(forward(net, obs)))
+                action = int(forward(net, obs).argmax())
         else:
             action = select_action(net, obs, epsilon, rng_explore)
         result = env.step(action)

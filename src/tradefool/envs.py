@@ -16,6 +16,7 @@ harness substitute past window tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,14 @@ def sharpe_reward(returns, risk_free: float = 0.0, offset: float = 1e-9) -> floa
     Empty history yields 0; a flat history yields offset/offset = 1.
     """
     r = np.asarray(returns, dtype=np.float64)
-    if r.size == 0:
+    n = r.size
+    if n == 0:
         return 0.0
-    return float((np.mean(r - risk_free) + offset) / (np.std(r) + offset))
+    # np.mean's and np.std's own reductions, in their order, without their wrappers
+    dev = r - np.add.reduce(r) / n
+    dev *= dev
+    std = math.sqrt(np.add.reduce(dev) / n)
+    return float((np.add.reduce(r - risk_free) / n + offset) / (std + offset))
 
 
 SIZE_FRACTION_GUARD = 1e-3  # keeps the largest trade at 99.9%, never 100%
@@ -108,8 +114,6 @@ def build_action_table(stops, takes, size_count: int) -> list[ManagedRiskAction]
 
 
 def _pick_start(rng_or_start, min_start: int, max_start: int) -> int:
-    if max_start < min_start:
-        raise EnvError("bar series too short for one episode step")
     if isinstance(rng_or_start, (int, np.integer)):
         start = int(rng_or_start)
         if not min_start <= start <= max_start:
@@ -145,6 +149,8 @@ class _MarketEnv:
         self.closes = market.close
         self._min_start = self.features.warmup_length + window - 1
         self._max_start = len(market) - 2
+        if self._max_start < self._min_start:
+            raise EnvError(f"{len(market)} bars are too short for one step with window {window}")
         self.cursor = -1
         self._done = True
 
@@ -256,7 +262,9 @@ class ManagedRiskEnv(_MarketEnv):
         self.steps = 0
         self.portfolio = Portfolio(cash=self.initial_cash, asset=self.initial_asset)
         self.open_orders: list[Order] = []
-        self.returns: list[float] = []
+        # one slot per step the episode can take: the step cap, or the bars left
+        bars_left = len(self.closes) - 1 - self.cursor
+        self._returns = np.empty(min(max(self.episode_cap, 0) + 1, bars_left))
         self._prev_net_worth = net_worth(self.portfolio, self.closes[self.cursor])
         self._done = False
 
@@ -318,9 +326,9 @@ class ManagedRiskEnv(_MarketEnv):
         terminal = self._advance()
         self._fill_brackets(self.cursor)
         worth = net_worth(self.portfolio, self.closes[self.cursor])
-        self.returns.append(float(worth / self._prev_net_worth - 1.0))
+        self._returns[self.steps - 1] = worth / self._prev_net_worth - 1.0
         self._prev_net_worth = worth
-        reward = sharpe_reward(self.returns, self.risk_free, self.sharpe_offset)
+        reward = sharpe_reward(self._returns[:self.steps], self.risk_free, self.sharpe_offset)
         return StepResult(reward, terminal, worth)
 
 

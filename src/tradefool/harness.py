@@ -87,7 +87,7 @@ class RunRecord:
 
 
 def _greedy(net: QNetwork, obs) -> int:
-    return int(np.argmax(forward(net, obs)))
+    return int(forward(net, obs).argmax())
 
 
 def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = None):
@@ -131,7 +131,7 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
             gate = gate_rng.random()  # one draw per eligible timestep, unconditionally
             served = env.observation(overrides if overrides else None)
             q = forward(net, served)  # shared with the target pick and the attack
-            served_action = int(np.argmax(q))
+            served_action = int(q.argmax())
             ncn = bool(overrides) and served_action != _greedy(net, env.observation())
             orig_tuple = env.features.tuple_at(cursor).copy()
             if ncn:

@@ -123,7 +123,7 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w
+        a = a.dot(w)  # ndarray.dot: the same BLAS call as @, without its wrapper
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -167,10 +167,10 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBun
     delta[rows, actions] = 2.0 * diff / n
     flat, weight_grads, bias_grads = _pack(net.weights, net.biases, np.empty_like(net.params))
     for i in range(len(net.weights) - 1, -1, -1):  # backprop dLoss/dQ into the views
-        np.matmul(activations[i].T, delta, out=weight_grads[i])
+        np.dot(activations[i].T, delta, out=weight_grads[i])
         np.add.reduce(delta, axis=0, out=bias_grads[i])
         if i > 0:
-            delta = delta @ net.weights[i].T
+            delta = delta.dot(net.weights[i].T)
             delta *= activations[i] > 0.0
     return GradientBundle(loss, weight_grads, bias_grads, flat)
 
@@ -238,8 +238,8 @@ def input_gradient(net: QNetwork, state, loss_spec: str, action: int,
     else:
         raise QNetError(f"unknown loss_spec {loss_spec!r}")
     for i in range(len(net.weights) - 1, 0, -1):
-        delta = (delta @ net.weights[i].T) * (activations[i] > 0.0)
-    return delta @ net.weights[0].T
+        delta = delta.dot(net.weights[i].T) * (activations[i] > 0.0)
+    return delta.dot(net.weights[0].T)
 
 
 def sgd_step(net: QNetwork, grads: GradientBundle, learning_rate: float) -> QNetwork:

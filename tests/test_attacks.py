@@ -204,6 +204,21 @@ class TestEpsilonLadder:
         ratios = ladder[1:] / ladder[:-1]
         assert np.allclose(ratios, ratios[0])
 
+    @pytest.mark.parametrize("start, end, n", [
+        (1e-4, 1e-3, 5), (5e-3, 5e-2, 5), (0.1, 3.0, 6), (1e-4, 1e-4, 3), (2e-3, 0.9, 2)])
+    def test_geomspace_values_built_once_and_read_only(self, start, end, n):
+        ladder = epsilon_ladder(start, end, n)
+        assert ladder.tobytes() == np.geomspace(start, end, n).tobytes()
+        assert epsilon_ladder(start, end, n) is ladder
+        with pytest.raises(ValueError):
+            ladder[0] = 1.0
+
+    def test_one_rung_is_the_end(self):
+        ladder = epsilon_ladder(1e-4, 1e-3, 1)
+        assert ladder.tolist() == [1e-3]
+        with pytest.raises(ValueError):
+            ladder[0] = 1.0
+
 
 class TestFgsm:
     def test_zero_gradient_network_fails_with_unchanged_tuple(self):

@@ -36,6 +36,17 @@ def trained(tmp_path_factory, data_csv):
 
 
 class TestSynth:
+    def test_out_naming_a_directory_is_user_error(self, tmp_path, capsys):
+        assert run_cli("synth", "--bars", "20", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_below_a_file_is_user_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert run_cli("synth", "--bars", "20", "--out", str(blocker / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text() == "kept"
+
     def test_zero_volatility_flat_file(self, tmp_path):
         path = tmp_path / "flat.csv"
         assert run_cli("synth", "--bars", "30", "--volatility", "0", "--drift", "0",
@@ -351,6 +362,36 @@ class TestConfigShapes:
         assert run_cli("--out", str(out), "attack", "--checkpoint", str(ckpt_path),
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
         assert "episode_cap" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["train", "attack", "report"])
+    def test_out_naming_a_file_is_user_error(self, tmp_path, data_csv, trained, sweep_dir,
+                                             capsys, command):
+        out = tmp_path / "file"
+        out.write_text("kept")
+        argv = {"train": ["train", "--preset", "basic", "--data", str(data_csv)],
+                "attack": ["attack", "--checkpoint", str(trained / "checkpoint.json"),
+                           "--data", str(data_csv), "--preset", "basic-fgsm"],
+                "report": ["report", str(sweep_dir)]}[command]
+        assert run_cli("--out", str(out), *argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_window_too_long_for_the_market_is_user_error_before_manifest(
+            self, tmp_path, data_csv, trained, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"env": {"kind": "basic", "window": 5000}}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out), command, "--data", str(data_csv)]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--preset", "basic-fgsm"]
+        else:
+            argv += ["--preset", "basic"]
+        assert run_cli(*argv) == 1
+        assert "too short" in capsys.readouterr().err
         assert not out.exists()
 
 

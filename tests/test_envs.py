@@ -145,7 +145,32 @@ class TestActionTable:
             build_action_table((), (0.01,), 3)
 
 
+def list_sharpe_reward(returns, risk_free=0.0, offset=1e-9):
+    """The list-based reference: numpy's own mean and std of the whole history."""
+    if not returns:
+        return 0.0
+    r = np.asarray(returns, dtype=np.float64)
+    return float((np.mean(r - risk_free) + offset) / (np.std(r) + offset))
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+magnitudes = st.one_of(st.just(0.0), st.floats(1e-300, 1e150))
+signed_returns = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), magnitudes)
+
+
 class TestSharpeReward:
+    @settings(max_examples=200)
+    @given(st.lists(signed_returns, max_size=300),
+           st.sampled_from([0.0, 1e-4, -0.02, 0.5]), st.sampled_from([1e-9, 1e-12, 1e-3, 1.0]))
+    def test_same_bits_as_list_reference(self, returns, risk_free, offset):
+        expected = list_sharpe_reward(returns, risk_free, offset)
+        assert bits(sharpe_reward(returns, risk_free, offset)) == bits(expected)
+        buffer = np.array(returns + [7.0])[:len(returns)]  # a view, as the env passes it
+        assert bits(sharpe_reward(buffer, risk_free, offset)) == bits(expected)
+
     def test_flat_history_is_one(self):
         assert sharpe_reward([0.0, 0.0, 0.0]) == pytest.approx(1.0)
 
@@ -257,6 +282,25 @@ class TestManagedStep:
         env._execute(env.action_table[5], price)
         assert net_worth(env.portfolio, price) == pytest.approx(before)
 
+    @pytest.mark.parametrize("episode_cap, start_from_end", [
+        (250, 400), (30, 400), (250, 60), (0, 60), (-3, 60), (250, 1)])
+    def test_every_reward_is_the_list_reference(self, managed_bars, episode_cap,
+                                                start_from_end):
+        # episodes cut by the step cap and by the data end, step 0 included
+        env = ManagedRiskEnv(managed_bars, episode_cap=episode_cap, risk_free=1e-5)
+        env.reset(len(managed_bars) - 1 - start_from_end)
+        rng = np.random.default_rng(episode_cap + start_from_end)
+        previous = net_worth(env.portfolio, env.closes[env.cursor])
+        returns = []
+        while True:
+            result = env.step(int(rng.integers(env.n_actions)))
+            returns.append(float(result.net_worth / previous - 1.0))
+            previous = result.net_worth
+            assert bits(result.reward) == bits(list_sharpe_reward(returns, 1e-5))
+            if result.terminal:
+                break
+        assert len(returns) == min(max(episode_cap, 0) + 1, start_from_end)
+
     def test_terminal_exactly_once(self, managed_bars):
         env = ManagedRiskEnv(managed_bars, episode_cap=30)
         env.reset(env._min_start)
@@ -270,3 +314,8 @@ class TestMakeEnv:
         assert isinstance(make_env("managed", trending_bars), ManagedRiskEnv)
         with pytest.raises(EnvError):
             make_env("exotic", trending_bars)
+
+    @pytest.mark.parametrize("kind", ["basic", "managed"])
+    def test_window_too_long_for_the_market_fails_at_construction(self, trending_bars, kind):
+        with pytest.raises(EnvError, match="too short"):
+            make_env(kind, trending_bars, window=len(trending_bars))
