@@ -223,47 +223,152 @@ def delay_attack(observation, tuple_slice: slice, previous_tuple) -> np.ndarray:
     return served
 
 
-def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice, target,
-            action_types, proposals, *, k_scale, max_iters: int, fallback_eps: float,
-            first_success: bool, q=None) -> PerturbationResult:
-    """The loop all perturbation attacks share: project -> classify -> keep best.
+def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
+    """Sign-of-gradient attack along a geometric epsilon ladder.
 
-    ``proposals(observation, x_orig, k, label)`` yields (eps, proposal, q)
-    triples, where ``label`` is the action the attack loss is about (the
-    target, or the greedy action when non-targeted) and ``k`` is ``k_scale``
-    checked against the tuple shape. ``proposal`` is the raw candidate tuple
-    as a float64 array; ``q`` is None, or the Q-values of the observation with
-    ``proposal`` in the tuple slice. A candidate that projection leaves with
-    the proposal's exact bytes is classified by that ``q``; any other gets a
-    forward pass of its own. The best candidate by (outcome priority, then
-    smallest L2) wins. first_success=True (the FGSM ladder) stops at the first
-    full success; otherwise (C&W) every proposal is tried, and a target that
-    is already greedy is a success with no proposal at all. The ``q``
-    argument, when given, is ``forward(net, observation)``, computed once by
-    the caller.
+    The gradient of the cross-entropy loss (against the current greedy
+    action, or the adversarial target) is computed once at the original
+    observation; each ladder rung tries x +- eps * k (.) sign(g). The driver
+    stops at the first full success.
     """
+    grad = input_gradient(net, observation, "cross_entropy", label)
+    direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
+    if config.mode == "targeted":
+        direction = -direction  # descend toward the target
+    for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters):
+        yield float(eps), x_orig + eps * k * direction, None
+
+
+def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
+    """Carlini-Wagner L2 in a tanh-reparameterized box.
+
+    The attacked tuple is affinely mapped into [0,1] using the constraint
+    spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
+    descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
+    the smallest-norm qualifying candidate wins. ``k`` is unused (None).
+
+    The descent stops at a fixed point: once a step leaves w unchanged after
+    at least one iterate, every later iterate would repeat the last one, and
+    a repeat never replaces the best candidate, so the result (``iterations``
+    included) is the one all ``cw_max_iters`` steps would give.
+    """
+    lo, hi = config.spec.box(x_orig.size)
+    width = hi - lo
+    x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
+    w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
+    # crown the target, or dethrone the greedy action
+    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    # the step runs on Python floats, with numpy's operations in numpy's order
+    # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
+    lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
+    lr, const = config.cw_lr, config.cw_const
+    tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
+    adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
+    attacked = observation.copy()
+    attacked[tuple_slice] = [low + s * span for low, s, span in zip(lo, adv_scaled, width)]
+    activations = _forward_cached(net, attacked)
+    for step in range(config.cw_max_iters):
+        grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+        grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
+                  for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
+                                              tanh_w)]
+        if not all(map(math.isfinite, grad_w)):
+            return
+        next_w = [v - lr * g for v, g in zip(w, grad_w)]
+        if step and next_w == w:
+            return  # fixed point: the next iterate is the last one yielded
+        w = next_w
+        tanh_w = np.tanh(w).tolist()
+        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
+        candidate = np.array([low + s * span for low, s, span in zip(lo, adv_scaled, width)])
+        attacked[tuple_slice] = candidate  # the next iteration's point
+        activations = _forward_cached(net, attacked)  # Q here, and the next backward
+        yield 0.0, candidate, activations[-1]
+
+
+def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
+    """Carlini-Wagner objective optimized directly in original feature units.
+
+    Per-dimension steps are lr * eps * k_d times the objective gradient,
+    clipped to at most lr * eps * k_d in magnitude so the emitted
+    perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
+
+    The descent stops at a fixed point: once a step gives back the last
+    yielded delta (as it does where Q does not depend on the input, e.g. a
+    hidden layer with no active unit), every later iterate would repeat it,
+    and a repeat never replaces the best candidate, so the result
+    (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
+    """
+    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    step_cap = config.cw_lr * config.cw_eps * k
+    delta = np.zeros_like(x_orig)
+    attacked = observation.copy()
+    attacked[tuple_slice] = x_orig + delta
+    activations = _forward_cached(net, attacked)
+    for step in range(config.cw_max_iters):
+        grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+        objective_grad = 2.0 * delta + config.cw_const * grad
+        if not np.isfinite(objective_grad).all():
+            return
+        next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+        if step and np.array_equal(next_delta, delta):
+            return  # fixed point: the next iterate is the last one yielded
+        delta = next_delta
+        proposal = x_orig + delta
+        attacked[tuple_slice] = proposal  # the next iteration's point
+        activations = _forward_cached(net, attacked)  # Q here, and the next backward
+        yield config.cw_eps, proposal, activations[-1]
+
+
+# the proposal generator of each attack: config.method for FGSM, config.cw_variant for C&W
+PROPOSALS = {"fgsm": fgsm_rungs, "box": cw_box_iterates, "scaled": cw_scaled_iterates}
+
+
+def _fallback_eps(config: AttackConfig) -> float:
+    """``final_eps`` of a result that no proposal made."""
+    if config.method == "fgsm":
+        return float(epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)[-1])
+    return 0.0 if config.cw_variant == "box" else config.cw_eps
+
+
+def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice, target=None,
+                            action_types=None, q=None) -> PerturbationResult:
+    """The configured perturbation attack: project -> classify -> keep best.
+
+    ``PROPOSALS`` picks the generator, which yields (eps, proposal, q): the
+    raw candidate tuple as float64, and None or the Q-values with it in the
+    tuple slice. Its ``label`` is the target, or the greedy action when
+    non-targeted; ``k`` is ``config.k_scale`` checked against the tuple (None
+    for box). A candidate that projection leaves byte-identical is classified
+    by that ``q``, any other by a forward pass of its own. The best candidate
+    by (outcome priority, then smallest L2) wins. FGSM stops at the first
+    full success; C&W tries every proposal, and a target that is already
+    greedy is a success with no proposal. ``q``, when given, is
+    ``forward(net, observation)``, computed once by the caller.
+    """
+    if config.method not in ("fgsm", "cw"):
+        raise AttackError(f"{config.method!r} is not a perturbation attack")
+    fgsm = config.method == "fgsm"
+    generator = PROPOSALS[config.method if fgsm else config.cw_variant]
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape[0] != net.input_dim:
-        raise AttackError(
-            f"observation dim {observation.shape[0]} != net input {net.input_dim}")
+        raise AttackError(f"observation dim {observation.shape[0]} != net input {net.input_dim}")
     x_orig = observation[tuple_slice].copy()
     k = None
-    if k_scale is not None:
-        k = np.asarray(k_scale, dtype=np.float64)
+    if fgsm or config.cw_variant != "box":
+        k = np.asarray(config.k_scale, dtype=np.float64)
         if k.shape != x_orig.shape:
             raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
     if config.mode == "targeted" and target is None:
         raise AttackError("targeted mode requires a target action")
     original_action = int((forward(net, observation) if q is None else q).argmax())
-    if not first_success and config.mode == "targeted" and original_action == target:
-        return PerturbationResult(perturbed=x_orig, outcome=SUCCESS,
-                                  induced_action=original_action, iterations=0,
-                                  final_eps=fallback_eps, l2=0.0)
+    if not fgsm and config.mode == "targeted" and original_action == target:
+        return PerturbationResult(x_orig, SUCCESS, original_action, 0, _fallback_eps(config), 0.0)
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
     attacked = observation.copy()
     for iteration, (eps, proposal, q) in enumerate(
-            proposals(observation, x_orig, k, label), start=1):
+            generator(net, config, observation, tuple_slice, x_orig, k, label), start=1):
         candidate = project_constraints(proposal, x_orig, config.spec)
         # equal bytes imply equal values, and cost a tenth of np.array_equal
         if q is None or candidate.tobytes() != proposal.tobytes():
@@ -277,141 +382,10 @@ def _attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice
         if priority > best_priority or (priority == best_priority and l2 < best_l2):
             best_priority, best_l2 = priority, l2
             best = (candidate, outcome, induced, iteration, eps)
-        if first_success and outcome == SUCCESS:
+        if fgsm and outcome == SUCCESS:
             break
     if best is None:
-        return PerturbationResult(perturbed=x_orig, outcome=FAILURE,
-                                  induced_action=original_action, iterations=max_iters,
-                                  final_eps=fallback_eps, l2=0.0)
+        iterations = config.eps_iters if fgsm else config.cw_max_iters
+        return PerturbationResult(x_orig, FAILURE, original_action, iterations,
+                                  _fallback_eps(config), 0.0)
     return PerturbationResult(*best, l2=best_l2)
-
-
-def fgsm_attack(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-                target: int | None = None, action_types=None, q=None) -> PerturbationResult:
-    """Sign-of-gradient attack along a geometric epsilon ladder.
-
-    The gradient of the cross-entropy loss (against the current greedy
-    action, or the adversarial target) is computed once at the original
-    observation; each ladder rung tries x +- eps * k (.) sign(g). Stops at the
-    first full success.
-    """
-    ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
-
-    def rungs(observation, x_orig, k, label):
-        grad = input_gradient(net, observation, "cross_entropy", label)
-        direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
-        if config.mode == "targeted":
-            direction = -direction  # descend toward the target
-        for eps in ladder:
-            yield float(eps), x_orig + eps * k * direction, None
-
-    return _attack(net, observation, config, tuple_slice, target, action_types, rungs,
-                   k_scale=config.k_scale, max_iters=config.eps_iters,
-                   fallback_eps=float(ladder[-1]), first_success=True, q=q)
-
-
-def cw_l2_box(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-              target: int | None = None, action_types=None, q=None) -> PerturbationResult:
-    """Carlini-Wagner L2 in a tanh-reparameterized box.
-
-    The attacked tuple is affinely mapped into [0,1] using the constraint
-    spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
-    descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
-    the smallest-norm qualifying candidate wins. ``config.k_scale`` is unused.
-
-    The descent stops at a fixed point: once a step leaves w unchanged after
-    at least one iterate, every later iterate would repeat the last one, and
-    a repeat never replaces the best candidate, so the result (``iterations``
-    included) is the one all ``cw_max_iters`` steps would give.
-    """
-
-    def iterates(observation, x_orig, k, label):
-        lo, hi = config.spec.box(x_orig.size)
-        width = hi - lo
-        x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
-        w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
-        # crown the target, or dethrone the greedy action
-        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
-        # the step runs on Python floats, with numpy's operations in numpy's order
-        # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
-        lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
-        lr, const = config.cw_lr, config.cw_const
-        tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
-        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
-        attacked = observation.copy()
-        attacked[tuple_slice] = [low + s * span for low, s, span in zip(lo, adv_scaled, width)]
-        activations = _forward_cached(net, attacked)
-        for step in range(config.cw_max_iters):
-            grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
-            grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
-                      for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
-                                                  tanh_w)]
-            if not all(map(math.isfinite, grad_w)):
-                return
-            next_w = [v - lr * g for v, g in zip(w, grad_w)]
-            if step and next_w == w:
-                return  # fixed point: the next iterate is the last one yielded
-            w = next_w
-            tanh_w = np.tanh(w).tolist()
-            adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
-            candidate = np.array([low + s * span
-                                  for low, s, span in zip(lo, adv_scaled, width)])
-            attacked[tuple_slice] = candidate  # the next iteration's point
-            activations = _forward_cached(net, attacked)  # Q here, and the next backward
-            yield 0.0, candidate, activations[-1]
-
-    return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
-                   k_scale=None, max_iters=config.cw_max_iters, fallback_eps=0.0,
-                   first_success=False, q=q)
-
-
-def cw_scaled(net: QNetwork, observation, config: AttackConfig, tuple_slice: slice,
-              target: int | None = None, action_types=None, q=None) -> PerturbationResult:
-    """Carlini-Wagner objective optimized directly in original feature units.
-
-    Per-dimension steps are lr * eps * k_d times the objective gradient,
-    clipped to at most lr * eps * k_d in magnitude so the emitted
-    perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
-
-    The descent stops at a fixed point: once a step gives back the last
-    yielded delta (as it does where Q does not depend on the input, e.g. a
-    hidden layer with no active unit), every later iterate would repeat it,
-    and a repeat never replaces the best candidate, so the result
-    (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
-    """
-
-    def iterates(observation, x_orig, k, label):
-        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
-        step_cap = config.cw_lr * config.cw_eps * k
-        delta = np.zeros_like(x_orig)
-        attacked = observation.copy()
-        attacked[tuple_slice] = x_orig + delta
-        activations = _forward_cached(net, attacked)
-        for step in range(config.cw_max_iters):
-            grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
-            objective_grad = 2.0 * delta + config.cw_const * grad
-            if not np.isfinite(objective_grad).all():
-                return
-            next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-            if step and np.array_equal(next_delta, delta):
-                return  # fixed point: the next iterate is the last one yielded
-            delta = next_delta
-            proposal = x_orig + delta
-            attacked[tuple_slice] = proposal  # the next iteration's point
-            activations = _forward_cached(net, attacked)  # Q here, and the next backward
-            yield config.cw_eps, proposal, activations[-1]
-
-    return _attack(net, observation, config, tuple_slice, target, action_types, iterates,
-                   k_scale=config.k_scale, max_iters=config.cw_max_iters,
-                   fallback_eps=config.cw_eps, first_success=False, q=q)
-
-
-def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
-                            target=None, action_types=None, q=None) -> PerturbationResult:
-    """Dispatch to the configured perturbation attack; ``q`` as in ``_attack``."""
-    if config.method == "fgsm":
-        return fgsm_attack(net, observation, config, tuple_slice, target, action_types, q)
-    if config.method == "cw":
-        attack = cw_l2_box if config.cw_variant == "box" else cw_scaled
-        return attack(net, observation, config, tuple_slice, target, action_types, q)
-    raise AttackError(f"{config.method!r} is not a perturbation attack")

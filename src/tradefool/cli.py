@@ -162,8 +162,6 @@ def cmd_train(args) -> int:
 
 
 def _parse_list(text: str, kind) -> list:
-    if not text.strip():
-        return []
     try:
         return [kind(v) for v in text.split(",")]
     except ValueError as exc:
@@ -209,24 +207,20 @@ def cmd_attack(args) -> int:
     if any(seed < 0 for seed in seeds):
         raise UserError(f"seeds must be >= 0, got {seeds}")
     jobs: list[tuple[str, AttackConfig | None, int]] = []
-    run_meta: dict[str, dict] = {}
     label = args.preset or base.method
     for seed in seeds:
-        runs = [(f"control-s{seed}", None, {"method": "control", "mode": "", "chance": ""})]
+        runs = [(f"control-s{seed}", None)]
         if base.method == "delay":  # delay ignores the chance list
-            runs.append((f"{label}-s{seed}", base,
-                         {"method": "delay", "mode": "", "chance": 1.0}))
+            runs.append((f"{label}-s{seed}", base))
         else:
             runs += [(f"{label}-{base.mode}-c{chance:g}-s{seed}",
-                      _config("attack", presets.attack, {**attack_block, "chance": chance}),
-                      {"method": base.method, "mode": base.mode, "chance": chance})
+                      _config("attack", presets.attack, {**attack_block, "chance": chance}))
                      for chance in chances]
-        for name, config, meta_row in runs:
-            if name in run_meta:  # the second run would overwrite the first
+        for name, config in runs:
+            if any(name == job[0] for job in jobs):  # the second run would overwrite the first
                 raise UserError(f"two runs would share the name {name!r}; "
                                 "give distinct seeds and chances")
             jobs.append((name, config, seed))
-            run_meta[name] = {**meta_row, "seed": seed}
     out_dir = args.out or "."
     append_manifest(out_dir, {
         "command": "attack", "config_path": args.config,
@@ -234,11 +228,7 @@ def cmd_attack(args) -> int:
         "chances": chances, "seeds": seeds, "data": str(data_path),
         "data_digest": file_digest(data_path),
         "checkpoint_digest": file_digest(args.checkpoint), "out": str(out_dir)})
-    runs_dir = os.path.join(out_dir, "runs")
-    summaries = run_sweep(net, env, jobs, runs_dir)
-    for name, meta_row in run_meta.items():
-        with open(os.path.join(runs_dir, name, "run.json"), "w", encoding="utf-8") as handle:
-            json.dump(meta_row, handle, sort_keys=True)
+    summaries = run_sweep(net, env, jobs, os.path.join(out_dir, "runs"))
     for name, summary in summaries.items():
         print(f"{name}: attempts={summary['attempts']} failures={summary['failures']} "
               f"ncn={summary['ncn']} total_reward={summary['total_reward']:.4f}")

@@ -140,8 +140,8 @@ class _MarketEnv:
     tuple_dim = 3
 
     def __init__(self, market: Market, mode: str, window: int, episode_cap: int):
-        if window < 1:
-            raise EnvError("window must be >= 1")
+        if window < 1 or episode_cap < 1:
+            raise EnvError(f"window and episode_cap must be >= 1, got {window} and {episode_cap}")
         self.market = market
         self.features: FeatureSeries = build_feature_series(market, mode)
         self.window = window
@@ -264,7 +264,7 @@ class ManagedRiskEnv(_MarketEnv):
         self.open_orders: list[Order] = []
         # one slot per step the episode can take: the step cap, or the bars left
         bars_left = len(self.closes) - 1 - self.cursor
-        self._returns = np.empty(min(max(self.episode_cap, 0) + 1, bars_left))
+        self._returns = np.empty(min(self.episode_cap + 1, bars_left))
         self._prev_net_worth = net_worth(self.portfolio, self.closes[self.cursor])
         self._done = False
 

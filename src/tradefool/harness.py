@@ -229,15 +229,16 @@ def summary_dict(ledger: AttackLedger, record: RunRecord,
 
 
 def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
-                  control: RunRecord | None = None, tuple_dim: int = 3) -> None:
+                  control: RunRecord | None = None, tuple_dim: int = 3) -> dict:
     """Write ledger.csv, record.csv, summary.json, and (when a control run is
-    given) the plot-ready curves.csv of per-timestep differences.
-    Byte-deterministic for identical inputs."""
+    given) the plot-ready curves.csv of per-timestep differences; return the
+    summary. Byte-deterministic for identical inputs."""
     os.makedirs(out_dir, exist_ok=True)
     write_ledger_csv(ledger, os.path.join(out_dir, "ledger.csv"), tuple_dim)
     write_record_csv(record, os.path.join(out_dir, "record.csv"))
+    summary = summary_dict(ledger, record, control)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(summary_dict(ledger, record, control), handle, sort_keys=True, indent=1)
+        json.dump(summary, handle, sort_keys=True, indent=1)
     if control is not None:
         diff = reward_difference(control, attacked=record)
         has_worth = control.net_worths is not None and record.net_worths is not None
@@ -256,6 +257,16 @@ def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
                 else:
                     row += ["", "", ""]
                 writer.writerow(row)
+    return summary
+
+
+def _run_meta(config: AttackConfig | None) -> dict:
+    """run.json's method, mode and chance for a job; delay ignores the chance."""
+    if config is None:
+        return {"method": "control", "mode": "", "chance": ""}
+    if config.method == "delay":
+        return {"method": "delay", "mode": "", "chance": 1.0}
+    return {"method": config.method, "mode": config.mode, "chance": config.chance}
 
 
 def max_sweep_workers() -> int:
@@ -266,7 +277,8 @@ def max_sweep_workers() -> int:
 def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int]],
               out_dir) -> dict[str, dict]:
     """Run (name, config, seed) jobs one after another on ``env`` and export
-    one report each.
+    one report each, with a run.json that names the job's method, mode,
+    chance and seed, written before the report.
 
     config=None runs a control. Every config is validated before the first
     episode. Controls run first, so each attacked job is paired with the
@@ -287,7 +299,9 @@ def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int
             controls[seed] = record
         else:
             control = controls.get(seed)
-        export_report(ledger, record, os.path.join(out_dir, name), control,
-                      tuple_dim=env.tuple_dim)
-        summaries[name] = summary_dict(ledger, record, control)
+        run_dir = os.path.join(out_dir, name)
+        os.makedirs(run_dir, exist_ok=True)
+        with open(os.path.join(run_dir, "run.json"), "w", encoding="utf-8") as handle:
+            json.dump({**_run_meta(config), "seed": seed}, handle, sort_keys=True)
+        summaries[name] = export_report(ledger, record, run_dir, control, env.tuple_dim)
     return dict(sorted(summaries.items()))

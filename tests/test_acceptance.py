@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from tradefool.attacks import cw_l2_box, project_constraints, validate_relative_tuple
+from tradefool.attacks import project_constraints, run_perturbation_attack, validate_relative_tuple
 from tradefool.cli import main as cli_main
 from tradefool.dqn import TrainerConfig, Transition, train
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv, build_action_table
@@ -217,7 +217,7 @@ def test_cw_l2_within_ten_percent_of_grid_search():
         config = AttackConfig(method="cw", cw_variant="box", cw_max_iters=800,
                               cw_lr=0.02, cw_const=0.2, constraint=f"_acc_box_{d}",
                               k_scale=(1.0,) * d)
-        result = cw_l2_box(net, state, config, slice(0, d))
+        result = run_perturbation_attack(net, state, config, slice(0, d))
         assert result.outcome == "success", trial
         assert result.l2 <= 1.1 * minimal, (trial, result.l2, minimal)
     elapsed = time.monotonic() - started

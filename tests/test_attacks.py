@@ -15,11 +15,8 @@ from tradefool.attacks import (
     AttackError,
     ConstraintSpec,
     classify_outcome,
-    cw_l2_box,
-    cw_scaled,
     delay_attack,
     epsilon_ladder,
-    fgsm_attack,
     least_q_target,
     project_constraints,
     run_perturbation_attack,
@@ -226,7 +223,7 @@ class TestFgsm:
         config = AttackConfig(method="fgsm", constraint="none",
                               k_scale=(1.0, 1.0, 1.0))
         obs = np.array([0.3, -0.1, 0.2])
-        result = fgsm_attack(net, obs, config, slice(0, 3))
+        result = run_perturbation_attack(net, obs, config, slice(0, 3))
         assert result.outcome == FAILURE
         assert np.array_equal(result.perturbed, obs)
 
@@ -236,7 +233,7 @@ class TestFgsm:
         spec_id = "none"
         config = AttackConfig(method="fgsm", eps_start=0.4, eps_end=0.4, eps_iters=1,
                               k_scale=(1.0,), constraint=spec_id)
-        result = fgsm_attack(net, np.array([0.3]), config, slice(0, 1))
+        result = run_perturbation_attack(net, np.array([0.3]), config, slice(0, 1))
         assert result.outcome == SUCCESS
         assert result.perturbed[0] == pytest.approx(-0.1)
         assert result.induced_action == 1
@@ -245,7 +242,7 @@ class TestFgsm:
         net = linear_net([[1.0, -1.0]])
         config = AttackConfig(method="fgsm", eps_start=0.1, eps_end=1.6, eps_iters=5,
                               k_scale=(1.0,), constraint="none")
-        result = fgsm_attack(net, np.array([0.3]), config, slice(0, 1))
+        result = run_perturbation_attack(net, np.array([0.3]), config, slice(0, 1))
         assert result.outcome == SUCCESS
         # geometric ladder 0.1, 0.2, 0.4, 0.8, 1.6: first flip at 0.4
         assert result.final_eps == pytest.approx(0.4)
@@ -255,7 +252,7 @@ class TestFgsm:
         net = linear_net([[1.0, -1.0, 0.0]])
         config = AttackConfig(method="fgsm", mode="targeted", eps_start=0.5, eps_end=0.5,
                               eps_iters=1, k_scale=(1.0,), constraint="none")
-        result = fgsm_attack(net, np.array([0.3]), config, slice(0, 1), target=1)
+        result = run_perturbation_attack(net, np.array([0.3]), config, slice(0, 1), target=1)
         assert result.induced_action == 1
         assert result.outcome == SUCCESS
 
@@ -267,7 +264,7 @@ class TestFgsm:
             net = QNetwork.initialize([6, 8, 5], rng)
             obs = rng.normal(size=6) * np.array([0.01, 0.01, 0.01, 0.01, 2.0, 30.0])
             obs[5] = abs(obs[5])
-            result = fgsm_attack(net, obs, config, slice(3, 6))
+            result = run_perturbation_attack(net, obs, config, slice(3, 6))
             unprojected_bound = config.eps_end * k + 1e-12
             # projection may only pull coordinates toward feasibility; the rsi
             # clamp never increases displacement, so the bound carries over
@@ -284,14 +281,14 @@ class TestFgsm:
         obs = np.column_stack([high, low, close]).ravel()
         config = preset("basic-fgsm", mode=rng.choice(["non_targeted", "targeted"]))
         target = int(rng.integers(3)) if config.mode == "targeted" else None
-        result = fgsm_attack(net, obs, config, slice(6, 9), target=target)
+        result = run_perturbation_attack(net, obs, config, slice(6, 9), target=target)
         assert validate_relative_tuple(result.perturbed)
 
     def test_dimension_mismatch(self):
         net = linear_net([[1.0, -1.0]])
         config = AttackConfig(method="fgsm", constraint="none", k_scale=(1.0,))
         with pytest.raises(AttackError):
-            fgsm_attack(net, np.zeros(4), config, slice(0, 1))
+            run_perturbation_attack(net, np.zeros(4), config, slice(0, 1))
 
 
 def grid_minimal_flip(net, x, radius=0.04, step=1e-4):
@@ -331,7 +328,7 @@ class TestCwBox:
         net = linear_net([[1.0, -1.0]])
         config = AttackConfig(method="cw", mode="targeted", cw_variant="box",
                               constraint="none", k_scale=(1.0,))
-        result = cw_l2_box(net, np.array([0.5]), config, slice(0, 1), target=0)
+        result = run_perturbation_attack(net, np.array([0.5]), config, slice(0, 1), target=0)
         assert result.outcome == SUCCESS
         assert result.l2 == 0.0
 
@@ -339,7 +336,8 @@ class TestCwBox:
         net = QNetwork(sizes=[1, 2], weights=[np.zeros((1, 2))], biases=[np.zeros(2)])
         config = AttackConfig(method="cw", cw_variant="box", cw_max_iters=20,
                               constraint="none", k_scale=(1.0,))
-        assert cw_l2_box(net, np.array([0.2]), config, slice(0, 1)).outcome == FAILURE
+        result = run_perturbation_attack(net, np.array([0.2]), config, slice(0, 1))
+        assert result.outcome == FAILURE
 
     def test_tiny_constant_returns_near_zero_delta(self):
         rng = np.random.default_rng(8)
@@ -348,7 +346,7 @@ class TestCwBox:
             obs = rng.uniform(-0.5, 0.5, size=2)
             config = AttackConfig(method="cw", cw_variant="box", cw_const=1e-12,
                                   cw_max_iters=50, constraint="none", k_scale=(1.0, 1.0))
-            result = cw_l2_box(net, obs, config, slice(0, 2))
+            result = run_perturbation_attack(net, obs, config, slice(0, 2))
             assert np.linalg.norm(result.perturbed - obs) < 1e-6
 
     def test_l2_within_ten_percent_of_grid_minimum(self):
@@ -364,7 +362,7 @@ class TestCwBox:
             config = AttackConfig(method="cw", cw_variant="box", cw_max_iters=800,
                                   cw_lr=0.02, cw_const=0.2, constraint=spec_name,
                                   k_scale=(1.0,) * d)
-            result = cw_l2_box(net, x, config, slice(0, d))
+            result = run_perturbation_attack(net, x, config, slice(0, d))
             assert result.outcome == SUCCESS
             assert result.l2 <= 1.1 * minimal
 
@@ -375,7 +373,7 @@ class TestCwScaled:
         config = AttackConfig(method="cw", cw_variant="scaled", cw_max_iters=10,
                               constraint="indicator", k_scale=(0.01, 1.0, 1.0))
         obs = np.array([0.001, 1.0, 50.0])
-        result = cw_scaled(net, obs, config, slice(0, 3))
+        result = run_perturbation_attack(net, obs, config, slice(0, 3))
         assert result.outcome == FAILURE
         assert np.array_equal(result.perturbed, obs)
 
@@ -389,7 +387,7 @@ class TestCwScaled:
             net = QNetwork.initialize([6, 10, 7], rng)
             obs = rng.normal(size=6) * np.array([0.005, 0.005, 2.0, 0.005, 2.0, 20.0])
             obs[5] = abs(obs[5])
-            result = cw_scaled(net, obs, config, slice(3, 6))
+            result = run_perturbation_attack(net, obs, config, slice(3, 6))
             assert np.all(np.abs(result.perturbed - obs[3:6]) <= bound)
 
     def test_success_on_near_boundary_state_changes_action_type(self):
@@ -404,73 +402,66 @@ class TestCwScaled:
         obs = np.array([0.0, 0.0, 50.0])
         assert int(np.argmax(forward(net, obs))) == 1
         config = preset("managed-cw")
-        result = cw_scaled(net, obs, config, slice(0, 3), action_types=types)
+        result = run_perturbation_attack(net, obs, config, slice(0, 3), action_types=types)
         assert result.outcome == SUCCESS
         assert types[result.induced_action] == "sell"
         assert result.perturbed[2] < 50.0
 
 
-def reference_cw_l2_box(net, observation, config, tuple_slice, target=None,
-                        action_types=None):
-    """cw_l2_box as it was before the fixed-point exit: always cw_max_iters steps.
-    It yields no Q, so every candidate gets a forward pass of its own."""
-
-    def iterates(observation, x_orig, k, label):
-        lo, hi = config.spec.box(x_orig.size)
-        width = hi - lo
-        x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
-        w = np.arctanh(2.0 * x_scaled - 1.0)
-        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+def reference_cw_l2_box(net, config, observation, tuple_slice, x_orig, k, label):
+    """The box generator as it was before the fixed-point exit: always
+    cw_max_iters steps. It yields no Q, so every candidate gets a forward
+    pass of its own."""
+    lo, hi = config.spec.box(x_orig.size)
+    width = hi - lo
+    x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
+    w = np.arctanh(2.0 * x_scaled - 1.0)
+    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    tanh_w = np.tanh(w)
+    adv_scaled = (tanh_w + 1.0) / 2.0
+    attacked = observation.copy()
+    attacked[tuple_slice] = lo + adv_scaled * width
+    for _ in range(config.cw_max_iters):
+        grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+        grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
+            * (1.0 - tanh_w ** 2) / 2.0
+        if not np.isfinite(grad_w).all():
+            return
+        w = w - config.cw_lr * grad_w
         tanh_w = np.tanh(w)
         adv_scaled = (tanh_w + 1.0) / 2.0
-        attacked = observation.copy()
-        attacked[tuple_slice] = lo + adv_scaled * width
-        for _ in range(config.cw_max_iters):
-            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
-            grad_w = (2.0 * (adv_scaled - x_scaled) + config.cw_const * grad * width) \
-                * (1.0 - tanh_w ** 2) / 2.0
-            if not np.isfinite(grad_w).all():
-                return
-            w = w - config.cw_lr * grad_w
-            tanh_w = np.tanh(w)
-            adv_scaled = (tanh_w + 1.0) / 2.0
-            candidate = lo + adv_scaled * width
-            attacked[tuple_slice] = candidate
-            yield 0.0, candidate, None
-
-    return attacks._attack(net, observation, config, tuple_slice, target, action_types,
-                           iterates, k_scale=None, max_iters=config.cw_max_iters,
-                           fallback_eps=0.0, first_success=False)
+        candidate = lo + adv_scaled * width
+        attacked[tuple_slice] = candidate
+        yield 0.0, candidate, None
 
 
-def reference_cw_scaled(net, observation, config, tuple_slice, target=None,
-                        action_types=None):
-    """cw_scaled as it was before the fixed-point exit: always cw_max_iters steps.
-    It yields no Q, so every candidate gets a forward pass of its own."""
-
-    def iterates(observation, x_orig, k, label):
-        loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
-        step_cap = config.cw_lr * config.cw_eps * k
-        delta = np.zeros_like(x_orig)
-        attacked = observation.copy()
-        for _ in range(config.cw_max_iters):
-            attacked[tuple_slice] = x_orig + delta
-            grad = input_gradient(net, attacked, loss, label)[tuple_slice]
-            objective_grad = 2.0 * delta + config.cw_const * grad
-            if not np.isfinite(objective_grad).all():
-                return
-            delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-            yield config.cw_eps, x_orig + delta, None
-
-    return attacks._attack(net, observation, config, tuple_slice, target, action_types,
-                           iterates, k_scale=config.k_scale, max_iters=config.cw_max_iters,
-                           fallback_eps=config.cw_eps, first_success=False)
+def reference_cw_scaled(net, config, observation, tuple_slice, x_orig, k, label):
+    """The scaled generator as it was before the fixed-point exit: always
+    cw_max_iters steps. It yields no Q, so every candidate gets a forward
+    pass of its own."""
+    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    step_cap = config.cw_lr * config.cw_eps * k
+    delta = np.zeros_like(x_orig)
+    attacked = observation.copy()
+    for _ in range(config.cw_max_iters):
+        attacked[tuple_slice] = x_orig + delta
+        grad = input_gradient(net, attacked, loss, label)[tuple_slice]
+        objective_grad = 2.0 * delta + config.cw_const * grad
+        if not np.isfinite(objective_grad).all():
+            return
+        delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+        yield config.cw_eps, x_orig + delta, None
 
 
-CW_VARIANTS = {  # variant: (attack, its reference without the exit)
-    "box": (cw_l2_box, reference_cw_l2_box),
-    "scaled": (cw_scaled, reference_cw_scaled),
-}
+REFERENCES = {"box": reference_cw_l2_box, "scaled": reference_cw_scaled}  # C&W variant: generator
+
+
+def run_reference(net, observation, config, *args, **kwargs):
+    """run_perturbation_attack with the C&W variant's generator replaced by
+    its reference without the exit, through ``attacks.PROPOSALS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(attacks.PROPOSALS, config.cw_variant, REFERENCES[config.cw_variant])
+        return run_perturbation_attack(net, observation, config, *args, **kwargs)
 
 
 def result_bytes(result):
@@ -506,7 +497,7 @@ def random_cw_call(rng):
         obs = rng.normal(0, 0.5, n_in)
     mode = str(rng.choice(["non_targeted", "targeted"]))
     config = AttackConfig(
-        method="cw", mode=mode, cw_variant=str(rng.choice(list(CW_VARIANTS))),
+        method="cw", mode=mode, cw_variant=str(rng.choice(list(REFERENCES))),
         constraint=constraint, cw_max_iters=int(rng.integers(1, 40)),
         cw_lr=float(rng.choice([0.5, 0.05])), cw_const=float(rng.choice([0.1, 1.0, 10.0])),
         cw_eps=float(rng.choice([1.0, 0.01])),
@@ -531,7 +522,7 @@ def counting(monkeypatch, name):
 
 class TestCwFixedPoint:
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
-    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    @pytest.mark.parametrize("variant", list(REFERENCES))
     def test_dead_hidden_layer_stops_after_one_repeat(self, monkeypatch, variant, mode):
         # no weight into the hidden layer: no unit is ever active, Q is constant
         # and every margin gradient is zero
@@ -543,10 +534,9 @@ class TestCwFixedPoint:
         config = AttackConfig(method="cw", mode=mode, cw_variant=variant,
                               cw_max_iters=100, constraint="none")
         target = 1 if mode == "targeted" else None
-        attack, reference = CW_VARIANTS[variant]
-        expected = reference(net, obs, config, slice(3, 6), target)
+        expected = run_reference(net, obs, config, slice(3, 6), target)
         calls = counting(monkeypatch, "input_gradient")
-        result = attack(net, obs, config, slice(3, 6), target)
+        result = run_perturbation_attack(net, obs, config, slice(3, 6), target)
         assert len(calls) == 2  # the first iterate, then the step that repeats it
         assert result_bytes(result) == result_bytes(expected)
         assert (result.outcome, result.iterations) == (FAILURE, 1)
@@ -560,7 +550,7 @@ class TestCwFixedPoint:
         config = AttackConfig(method="cw", cw_variant="box", cw_const=5e-14,
                               cw_max_iters=50, constraint="none", k_scale=(1.0,))
         obs = np.array([0.99])
-        expected = reference_cw_l2_box(net, obs, config, slice(0, 1))
+        expected = run_reference(net, obs, config, slice(0, 1))
         candidates = []
 
         def recorded(candidate, original, spec):
@@ -569,7 +559,7 @@ class TestCwFixedPoint:
 
         monkeypatch.setattr(attacks, "project_constraints", recorded)
         calls = counting(monkeypatch, "input_gradient")
-        result = cw_l2_box(net, obs, config, slice(0, 1))
+        result = run_perturbation_attack(net, obs, config, slice(0, 1))
         assert any(a == b for a, b in zip(candidates, candidates[1:]))
         assert len(calls) == config.cw_max_iters
         assert result_bytes(result) == result_bytes(expected)
@@ -580,10 +570,9 @@ class TestCwFixedPoint:
         seen, stopped_early = set(), 0
         for _ in range(1500):
             net, obs, config, tuple_slice, target, types = random_cw_call(rng)
-            attack, reference = CW_VARIANTS[config.cw_variant]
-            expected = reference(net, obs, config, tuple_slice, target, types)
+            expected = run_reference(net, obs, config, tuple_slice, target, types)
             calls.clear()
-            result = attack(net, obs, config, tuple_slice, target, types)
+            result = run_perturbation_attack(net, obs, config, tuple_slice, target, types)
             assert result_bytes(result) == result_bytes(expected)
             seen.add((config.cw_variant, config.mode, config.constraint, types is None))
             stopped_early += 0 < len(calls) < config.cw_max_iters
@@ -616,7 +605,7 @@ class TestSharedForward:
             assert len(forwards) == n_without - 1
 
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
-    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    @pytest.mark.parametrize("variant", list(REFERENCES))
     def test_cw_reuses_the_proposal_q_under_identity_projection(self, monkeypatch, variant,
                                                                 mode):
         # constraint "none" returns every proposal unchanged, so each candidate
@@ -624,7 +613,6 @@ class TestSharedForward:
         rng = np.random.default_rng(23)
         config = AttackConfig(method="cw", mode=mode, cw_variant=variant, cw_eps=0.01,
                               cw_max_iters=20, constraint="none")
-        attack, reference = CW_VARIANTS[variant]
         forwards = counting(monkeypatch, "forward")
         projections = counting(monkeypatch, "project_constraints")
         for _ in range(20):
@@ -632,14 +620,14 @@ class TestSharedForward:
             obs = rng.normal(0, 0.5, 9)
             q = forward(net, obs)
             target = int(rng.integers(5)) if mode == "targeted" else None
-            expected = reference(net, obs, config, slice(6, 9), target)
+            expected = run_reference(net, obs, config, slice(6, 9), target)
             forwards.clear()
-            result = attack(net, obs, config, slice(6, 9), target, q=q)
+            result = run_perturbation_attack(net, obs, config, slice(6, 9), target, q=q)
             assert len(forwards) == 0
             assert result_bytes(result) == result_bytes(expected)
         assert len(projections) > 100  # candidates were classified
 
-    @pytest.mark.parametrize("variant", list(CW_VARIANTS))
+    @pytest.mark.parametrize("variant", list(REFERENCES))
     def test_cw_moved_candidate_gets_its_own_forward(self, monkeypatch, variant):
         def moved(candidate, original, spec):
             projections.append(1)
@@ -647,7 +635,6 @@ class TestSharedForward:
 
         rng = np.random.default_rng(29)
         config = preset("basic-cw", cw_variant=variant, cw_eps=0.01, cw_max_iters=20)
-        attack, reference = CW_VARIANTS[variant]
         projections = []
         monkeypatch.setattr(attacks, "project_constraints", moved)
         forwards = counting(monkeypatch, "forward")
@@ -656,10 +643,10 @@ class TestSharedForward:
             net = QNetwork.initialize([9, 8, 5], rng)
             obs = relative_window(rng)
             q = forward(net, obs)
-            expected = reference(net, obs, config, slice(6, 9))
+            expected = run_reference(net, obs, config, slice(6, 9))
             forwards.clear()
             projections.clear()
-            result = attack(net, obs, config, slice(6, 9), q=q)
+            result = run_perturbation_attack(net, obs, config, slice(6, 9), q=q)
             assert len(projections) > 0
             assert len(forwards) == len(projections)  # one per iterate
             assert result_bytes(result) == result_bytes(expected)
@@ -667,15 +654,16 @@ class TestSharedForward:
         assert outcomes == {SUCCESS, FAILURE}
 
 
+# keyed by the attack's name, which each test id carries
 INVARIANT_CONFIGS = {
-    fgsm_attack: preset("basic-fgsm"),
-    cw_l2_box: preset("basic-cw", cw_max_iters=15),
-    cw_scaled: preset("basic-cw", cw_variant="scaled", cw_eps=0.01, cw_max_iters=15),
+    "fgsm_attack": preset("basic-fgsm"),
+    "cw_l2_box": preset("basic-cw", cw_max_iters=15),
+    "cw_scaled": preset("basic-cw", cw_variant="scaled", cw_eps=0.01, cw_max_iters=15),
 }
 INDICATOR_INVARIANT_CONFIGS = {
-    fgsm_attack: preset("managed-fgsm"),
-    cw_l2_box: preset("basic-cw", constraint="indicator", cw_max_iters=15),
-    cw_scaled: preset("managed-cw", cw_max_iters=15),
+    "fgsm_attack": preset("managed-fgsm"),
+    "cw_l2_box": preset("basic-cw", constraint="indicator", cw_max_iters=15),
+    "cw_scaled": preset("managed-cw", cw_max_iters=15),
 }
 
 
@@ -699,31 +687,31 @@ def indicator_window(rng):
 class TestAttackInvariants:
     @staticmethod
     def check_invariants(attack, mode, seed, configs, window):
-        """Run ``attack`` on a random net and window; return the result after
-        checking the invariants every constraint set shares."""
+        """Run ``configs[attack]`` on a random net and window; return the
+        result after checking the invariants every constraint set shares."""
         rng = np.random.default_rng(seed)
         net = QNetwork.initialize([9, 8, 3], rng)
         obs = window(rng)
         config = replace(configs[attack], mode=mode)
         target = int(rng.integers(3)) if mode == "targeted" else None
-        result = attack(net, obs, config, slice(6, 9), target=target)
+        result = run_perturbation_attack(net, obs, config, slice(6, 9), target=target)
 
         x_orig = obs[6:9]
         assert result.l2 == pytest.approx(np.linalg.norm(result.perturbed - x_orig),
                                           rel=1e-12, abs=1e-15)
         original = int(np.argmax(forward(net, obs)))
-        if attack is not fgsm_attack and target == original:
+        if config.method == "cw" and target == original:
             # C&W: a target that is already greedy needs no perturbation
             assert (result.outcome, result.iterations, result.l2) == (SUCCESS, 0, 0.0)
         else:
             assert result.outcome == classify_outcome(original, result.induced_action,
                                                       mode, target)
-        max_iters = config.eps_iters if attack is fgsm_attack else config.cw_max_iters
+        max_iters = config.eps_iters if config.method == "fgsm" else config.cw_max_iters
         assert result.iterations <= max_iters
         return result
 
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
-    @pytest.mark.parametrize("attack", list(INVARIANT_CONFIGS), ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("attack", list(INVARIANT_CONFIGS))
     @given(st.integers(0, 2**32 - 1))
     def test_result_invariants(self, attack, mode, seed):
         result = self.check_invariants(attack, mode, seed, INVARIANT_CONFIGS,
@@ -732,8 +720,7 @@ class TestAttackInvariants:
             assert validate_relative_tuple(result.perturbed)
 
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
-    @pytest.mark.parametrize("attack", list(INDICATOR_INVARIANT_CONFIGS),
-                             ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("attack", list(INDICATOR_INVARIANT_CONFIGS))
     @given(st.integers(0, 2**32 - 1))
     def test_indicator_result_invariants(self, attack, mode, seed):
         result = self.check_invariants(attack, mode, seed, INDICATOR_INVARIANT_CONFIGS,
@@ -741,6 +728,30 @@ class TestAttackInvariants:
         if result.outcome != FAILURE:
             assert 0.0 <= result.perturbed[2] <= 100.0
 
+
+
+class TestFallbackSettings:
+    @pytest.mark.parametrize("config", [
+        preset("basic-fgsm"),
+        preset("basic-cw", cw_max_iters=7),
+        preset("basic-cw", cw_variant="scaled", cw_eps=0.5, cw_max_iters=9),
+    ], ids=["fgsm", "box", "scaled"])
+    def test_nan_weight_fails_with_the_settings_the_config_implies(self, config):
+        # every Q-value and input gradient is NaN: argmax keeps picking action 0,
+        # each FGSM candidate is NaN and so never kept, and C&W stops at its first
+        # non-finite gradient, so the result is the fallback the config implies
+        rng = np.random.default_rng(31)
+        net = QNetwork.initialize([9, 8, 3], rng)
+        net.weights[0][6, 0] = np.nan  # from the first coordinate of the attacked tuple
+        obs = relative_window(rng)
+        result = run_perturbation_attack(net, obs, config, slice(6, 9))
+        if config.method == "fgsm":
+            settings = (config.eps_iters, config.eps_end)
+        else:
+            settings = (config.cw_max_iters, 0.0 if config.cw_variant == "box" else 0.5)
+        assert (result.iterations, result.final_eps) == settings
+        assert (result.outcome, result.induced_action, result.l2) == (FAILURE, 0, 0.0)
+        assert np.array_equal(result.perturbed, obs[6:9])
 
 class TestPresets:
     def test_preset_configurations(self):
@@ -775,7 +786,7 @@ class TestPresets:
         obs[7] = -abs(obs[7])
         obs[8] = (obs[6] + obs[7]) / 2
         config = preset("basic-cw")
-        a = cw_l2_box(net, obs, config, slice(6, 9))
-        b = cw_l2_box(net, obs, config, slice(6, 9))
+        a = run_perturbation_attack(net, obs, config, slice(6, 9))
+        b = run_perturbation_attack(net, obs, config, slice(6, 9))
         assert a.outcome == b.outcome and a.l2 == b.l2
         assert np.array_equal(a.perturbed, b.perturbed)

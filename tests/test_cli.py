@@ -8,7 +8,9 @@ import pytest
 
 from tradefool import cli, envs, presets
 from tradefool.cli import main
-from tradefool.qnet import QNetwork, save_checkpoint
+from tradefool.harness import run_sweep
+from tradefool.market_data import load_csv
+from tradefool.qnet import QNetwork, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -168,15 +170,6 @@ class TestAttack:
         assert summary["attempts"] + summary["ncn"] + summary["skipped"] == \
             summary["eligible"]
 
-    def test_empty_chance_list_control_only(self, tmp_path, data_csv, trained):
-        out = tmp_path / "controls"
-        code = run_cli("--out", str(out), "attack",
-                       "--checkpoint", str(trained / "checkpoint.json"),
-                       "--data", str(data_csv), "--preset", "basic-fgsm",
-                       "--chances", "", "--seeds", "0")
-        assert code == 0
-        assert sorted(os.listdir(out / "runs")) == ["control-s0"]
-
     def test_delay_ignores_chance_list(self, tmp_path, data_csv, trained):
         out = tmp_path / "delay"
         code = run_cli("--out", str(out), "attack",
@@ -266,6 +259,7 @@ class TestAttack:
         ["--chances", "nan"],
         ["--chances", "0.1,0.1000001"],  # both runs would be named c0.1
         ["--seeds=-1"],
+        ["--chances", ""],  # once ran the controls alone and exited 0
     ])
     def test_bad_sweep_input_is_user_error(self, tmp_path, data_csv, trained, flags):
         assert run_cli("--out", str(tmp_path), "attack",
@@ -295,12 +289,14 @@ ATTACK_FIELDS_MALFORMED = [
     {"k_scale": [True, True, True]}, {"k_scale": "abc"}, {"k_scale": [1.0, "x", 1.0]},
 ]
 # each crashed the run (exit 2), before or after manifest.jsonl was written,
-# or (a bool window) trained silently on a 1-bar window
+# or trained silently: a bool window on a 1-bar window, a cap below 1 on
+# one-step episodes
 ENV_FIELDS_MALFORMED = [
     {"kind": "basic", "episode_cap": "abc"}, {"kind": "basic", "commission_pct": "abc"},
     {"kind": "basic", "window": 2.5}, {"kind": "managed", "stops": [0.02, "x"]},
     {"kind": "basic", "commission_pct": float("nan")}, {"kind": "basic", "window": True},
-    {"kind": "basic", "window": 10**400},
+    {"kind": "basic", "window": 10**400}, {"kind": "basic", "episode_cap": 0},
+    {"kind": "basic", "episode_cap": -3},
 ]
 
 
@@ -329,8 +325,8 @@ class TestConfigShapes:
             "cw_lr_negative", "cw_lr_0", "cw_eps_negative", "cw_const_0", "k_scale_bools",
             "k_scale_string", "k_scale_entry_string", "env_episode_cap_string",
             "env_commission_string", "env_window_float", "managed_env_stops_entry_string",
-            "env_commission_nan", "env_window_bool", "env_window_huge",
-            "attack_env_episode_cap_string"])
+            "env_commission_nan", "env_window_bool", "env_window_huge", "env_episode_cap_0",
+            "env_episode_cap_negative", "attack_env_episode_cap_string"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"
@@ -433,6 +429,12 @@ class TestConstraintFitsEnv:
                        "--chances", "1.0", "--seeds", "0") == 0
 
 
+def trained_net_and_env(trained, data_csv):
+    """The ``trained`` agent and the env of its checkpoint, on ``data_csv``."""
+    net, meta = load_checkpoint(trained / "checkpoint.json")
+    return net, cli.build_env(meta["env"], load_csv(data_csv))
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory, data_csv, trained):
     out = tmp_path_factory.mktemp("report_src")
@@ -462,13 +464,29 @@ class TestReport:
 
     def test_control_only_directory_zero_attack_rows(self, tmp_path, data_csv, trained):
         out = tmp_path / "ctrl_only"
-        assert run_cli("--out", str(out), "attack",
-                       "--checkpoint", str(trained / "checkpoint.json"),
-                       "--data", str(data_csv), "--preset", "basic-fgsm",
-                       "--chances", "", "--seeds", "0") == 0
+        run_sweep(*trained_net_and_env(trained, data_csv), [("control-s0", None, 0)],
+                  out / "runs")
         assert run_cli("report", str(out)) == 0
         rows = (out / "summary_table.csv").read_text().splitlines()
         assert len(rows) == 1
+
+    def test_sweep_alone_writes_run_json_that_report_reads(self, tmp_path, data_csv,
+                                                           trained):
+        # run.json comes with each run, so a sweep cut short still reports
+        # its controls as controls
+        jobs = [("control-s2", None, 2), ("delay-s2", presets.attack("delay"), 2),
+                ("fgsm-c0.5-s2", presets.attack("basic-fgsm", mode="targeted", chance=0.5), 2)]
+        run_sweep(*trained_net_and_env(trained, data_csv), jobs, tmp_path / "runs")
+        metas = {name: json.loads((tmp_path / "runs" / name / "run.json").read_text())
+                 for name, _, _ in jobs}
+        assert metas == {
+            "control-s2": {"method": "control", "mode": "", "chance": "", "seed": 2},
+            "delay-s2": {"method": "delay", "mode": "", "chance": 1.0, "seed": 2},
+            "fgsm-c0.5-s2": {"method": "fgsm", "mode": "targeted", "chance": 0.5, "seed": 2}}
+        assert run_cli("report", str(tmp_path)) == 0
+        rows = (tmp_path / "summary_table.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["delay-s2", "delay"],
+                                                            ["fgsm-c0.5-s2", "fgsm"]]
 
     @pytest.mark.parametrize("text", ['{"method": ', "[1]"])
     def test_corrupt_run_json_is_user_error_naming_the_run(self, tmp_path, sweep_dir,

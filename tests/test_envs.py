@@ -283,7 +283,7 @@ class TestManagedStep:
         assert net_worth(env.portfolio, price) == pytest.approx(before)
 
     @pytest.mark.parametrize("episode_cap, start_from_end", [
-        (250, 400), (30, 400), (250, 60), (0, 60), (-3, 60), (250, 1)])
+        (250, 400), (30, 400), (250, 60), (1, 60), (250, 1)])
     def test_every_reward_is_the_list_reference(self, managed_bars, episode_cap,
                                                 start_from_end):
         # episodes cut by the step cap and by the data end, step 0 included
@@ -299,7 +299,7 @@ class TestManagedStep:
             assert bits(result.reward) == bits(list_sharpe_reward(returns, 1e-5))
             if result.terminal:
                 break
-        assert len(returns) == min(max(episode_cap, 0) + 1, start_from_end)
+        assert len(returns) == min(episode_cap + 1, start_from_end)
 
     def test_terminal_exactly_once(self, managed_bars):
         env = ManagedRiskEnv(managed_bars, episode_cap=30)
