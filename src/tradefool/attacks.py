@@ -239,6 +239,39 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
         yield float(eps), x_orig + eps * k * direction, None
 
 
+def _margin_gradient(net, mode, label, tuple_slice):
+    """The tuple-slice input gradient of the C&W margin loss, as a function of
+    ``attacked`` and its ``_forward_cached`` activations that keeps the last
+    gradient it computed.
+
+    On a ReLU net that gradient depends on the input only through the rival
+    action, whether the margin is active and which hidden units are active.
+    While all three repeat, a backward pass would give the kept gradient's
+    bytes again, so the kept gradient is returned. A label out of range or a
+    Q that is not finite has no key (None) and always gets a fresh gradient.
+    """
+    # crown the target, or dethrone the greedy action
+    loss = "deficit_margin" if mode == "targeted" else "lead_margin"
+    kept_key = kept = None
+
+    def gradient(attacked, activations):
+        nonlocal kept_key, kept
+        q = activations[-1].tolist()
+        key = None
+        if 0 <= label < len(q) and all(map(math.isfinite, q)):
+            lead = q[label]
+            q[label] = -math.inf
+            rival = q.index(max(q))  # qnet._rival: ties go to the lowest index
+            margin = q[rival] - lead if mode == "targeted" else lead - q[rival]
+            key = (rival, margin > 0.0, *[(a > 0.0).tobytes() for a in activations[1:-1]])
+            if key == kept_key:
+                return kept
+        kept_key, kept = key, input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+        return kept
+
+    return gradient
+
+
 def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
     """Carlini-Wagner L2 in a tanh-reparameterized box.
 
@@ -256,8 +289,7 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     width = hi - lo
     x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
     w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
-    # crown the target, or dethrone the greedy action
-    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    gradient = _margin_gradient(net, config.mode, label, tuple_slice)
     # the step runs on Python floats, with numpy's operations in numpy's order
     # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
     lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
@@ -268,7 +300,7 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     attacked[tuple_slice] = [low + s * span for low, s, span in zip(lo, adv_scaled, width)]
     activations = _forward_cached(net, attacked)
     for step in range(config.cw_max_iters):
-        grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+        grad = gradient(attacked, activations)
         grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
                   for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
                                               tanh_w)]
@@ -282,7 +314,7 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
         adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
         candidate = np.array([low + s * span for low, s, span in zip(lo, adv_scaled, width)])
         attacked[tuple_slice] = candidate  # the next iteration's point
-        activations = _forward_cached(net, attacked)  # Q here, and the next backward
+        activations = _forward_cached(net, attacked)  # Q here, and the next gradient
         yield 0.0, candidate, activations[-1]
 
 
@@ -299,14 +331,14 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     and a repeat never replaces the best candidate, so the result
     (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
     """
-    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    gradient = _margin_gradient(net, config.mode, label, tuple_slice)
     step_cap = config.cw_lr * config.cw_eps * k
     delta = np.zeros_like(x_orig)
     attacked = observation.copy()
     attacked[tuple_slice] = x_orig + delta
     activations = _forward_cached(net, attacked)
     for step in range(config.cw_max_iters):
-        grad = input_gradient(net, attacked, loss, label, activations)[tuple_slice]
+        grad = gradient(attacked, activations)
         objective_grad = 2.0 * delta + config.cw_const * grad
         if not np.isfinite(objective_grad).all():
             return
@@ -316,7 +348,7 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
         delta = next_delta
         proposal = x_orig + delta
         attacked[tuple_slice] = proposal  # the next iteration's point
-        activations = _forward_cached(net, attacked)  # Q here, and the next backward
+        activations = _forward_cached(net, attacked)  # Q here, and the next gradient
         yield config.cw_eps, proposal, activations[-1]
 
 

@@ -203,7 +203,7 @@ def cmd_attack(args) -> int:
                         f"{needs} features, the env has {env.features.mode} features")
 
     chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
-    seeds = _parse_list(args.seeds, int) if args.seeds else [args.seed]
+    seeds = _parse_list(args.seeds, int) if args.seeds is not None else [args.seed]
     if any(seed < 0 for seed in seeds):
         raise UserError(f"seeds must be >= 0, got {seeds}")
     jobs: list[tuple[str, AttackConfig | None, int]] = []

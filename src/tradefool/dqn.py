@@ -111,6 +111,9 @@ class TrainerConfig:
             raise TrainingError("batch_size, buffer_capacity and target_sync_every must be >= 1")
         if self.epsilon_decay_fraction is None and self.epsilon_decay_interval is None:
             raise TrainingError("one of decay fraction / decay interval must be set")
+        fraction = self.epsilon_decay_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise TrainingError(f"epsilon decay fraction must be in (0, 1], got {fraction}")
         if self.epsilon_decay_interval is not None and self.epsilon_decay_interval < 1:
             raise TrainingError("epsilon decay interval must be >= 1")
         if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.hidden_sizes):

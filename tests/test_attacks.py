@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradefool import attacks
+from tradefool import attacks, qnet
 from tradefool.attacks import (
     FAILURE,
     NON_TARGET,
@@ -535,9 +535,11 @@ class TestCwFixedPoint:
                               cw_max_iters=100, constraint="none")
         target = 1 if mode == "targeted" else None
         expected = run_reference(net, obs, config, slice(3, 6), target)
-        calls = counting(monkeypatch, "input_gradient")
+        projections = counting(monkeypatch, "project_constraints")
+        gradients = counting(monkeypatch, "input_gradient")
         result = run_perturbation_attack(net, obs, config, slice(3, 6), target)
-        assert len(calls) == 2  # the first iterate, then the step that repeats it
+        assert len(projections) == 1  # the first iterate; the step that repeats it stops
+        assert len(gradients) == 1  # the repeating step reuses the first gradient
         assert result_bytes(result) == result_bytes(expected)
         assert (result.outcome, result.iterations) == (FAILURE, 1)
 
@@ -558,26 +560,128 @@ class TestCwFixedPoint:
             return project_constraints(candidate, original, spec)
 
         monkeypatch.setattr(attacks, "project_constraints", recorded)
-        calls = counting(monkeypatch, "input_gradient")
+        gradients = counting(monkeypatch, "input_gradient")
         result = run_perturbation_attack(net, obs, config, slice(0, 1))
         assert any(a == b for a, b in zip(candidates, candidates[1:]))
-        assert len(calls) == config.cw_max_iters
+        assert len(candidates) == config.cw_max_iters  # every step made a candidate
+        assert len(gradients) == 1  # a linear net's margin gradient never changes
         assert result_bytes(result) == result_bytes(expected)
 
     def test_matches_reference_without_exit(self, monkeypatch):
         rng = np.random.default_rng(2024)
-        calls = counting(monkeypatch, "input_gradient")
+        projections = counting(monkeypatch, "project_constraints")
         seen, stopped_early = set(), 0
         for _ in range(1500):
             net, obs, config, tuple_slice, target, types = random_cw_call(rng)
             expected = run_reference(net, obs, config, tuple_slice, target, types)
-            calls.clear()
+            projections.clear()
             result = run_perturbation_attack(net, obs, config, tuple_slice, target, types)
             assert result_bytes(result) == result_bytes(expected)
             seen.add((config.cw_variant, config.mode, config.constraint, types is None))
-            stopped_early += 0 < len(calls) < config.cw_max_iters
+            # a descent that stops takes one step more than it projects candidates
+            stopped_early += 0 < result.iterations and len(projections) + 1 < config.cw_max_iters
         assert len(seen) == 2 * 2 * 3 * 2
         assert stopped_early >= 150  # the exit fired, so the comparison is not vacuous
+
+
+def margin_key(activations, mode, label):
+    """What a C&W margin gradient depends on: the rival, whether the margin is
+    active and which hidden units are; None for a Q that is not finite."""
+    q = activations[-1]
+    if not np.isfinite(q).all():
+        return None
+    rival = qnet._rival(q, label)
+    margin = q[rival] - q[label] if mode == "targeted" else q[label] - q[rival]
+    return rival, bool(margin > 0.0), [(a > 0.0).tobytes() for a in activations[1:-1]]
+
+
+def traced_cw_call(monkeypatch, net, obs, config, tuple_slice, target=None):
+    """(result, the margin key of each descent step, fresh gradients taken)."""
+    forwards = []  # the generator's forward passes: step i reads the i-th one
+
+    def recorded(net, x):
+        forwards.append(qnet._forward_cached(net, x))
+        return forwards[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attacks, "_forward_cached", recorded)
+        gradients = counting(patch, "input_gradient")
+        result = run_perturbation_attack(net, obs, config, tuple_slice, target)
+    label = target if config.mode == "targeted" else int(forward(net, obs).argmax())
+    steps = forwards[:config.cw_max_iters]  # the last forward of a full descent has no step
+    return result, [margin_key(a, config.mode, label) for a in steps], len(gradients)
+
+
+def reuse_problem(rng, variant, mode):
+    """A random ReLU net and C&W settings with steps large enough that the
+    active units or the rival change during the descent."""
+    n_actions = int(rng.integers(2, 6))
+    net = QNetwork.initialize([9, *rng.integers(2, 9, rng.integers(1, 3)), n_actions], rng)
+    obs = rng.normal(0, 0.5, 9)
+    config = AttackConfig(method="cw", mode=mode, cw_variant=variant, constraint="none",
+                          cw_max_iters=int(rng.integers(5, 40)),
+                          cw_lr=float(rng.choice([0.5, 0.05])),
+                          cw_const=float(rng.choice([1.0, 10.0])),
+                          cw_eps=float(rng.choice([1.0, 0.1])))
+    target = int(rng.integers(n_actions)) if mode == "targeted" else None
+    return net, obs, config, slice(6, 9), target
+
+
+class TestCwGradientReuse:
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_matches_reference_while_the_key_changes(self, monkeypatch, variant, mode):
+        rng = np.random.default_rng(41)
+        changed = reused = 0
+        for _ in range(60):
+            net, obs, config, tuple_slice, target = reuse_problem(rng, variant, mode)
+            expected = run_reference(net, obs, config, tuple_slice, target)
+            result, keys, fresh = traced_cw_call(monkeypatch, net, obs, config, tuple_slice,
+                                                 target)
+            assert result_bytes(result) == result_bytes(expected)
+            changed += fresh > 1
+            reused += fresh < len(keys)
+        assert changed >= 10 and reused >= 10  # both paths ran
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_fresh_gradients_equal_key_changes(self, monkeypatch, variant, mode):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            _, keys, fresh = traced_cw_call(monkeypatch, *reuse_problem(rng, variant, mode))
+            assert fresh == sum(a != b for a, b in zip([None, *keys], keys))
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    @pytest.mark.parametrize("case", ["nan_weight", "overflow"])
+    def test_non_finite_q_takes_a_fresh_gradient_every_step(self, monkeypatch, case,
+                                                            variant, mode):
+        rng = np.random.default_rng(31)
+        net = QNetwork.initialize([9, 8, 3], rng)
+        obs = relative_window(rng)
+        if case == "nan_weight":  # as in TestFallbackSettings: Q and every gradient NaN
+            net.weights[0][6, 0] = np.nan
+        else:  # every hidden unit overflows from outside the tuple: Q is not
+            net.weights[0][0, :] = 1e308  # finite, the tuple's gradient is
+            obs[0] = 10.0
+        config = preset("basic-cw", mode=mode, cw_variant=variant, cw_eps=0.5,
+                        cw_max_iters=9)
+        target = 2 if mode == "targeted" else None
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+            expected = run_reference(net, obs, config, slice(6, 9), target)
+            result, keys, fresh = traced_cw_call(monkeypatch, net, obs, config, slice(6, 9),
+                                                 target)
+        assert result_bytes(result) == result_bytes(expected)
+        assert keys == [None] * fresh
+        assert fresh == (1 if case == "nan_weight" else 2)  # the overflow descent stops at step 2
+
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_target_out_of_range_is_a_qnet_error(self, variant):
+        rng = np.random.default_rng(5)
+        net = QNetwork.initialize([9, 8, 3], rng)
+        config = preset("basic-cw", mode="targeted", cw_variant=variant)
+        with pytest.raises(qnet.QNetError, match="action 3 out of range"):
+            run_perturbation_attack(net, relative_window(rng), config, slice(6, 9), 3)
 
 
 class TestSharedForward:

@@ -260,6 +260,7 @@ class TestAttack:
         ["--chances", "0.1,0.1000001"],  # both runs would be named c0.1
         ["--seeds=-1"],
         ["--chances", ""],  # once ran the controls alone and exited 0
+        ["--seeds", ""],  # once ran --seed and exited 0
     ])
     def test_bad_sweep_input_is_user_error(self, tmp_path, data_csv, trained, flags):
         assert run_cli("--out", str(tmp_path), "attack",
@@ -274,7 +275,7 @@ class TestAttack:
 TRAINER_FIELDS_OUT_OF_RANGE = [
     {"buffer_capacity": 0}, {"target_sync_every": 0}, {"batch_size": 0}, {"batch_size": -3},
     {"epsilon_decay_interval": 0}, {"epsilon_decay_interval": -2}, {"hidden_sizes": [0]},
-    {"hidden_sizes": [True]},
+    {"hidden_sizes": [True]}, {"epsilon_decay_fraction": 1e308},
 ]
 # each crashed the run (exit 2) or, given NaN, ran silently: int fields need
 # ints (not bools), float fields finite numbers
@@ -319,11 +320,11 @@ class TestConfigShapes:
             "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
             "batch_size_negative", "epsilon_decay_interval_0",
             "epsilon_decay_interval_negative", "hidden_size_0", "hidden_size_bool",
-            "batch_size_float", "batch_size_bool", "learning_starts_string",
-            "learning_starts_null", "param_noise_sigma_string", "param_noise_sigma_nan",
-            "eps_iters_float", "cw_max_iters_float", "cw_lr_nan", "attack_seed_float",
-            "cw_lr_negative", "cw_lr_0", "cw_eps_negative", "cw_const_0", "k_scale_bools",
-            "k_scale_string", "k_scale_entry_string", "env_episode_cap_string",
+            "epsilon_decay_fraction_huge", "batch_size_float", "batch_size_bool",
+            "learning_starts_string", "learning_starts_null", "param_noise_sigma_string",
+            "param_noise_sigma_nan", "eps_iters_float", "cw_max_iters_float", "cw_lr_nan",
+            "attack_seed_float", "cw_lr_negative", "cw_lr_0", "cw_eps_negative", "cw_const_0",
+            "k_scale_bools", "k_scale_string", "k_scale_entry_string", "env_episode_cap_string",
             "env_commission_string", "env_window_float", "managed_env_stops_entry_string",
             "env_commission_nan", "env_window_bool", "env_window_huge", "env_episode_cap_0",
             "env_episode_cap_negative", "attack_env_episode_cap_string"])
