@@ -2,7 +2,7 @@
 
 One JSON config file with ``data`` / ``env`` / ``trainer`` / ``attack``
 blocks drives everything; the trainer and attack blocks may name a preset
-and override individual fields. Every command appends a line to
+and override individual fields. ``train`` and ``attack`` append a line to
 ``manifest.jsonl`` in the output directory (tool version, resolved
 configuration, seeds, input-data digest) before running. Output files are
 reproducible byte-for-byte from the manifest inputs.

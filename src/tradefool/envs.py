@@ -240,6 +240,14 @@ class ManagedRiskEnv(_MarketEnv):
                  cash: float = 10_000.0, asset: float = 10.0,
                  risk_free: float = 0.0, sharpe_offset: float = 1e-9,
                  commission_pct: float = 0.0):
+        # what step's Sharpe reward needs: a start net worth to divide by, an
+        # offset that keeps its denominator above 0, and a per-step rate
+        if not (cash >= 0 and asset >= 0) or cash == asset == 0:
+            raise EnvError(f"cash and asset must be >= 0 and not both 0, got {cash} and {asset}")
+        if not sharpe_offset > 0:
+            raise EnvError(f"sharpe_offset must be > 0, got {sharpe_offset}")
+        if not -1 <= risk_free <= 1:
+            raise EnvError(f"risk_free is a per-step rate in [-1, 1], got {risk_free}")
         super().__init__(market, "indicator", window, episode_cap)
         self.action_table = build_action_table(stops, takes, size_count)
         self.action_types = [a.side for a in self.action_table]

@@ -44,11 +44,12 @@ class LedgerRow:
     t: int
     outcome: str  # success|partial|non_target|failure|ncn|skipped|delay
     action: int  # a: greedy action on the served observation
-    induced: int | None  # a': action induced by the attack, when one ran
-    eps: float | None
-    l2: float | None
     orig_tuple: np.ndarray
-    pert_tuple: np.ndarray | None
+    # filled by an attempt (a pert_tuple by any but a failure) or a delay
+    induced: int | None = None  # a': action induced by the attack
+    eps: float | None = None
+    l2: float | None = None
+    pert_tuple: np.ndarray | None = None
 
 
 _ATTEMPTS = (SUCCESS, PARTIAL, NON_TARGET, FAILURE)
@@ -123,38 +124,29 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
             served = delay_attack(clean, env.recent_tuple_slice, previous)
             action = _greedy(net, served)
             ledger.rows.append(LedgerRow(
-                t=t, outcome="delay", action=_greedy(net, clean),
-                induced=action, eps=None, l2=None,
-                orig_tuple=env.features.tuple_at(cursor).copy(),
+                t, "delay", _greedy(net, clean), env.features.tuple_at(cursor).copy(),
+                induced=action,
                 pert_tuple=None if previous is None else np.asarray(previous, float).copy()))
         else:
             gate = gate_rng.random()  # one draw per eligible timestep, unconditionally
             served = env.observation(overrides if overrides else None)
             q = forward(net, served)  # shared with the target pick and the attack
-            served_action = int(q.argmax())
-            ncn = bool(overrides) and served_action != _greedy(net, env.observation())
-            orig_tuple = env.features.tuple_at(cursor).copy()
-            if ncn:
-                action = served_action
-                ledger.rows.append(LedgerRow(t, "ncn", served_action, None, None, None,
-                                             orig_tuple, None))
-            elif gate >= config.chance:
-                action = served_action
-                ledger.rows.append(LedgerRow(t, "skipped", served_action, None, None, None,
-                                             orig_tuple, None))
-            else:
+            action = int(q.argmax())
+            row = LedgerRow(t, "skipped", action, env.features.tuple_at(cursor).copy())
+            if overrides and action != _greedy(net, env.observation()):
+                row.outcome = "ncn"
+            elif gate < config.chance:
                 target = least_q_target(net, served, q) if config.mode == "targeted" else None
                 result = run_perturbation_attack(
                     net, served, config, env.recent_tuple_slice, target, env.action_types, q)
+                row.outcome, row.induced = result.outcome, result.induced_action
+                row.eps, row.l2 = result.final_eps, result.l2
+                if result.outcome != FAILURE:
+                    row.pert_tuple = result.perturbed.copy()
                 if result.outcome in (SUCCESS, PARTIAL):  # the outcomes that persist
-                    overrides[cursor] = result.perturbed.copy()
+                    overrides[cursor] = row.pert_tuple
                     action = result.induced_action
-                else:
-                    action = served_action
-                ledger.rows.append(LedgerRow(
-                    t, result.outcome, served_action, result.induced_action,
-                    result.final_eps, result.l2, orig_tuple,
-                    result.perturbed.copy() if result.outcome != FAILURE else None))
+            ledger.rows.append(row)
         step = env.step(action)
         cum += step.reward
         record.actions.append(action)
@@ -190,31 +182,23 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_ledger_csv(ledger: AttackLedger, path, tuple_dim: int) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        header = ["t", "outcome", "a", "a_prime", "eps", "l2"]
-        header += [f"orig_{i}" for i in range(tuple_dim)]
-        header += [f"pert_{i}" for i in range(tuple_dim)]
         writer.writerow(header)
-        for row in ledger.rows:
-            out = [row.t, row.outcome, row.action,
-                   "" if row.induced is None else row.induced,
-                   _fmt(row.eps), _fmt(row.l2)]
-            out += [repr(float(v)) for v in row.orig_tuple]
-            out += [""] * tuple_dim if row.pert_tuple is None else \
-                [repr(float(v)) for v in row.pert_tuple]
-            writer.writerow(out)
+        writer.writerows(rows)  # None is written as an empty field
 
 
-def write_record_csv(record: RunRecord, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "action", "reward", "cum_reward", "net_worth"])
-        for i in range(len(record)):
-            worth = record.net_worths[i] if record.net_worths else None
-            writer.writerow([i, record.actions[i], _fmt(record.rewards[i]),
-                             _fmt(record.cum_rewards[i]), _fmt(worth)])
+def write_ledger_csv(ledger: AttackLedger, path, tuple_dim: int) -> None:
+    header = ["t", "outcome", "a", "a_prime", "eps", "l2"]
+    header += [f"orig_{i}" for i in range(tuple_dim)]
+    header += [f"pert_{i}" for i in range(tuple_dim)]
+    no_pert = [None] * tuple_dim
+    _write_csv(path, header, (
+        [row.t, row.outcome, row.action, row.induced, _fmt(row.eps), _fmt(row.l2),
+         *map(_fmt, row.orig_tuple),
+         *map(_fmt, no_pert if row.pert_tuple is None else row.pert_tuple)]
+        for row in ledger.rows))
 
 
 def summary_dict(ledger: AttackLedger, record: RunRecord,
@@ -235,28 +219,25 @@ def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
     summary. Byte-deterministic for identical inputs."""
     os.makedirs(out_dir, exist_ok=True)
     write_ledger_csv(ledger, os.path.join(out_dir, "ledger.csv"), tuple_dim)
-    write_record_csv(record, os.path.join(out_dir, "record.csv"))
+    net_worths = record.net_worths or [None] * len(record)
+    _write_csv(os.path.join(out_dir, "record.csv"),
+               ["t", "action", "reward", "cum_reward", "net_worth"],
+               ([i, record.actions[i], _fmt(record.rewards[i]), _fmt(record.cum_rewards[i]),
+                 _fmt(net_worths[i])] for i in range(len(record))))
     summary = summary_dict(ledger, record, control)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, sort_keys=True, indent=1)
     if control is not None:
         diff = reward_difference(control, attacked=record)
-        has_worth = control.net_worths is not None and record.net_worths is not None
-        worth_diff = networth_difference(control, record) if has_worth else None
-        with open(os.path.join(out_dir, "curves.csv"), "w", newline="",
-                  encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "control_cum_reward", "attacked_cum_reward", "reward_diff",
-                             "control_networth", "attacked_networth", "networth_diff"])
-            for i in range(len(record)):
-                row = [i, _fmt(control.cum_rewards[i]), _fmt(record.cum_rewards[i]),
-                       _fmt(diff[i])]
-                if has_worth:
-                    row += [_fmt(control.net_worths[i]), _fmt(record.net_worths[i]),
-                            _fmt(worth_diff[i])]
-                else:
-                    row += ["", "", ""]
-                writer.writerow(row)
+        worths = [(None, None, None)] * len(record)
+        if control.net_worths is not None and record.net_worths is not None:
+            worths = list(zip(control.net_worths, record.net_worths,
+                              networth_difference(control, record)))
+        _write_csv(os.path.join(out_dir, "curves.csv"),
+                   ["t", "control_cum_reward", "attacked_cum_reward", "reward_diff",
+                    "control_networth", "attacked_networth", "networth_diff"],
+                   ([i, _fmt(control.cum_rewards[i]), _fmt(record.cum_rewards[i]),
+                     _fmt(diff[i]), *map(_fmt, worths[i])] for i in range(len(record))))
     return summary
 
 
@@ -289,16 +270,13 @@ def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int
     for _, config, _ in jobs:
         if config is not None:
             config.validate()
-    os.makedirs(out_dir, exist_ok=True)
     controls: dict[int, RunRecord] = {}
     summaries: dict[str, dict] = {}
     for name, config, seed in sorted(jobs, key=lambda job: job[1] is not None):
         record, ledger = run_episode(net, env, seed, config)
-        control = None
         if config is None:
             controls[seed] = record
-        else:
-            control = controls.get(seed)
+        control = None if config is None else controls.get(seed)
         run_dir = os.path.join(out_dir, name)
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "run.json"), "w", encoding="utf-8") as handle:

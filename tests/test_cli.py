@@ -298,6 +298,12 @@ ENV_FIELDS_MALFORMED = [
     {"kind": "basic", "commission_pct": float("nan")}, {"kind": "basic", "window": True},
     {"kind": "basic", "window": 10**400}, {"kind": "basic", "episode_cap": 0},
     {"kind": "basic", "episode_cap": -3},
+    # each divided by a zero start net worth, made a reward non-finite or ran on
+    # negative holdings
+    {"kind": "managed", "cash": 0, "asset": 0}, {"kind": "managed", "cash": -1},
+    {"kind": "managed", "asset": -0.5}, {"kind": "managed", "sharpe_offset": 0},
+    {"kind": "managed", "sharpe_offset": -1e-9}, {"kind": "managed", "risk_free": 1e308},
+    {"kind": "managed", "risk_free": -1.5},
 ]
 
 
@@ -327,7 +333,11 @@ class TestConfigShapes:
             "k_scale_bools", "k_scale_string", "k_scale_entry_string", "env_episode_cap_string",
             "env_commission_string", "env_window_float", "managed_env_stops_entry_string",
             "env_commission_nan", "env_window_bool", "env_window_huge", "env_episode_cap_0",
-            "env_episode_cap_negative", "attack_env_episode_cap_string"])
+            "env_episode_cap_negative", "managed_env_cash_and_asset_0",
+            "managed_env_cash_negative", "managed_env_asset_negative",
+            "managed_env_sharpe_offset_0", "managed_env_sharpe_offset_negative",
+            "managed_env_risk_free_huge", "managed_env_risk_free_below_minus_1",
+            "attack_env_episode_cap_string"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"

@@ -319,3 +319,21 @@ class TestMakeEnv:
     def test_window_too_long_for_the_market_fails_at_construction(self, trending_bars, kind):
         with pytest.raises(EnvError, match="too short"):
             make_env(kind, trending_bars, window=len(trending_bars))
+
+    @pytest.mark.parametrize("fields", [
+        {"cash": 0.0, "asset": 0.0}, {"cash": -1.0}, {"asset": float("nan")},
+        {"sharpe_offset": 0.0}, {"sharpe_offset": float("nan")},
+        {"risk_free": 1.5}, {"risk_free": float("nan")},
+    ])
+    def test_managed_fields_out_of_range_fail_at_construction(
+            self, managed_bars, fields):
+        with pytest.raises(EnvError, match="|".join(fields)):
+            make_env("managed", managed_bars, **fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"cash": 0.0}, {"risk_free": -1.0}, {"risk_free": 1.0},
+    ])
+    def test_managed_fields_at_their_bounds_build(self, managed_bars, fields):
+        env = make_env("managed", managed_bars, **fields)
+        env.reset(env._min_start)
+        assert np.isfinite(env.step(0).reward)

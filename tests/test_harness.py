@@ -12,6 +12,7 @@ from tradefool.envs import BasicStockEnv, ManagedRiskEnv
 from tradefool.harness import (
     AttackLedger,
     HarnessError,
+    LedgerRow,
     RunRecord,
     export_report,
     networth_difference,
@@ -279,6 +280,65 @@ class TestExportReport:
         assert summary["attempts"] == sum(outcomes.count(k) for k in attempt_kinds)
         assert summary["ncn"] == outcomes.count("ncn")
         assert summary["skipped"] == outcomes.count("skipped")
+
+    def test_files_have_these_exact_bytes(self, tmp_path):
+        orig = np.array([0.5, -0.25, 0.125])
+        ledger = AttackLedger([
+            LedgerRow(t=0, outcome="success", action=1, induced=2, eps=0.001, l2=0.0625,
+                      orig_tuple=orig, pert_tuple=np.array([0.5, -0.5, 0.1])),
+            LedgerRow(t=1, outcome="failure", action=0, induced=0, eps=0.001, l2=0.0,
+                      orig_tuple=orig, pert_tuple=None),
+            LedgerRow(t=2, outcome="ncn", action=2, induced=None, eps=None, l2=None,
+                      orig_tuple=orig, pert_tuple=None),
+            LedgerRow(t=3, outcome="delay", action=0, induced=1, eps=None, l2=None,
+                      orig_tuple=orig, pert_tuple=None),  # the episode's first step
+            LedgerRow(t=4, outcome="delay", action=1, induced=1, eps=None, l2=None,
+                      orig_tuple=orig, pert_tuple=np.array([1.0, 2.0, -3.0])),
+        ])
+        attacked = RunRecord(actions=[1, 0], rewards=[0.1, 0.2],
+                             cum_rewards=[0.1, 0.30000000000000004], net_worths=[100.0, 99.5])
+        control = RunRecord(actions=[2, 2], rewards=[0.25, -0.5], cum_rewards=[0.25, -0.25],
+                            net_worths=[101.0, 100.25])
+        export_report(ledger, attacked, tmp_path / "worth", control)
+        no_worth = RunRecord(actions=[0, 1], rewards=[1.5, -1.0], cum_rewards=[1.5, 0.5])
+        no_worth_control = RunRecord(actions=[0, 0], rewards=[0.0, 0.0], cum_rewards=[0.0, 0.0])
+        export_report(AttackLedger(), no_worth, tmp_path / "no_worth", no_worth_control)
+        expected = {
+            "worth/ledger.csv":
+                b"t,outcome,a,a_prime,eps,l2,orig_0,orig_1,orig_2,pert_0,pert_1,pert_2\r\n"
+                b"0,success,1,2,0.001,0.0625,0.5,-0.25,0.125,0.5,-0.5,0.1\r\n"
+                b"1,failure,0,0,0.001,0.0,0.5,-0.25,0.125,,,\r\n"
+                b"2,ncn,2,,,,0.5,-0.25,0.125,,,\r\n"
+                b"3,delay,0,1,,,0.5,-0.25,0.125,,,\r\n"
+                b"4,delay,1,1,,,0.5,-0.25,0.125,1.0,2.0,-3.0\r\n",
+            "worth/record.csv":
+                b"t,action,reward,cum_reward,net_worth\r\n"
+                b"0,1,0.1,0.1,100.0\r\n"
+                b"1,0,0.2,0.30000000000000004,99.5\r\n",
+            "worth/curves.csv":
+                b"t,control_cum_reward,attacked_cum_reward,reward_diff,"
+                b"control_networth,attacked_networth,networth_diff\r\n"
+                b"0,0.25,0.1,0.15,101.0,100.0,1.0\r\n"
+                b"1,-0.25,0.30000000000000004,-0.55,100.25,99.5,0.75\r\n",
+            "worth/summary.json":
+                b'{\n "attempts": 2,\n "control_final_networth": 100.25,\n'
+                b' "control_total_reward": -0.25,\n "eligible": 5,\n "failures": 1,\n'
+                b' "final_networth": 99.5,\n "ncn": 1,\n "non_target": 0,\n "partial": 0,\n'
+                b' "skipped": 0,\n "successes": 1,\n "total_reward": 0.30000000000000004\n}',
+            "no_worth/ledger.csv":
+                b"t,outcome,a,a_prime,eps,l2,orig_0,orig_1,orig_2,pert_0,pert_1,pert_2\r\n",
+            "no_worth/record.csv":
+                b"t,action,reward,cum_reward,net_worth\r\n"
+                b"0,0,1.5,1.5,\r\n"
+                b"1,1,-1.0,0.5,\r\n",
+            "no_worth/curves.csv":
+                b"t,control_cum_reward,attacked_cum_reward,reward_diff,"
+                b"control_networth,attacked_networth,networth_diff\r\n"
+                b"0,0.0,1.5,-1.5,,,\r\n"
+                b"1,0.0,0.5,-0.5,,,\r\n",
+        }
+        for name, content in expected.items():
+            assert (tmp_path / name).read_bytes() == content, name
 
     def test_re_export_is_byte_identical(self, bars, net, tmp_path):
         env = BasicStockEnv(bars)
