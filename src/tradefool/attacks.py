@@ -80,10 +80,24 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
     between). indicator: RSI coordinate clamped to [0, 100]. box: clamp to
     the spec's box. none: identity. Idempotent for a fixed original.
     """
-    cand = np.asarray(candidate, dtype=np.float64).copy()
+    cand = np.asarray(candidate, dtype=np.float64)
     orig = np.asarray(original, dtype=np.float64)
     if cand.shape != orig.shape:
         raise AttackError(f"shape mismatch {cand.shape} vs {orig.shape}")
+    if spec.kind == "relative_price":  # on Python floats: the same IEEE operations
+        (high, low, close), orig = cand.tolist()[:3], orig.tolist()
+        high = max(high, 0.0)
+        low = min(low, 0.0)
+        if orig[2] == orig[0]:
+            close = high
+        elif orig[2] == orig[1]:
+            close = low
+        elif high - low < 2.0 * CLOSE_MARGIN:
+            close = (high + low) / 2.0
+        else:
+            close = min(max(close, low + CLOSE_MARGIN), high - CLOSE_MARGIN)
+        return np.array([high, low, close])
+    cand = cand.copy()
     if spec.kind == "none":
         return cand
     if spec.kind == "box":
@@ -92,20 +106,7 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
     if spec.kind == "indicator":
         cand[2] = min(max(cand[2], 0.0), 100.0)
         return cand
-    if spec.kind != "relative_price":
-        raise AttackError(f"unknown constraint kind {spec.kind!r}")
-    cand, orig = cand.tolist(), orig.tolist()  # Python floats: the same IEEE operations
-    high = max(cand[0], 0.0)
-    low = min(cand[1], 0.0)
-    if orig[2] == orig[0]:
-        close = high
-    elif orig[2] == orig[1]:
-        close = low
-    elif high - low < 2.0 * CLOSE_MARGIN:
-        close = (high + low) / 2.0
-    else:
-        close = min(max(cand[2], low + CLOSE_MARGIN), high - CLOSE_MARGIN)
-    return np.array([high, low, close])
+    raise AttackError(f"unknown constraint kind {spec.kind!r}")
 
 
 def validate_relative_tuple(t) -> bool:
@@ -228,48 +229,85 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
 
     The gradient of the cross-entropy loss (against the current greedy
     action, or the adversarial target) is computed once at the original
-    observation; each ladder rung tries x +- eps * k (.) sign(g). The driver
-    stops at the first full success.
+    observation; each ladder rung tries x +- eps * k (.) sign(g), one rung per
+    block (a list of one row, which the driver iterates faster than an array)
+    and with no Q. The driver stops at the first full success.
     """
     grad = input_gradient(net, observation, "cross_entropy", label)
     direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
     if config.mode == "targeted":
         direction = -direction  # descend toward the target
-    for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters):
-        yield float(eps), x_orig + eps * k * direction, None
+    # eps * step has the bytes of eps * k * direction, as direction is +-1, +-0 or NaN
+    step = k * direction
+    for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters).tolist():
+        yield eps, [x_orig + eps * step], None
 
 
-def _margin_gradient(net, mode, label, tuple_slice):
-    """The tuple-slice input gradient of the C&W margin loss, as a function of
-    ``attacked`` and its ``_forward_cached`` activations that keeps the last
-    gradient it computed.
+def _margin_keys(activations, mode, label) -> np.ndarray:
+    """Per row of a batch's activations, the key the C&W margin gradient there
+    depends on: the rival action (ties to the lowest index, as ``qnet._rival``),
+    whether the margin is active and which hidden units are. A Q that is not
+    finite, or a label out of range, gives a NaN row: it matches no key, not
+    even itself."""
+    q = activations[-1]
+    if not 0 <= label < q.shape[1]:
+        return np.full((len(q), 1), np.nan)
+    others = q.copy()
+    others[:, label] = -np.inf
+    best = others.max(axis=1)
+    margin = best - q[:, label] if mode == "targeted" else q[:, label] - best
+    keys = np.concatenate([others.argmax(axis=1)[:, None], (margin > 0.0)[:, None],
+                           *[a > 0.0 for a in activations[1:-1]]], axis=1, dtype=np.float64)
+    return np.where(np.isfinite(q).all(axis=1)[:, None], keys, np.nan)
 
-    On a ReLU net that gradient depends on the input only through the rival
-    action, whether the margin is active and which hidden units are active.
-    While all three repeat, a backward pass would give the kept gradient's
-    bytes again, so the kept gradient is returned. A label out of range or a
-    Q that is not finite has no key (None) and always gets a fresh gradient.
-    """
+
+def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, state, point,
+             step):
+    """The C&W descent from ``state`` (at ``point``) in blocks (eps, proposals
+    (k, d), Q (k, n_actions)); ``step(state, grad, first)`` is the variant's
+    step rule: the next (state, point), or None to stop. The margin gradient
+    is kept while its key (``_margin_keys``) repeats. A block is up to
+    ``size`` steps under the kept gradient, forwarded in one pass and cut
+    after the first row whose key differs; the descent resumes from that row
+    with the fresh gradient of its activations. ``size`` starts at 1, doubles
+    while the key holds and is 1 again after a change. No gradient is taken
+    once no step remains."""
     # crown the target, or dethrone the greedy action
-    loss = "deficit_margin" if mode == "targeted" else "lead_margin"
-    kept_key = kept = None
-
-    def gradient(attacked, activations):
-        nonlocal kept_key, kept
-        q = activations[-1].tolist()
-        key = None
-        if 0 <= label < len(q) and all(map(math.isfinite, q)):
-            lead = q[label]
-            q[label] = -math.inf
-            rival = q.index(max(q))  # qnet._rival: ties go to the lowest index
-            margin = q[rival] - lead if mode == "targeted" else lead - q[rival]
-            key = (rival, margin > 0.0, *[(a > 0.0).tobytes() for a in activations[1:-1]])
-            if key == kept_key:
-                return kept
-        kept_key, kept = key, input_gradient(net, attacked, loss, label, activations)[tuple_slice]
-        return kept
-
-    return gradient
+    loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
+    batch = observation[None].copy()
+    batch[0, tuple_slice] = point
+    activations = _forward_cached(net, batch)
+    keys = _margin_keys(activations, config.mode, label)
+    fresh, taken, size = 0, 0, 1  # fresh: the row to take a new gradient at, if any
+    while taken < config.cw_max_iters:
+        if fresh is not None:
+            kept = keys[fresh]
+            grad = input_gradient(net, batch[fresh], loss, label,
+                                  [a[fresh] for a in activations])[tuple_slice]
+        block, stepped = min(size, config.cw_max_iters - taken), []  # (state, point) per step
+        while len(stepped) < block:
+            advanced = step(state, grad, taken + len(stepped) == 0)
+            if advanced is None:
+                break
+            stepped.append(advanced)
+            state = advanced[0]
+        if not stepped:
+            return
+        batch = np.repeat(observation[None], len(stepped), axis=0)
+        batch[:, tuple_slice] = [point for _, point in stepped]
+        activations = _forward_cached(net, batch)
+        keys = _margin_keys(activations, config.mode, label)
+        same = (keys == kept).all(axis=1)
+        fresh = None if same.all() else int(same.argmin())
+        cut = len(stepped) if fresh is None else fresh + 1
+        yield eps, batch[:cut, tuple_slice], activations[-1][:cut]
+        taken += cut
+        if fresh is not None:
+            state, size = stepped[fresh][0], 1
+        elif len(stepped) < block:
+            return  # the step rule stopped under the kept gradient
+        else:
+            size *= 2
 
 
 def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
@@ -279,6 +317,8 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
     descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
     the smallest-norm qualifying candidate wins. ``k`` is unused (None).
+    ``_descend`` yields the iterates in blocks; each step makes the float
+    operations of a one-step-at-a-time descent, so every iterate keeps its bytes.
 
     The descent stops at a fixed point: once a step leaves w unchanged after
     at least one iterate, every later iterate would repeat the last one, and
@@ -289,33 +329,30 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     width = hi - lo
     x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
     w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
-    gradient = _margin_gradient(net, config.mode, label, tuple_slice)
-    # the step runs on Python floats, with numpy's operations in numpy's order
-    # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
     lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
     lr, const = config.cw_lr, config.cw_const
-    tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
-    adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
-    attacked = observation.copy()
-    attacked[tuple_slice] = [low + s * span for low, s, span in zip(lo, adv_scaled, width)]
-    activations = _forward_cached(net, attacked)
-    for step in range(config.cw_max_iters):
-        grad = gradient(attacked, activations)
+
+    def at(w):
+        tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
+        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
+        return (w, tanh_w, adv_scaled), [low + s * span
+                                         for low, s, span in zip(lo, adv_scaled, width)]
+
+    # the step runs on Python floats, with numpy's operations in numpy's order
+    # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
+    def step(state, grad, first):
+        w, tanh_w, adv_scaled = state
         grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
                   for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
                                               tanh_w)]
         if not all(map(math.isfinite, grad_w)):
-            return
+            return None
         next_w = [v - lr * g for v, g in zip(w, grad_w)]
-        if step and next_w == w:
-            return  # fixed point: the next iterate is the last one yielded
-        w = next_w
-        tanh_w = np.tanh(w).tolist()
-        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
-        candidate = np.array([low + s * span for low, s, span in zip(lo, adv_scaled, width)])
-        attacked[tuple_slice] = candidate  # the next iteration's point
-        activations = _forward_cached(net, attacked)  # Q here, and the next gradient
-        yield 0.0, candidate, activations[-1]
+        if not first and next_w == w:
+            return None  # fixed point: the next iterate is the last one yielded
+        return at(next_w)
+
+    yield from _descend(net, config, observation, tuple_slice, label, 0.0, *at(w), step)
 
 
 def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
@@ -324,6 +361,8 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     Per-dimension steps are lr * eps * k_d times the objective gradient,
     clipped to at most lr * eps * k_d in magnitude so the emitted
     perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
+    ``_descend`` yields the iterates in blocks; each step makes the numpy
+    operations of a one-step-at-a-time descent, so every iterate keeps its bytes.
 
     The descent stops at a fixed point: once a step gives back the last
     yielded delta (as it does where Q does not depend on the input, e.g. a
@@ -331,25 +370,20 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     and a repeat never replaces the best candidate, so the result
     (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
     """
-    gradient = _margin_gradient(net, config.mode, label, tuple_slice)
     step_cap = config.cw_lr * config.cw_eps * k
-    delta = np.zeros_like(x_orig)
-    attacked = observation.copy()
-    attacked[tuple_slice] = x_orig + delta
-    activations = _forward_cached(net, attacked)
-    for step in range(config.cw_max_iters):
-        grad = gradient(attacked, activations)
+
+    def step(delta, grad, first):
         objective_grad = 2.0 * delta + config.cw_const * grad
         if not np.isfinite(objective_grad).all():
-            return
+            return None
         next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-        if step and np.array_equal(next_delta, delta):
-            return  # fixed point: the next iterate is the last one yielded
-        delta = next_delta
-        proposal = x_orig + delta
-        attacked[tuple_slice] = proposal  # the next iteration's point
-        activations = _forward_cached(net, attacked)  # Q here, and the next gradient
-        yield config.cw_eps, proposal, activations[-1]
+        if not first and np.array_equal(next_delta, delta):
+            return None  # fixed point: the next iterate is the last one yielded
+        return next_delta, x_orig + next_delta
+
+    delta = np.zeros_like(x_orig)
+    yield from _descend(net, config, observation, tuple_slice, label, config.cw_eps, delta,
+                        x_orig + delta, step)
 
 
 # the proposal generator of each attack: config.method for FGSM, config.cw_variant for C&W
@@ -367,16 +401,21 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
                             action_types=None, q=None) -> PerturbationResult:
     """The configured perturbation attack: project -> classify -> keep best.
 
-    ``PROPOSALS`` picks the generator, which yields (eps, proposal, q): the
-    raw candidate tuple as float64, and None or the Q-values with it in the
-    tuple slice. Its ``label`` is the target, or the greedy action when
+    ``PROPOSALS`` picks the generator, which yields blocks (eps, proposals,
+    q): k raw candidate tuples as float64 rows (k, d), and None or the
+    Q-values (k, n_actions) of the observation with each row in the tuple
+    slice. Its ``label`` is the target, or the greedy action when
     non-targeted; ``k`` is ``config.k_scale`` checked against the tuple (None
-    for box). A candidate that projection leaves byte-identical is classified
-    by that ``q``, any other by a forward pass of its own. The best candidate
-    by (outcome priority, then smallest L2) wins. FGSM stops at the first
-    full success; C&W tries every proposal, and a target that is already
-    greedy is a success with no proposal. ``q``, when given, is
-    ``forward(net, observation)``, computed once by the caller.
+    for box). Each candidate is projected on its own; one that projection
+    leaves byte-identical is classified by its row of ``q``, and a block's
+    others share one batched forward pass (a lone one, as every FGSM rung
+    is, takes the 1-D path). A batched pass may move Q in the last bits, which can change a
+    decision only at a top-two Q tie within rounding; ``tests/test_oracle.py``
+    checks across versions that no decision moved elsewhere.
+    The best candidate by (outcome priority, then smallest L2) wins. FGSM
+    stops at the first full success; C&W tries every proposal, and a target
+    that is already greedy is a success with no proposal. ``q``, when given,
+    is ``forward(net, observation)``, computed once by the caller.
     """
     if config.method not in ("fgsm", "cw"):
         raise AttackError(f"{config.method!r} is not a perturbation attack")
@@ -398,24 +437,38 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
         return PerturbationResult(x_orig, SUCCESS, original_action, 0, _fallback_eps(config), 0.0)
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
-    attacked = observation.copy()
-    for iteration, (eps, proposal, q) in enumerate(
-            generator(net, config, observation, tuple_slice, x_orig, k, label), start=1):
-        candidate = project_constraints(proposal, x_orig, config.spec)
-        # equal bytes imply equal values, and cost a tenth of np.array_equal
-        if q is None or candidate.tobytes() != proposal.tobytes():
-            attacked[tuple_slice] = candidate
-            q = forward(net, attacked)
-        induced = int(q.argmax())
-        outcome = classify_outcome(original_action, induced, config.mode, target, action_types)
-        priority = _PRIORITY[outcome]
-        d = candidate - x_orig
-        l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
-        if priority > best_priority or (priority == best_priority and l2 < best_l2):
-            best_priority, best_l2 = priority, l2
-            best = (candidate, outcome, induced, iteration, eps)
-        if fgsm and outcome == SUCCESS:
-            break
+    attacked, iteration, spec = observation.copy(), 0, config.spec
+    for eps, proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
+        candidates = [project_constraints(p, x_orig, spec) for p in proposals]
+        if qs is None:
+            qs = [None] * len(candidates)
+        else:  # equal bytes imply equal values, and cost a tenth of np.array_equal
+            qs = list(qs)
+            moved = [j for j, (c, p) in enumerate(zip(candidates, proposals))
+                     if c.tobytes() != p.tobytes()]
+            if len(moved) > 1:  # the block's moved candidates share one batched pass
+                batch = np.repeat(observation[None], len(moved), axis=0)
+                batch[:, tuple_slice] = [candidates[j] for j in moved]
+                for j, row in zip(moved, forward(net, batch)):
+                    qs[j] = row
+            elif moved:
+                qs[moved[0]] = None  # a lone one takes the 1-D path below
+        for candidate, q in zip(candidates, qs):
+            iteration += 1
+            if q is None:  # a lone moved candidate, or one without Q (every FGSM rung)
+                attacked[tuple_slice] = candidate
+                q = forward(net, attacked)
+            induced = int(q.argmax())
+            outcome = classify_outcome(original_action, induced, config.mode, target,
+                                       action_types)
+            priority = _PRIORITY[outcome]
+            d = candidate - x_orig
+            l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
+            if priority > best_priority or (priority == best_priority and l2 < best_l2):
+                best_priority, best_l2 = priority, l2
+                best = (candidate, outcome, induced, iteration, eps)
+        if fgsm and best_priority == _PRIORITY[SUCCESS]:
+            break  # an FGSM block is one rung
     if best is None:
         iterations = config.eps_iters if fgsm else config.cw_max_iters
         return PerturbationResult(x_orig, FAILURE, original_action, iterations,

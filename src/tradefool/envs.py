@@ -17,6 +17,7 @@ harness substitute past window tuples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,11 +242,13 @@ class ManagedRiskEnv(_MarketEnv):
                  risk_free: float = 0.0, sharpe_offset: float = 1e-9,
                  commission_pct: float = 0.0):
         # what step's Sharpe reward needs: a start net worth to divide by, an
-        # offset that keeps its denominator above 0, and a per-step rate
+        # offset that keeps its denominator a normal float above 0 (a denormal
+        # one overflows the first step's mean / offset), and a per-step rate
         if not (cash >= 0 and asset >= 0) or cash == asset == 0:
             raise EnvError(f"cash and asset must be >= 0 and not both 0, got {cash} and {asset}")
-        if not sharpe_offset > 0:
-            raise EnvError(f"sharpe_offset must be > 0, got {sharpe_offset}")
+        if not sharpe_offset >= sys.float_info.min:
+            raise EnvError(f"sharpe_offset must be at least the smallest normal float "
+                           f"{sys.float_info.min}, got {sharpe_offset}")
         if not -1 <= risk_free <= 1:
             raise EnvError(f"risk_free is a per-step rate in [-1, 1], got {risk_free}")
         super().__init__(market, "indicator", window, episode_cap)

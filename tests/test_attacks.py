@@ -284,6 +284,27 @@ class TestFgsm:
         result = run_perturbation_attack(net, obs, config, slice(6, 9), target=target)
         assert validate_relative_tuple(result.perturbed)
 
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    def test_rungs_have_the_bytes_of_eps_times_k_times_sign(self, mode):
+        # the generator multiplies eps by a precomputed k * sign(g); on zero,
+        # NaN and ordinary gradients that must give eps * k * sign(g)'s bytes
+        rng = np.random.default_rng(37)
+        config = preset("managed-fgsm", mode=mode)
+        k = np.array(config.k_scale)
+        for trial in range(40):
+            net = QNetwork.initialize([6, 8, 5], rng)
+            if trial % 4 < 2:  # a zero gradient coordinate, or every coordinate NaN
+                net.weights[0][3 + trial % 3] = (0.0, np.nan)[trial % 4]
+            obs = rng.normal(size=6)
+            label = int(rng.integers(5))
+            sign = np.sign(input_gradient(net, obs, "cross_entropy", label)[3:6])
+            direction = -sign if mode == "targeted" else sign
+            ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
+            rungs = list(attacks.fgsm_rungs(net, config, obs, slice(3, 6), obs[3:6], k, label))
+            assert [eps for eps, _, _ in rungs] == ladder.tolist()
+            assert [p[0].tobytes() for _, p, _ in rungs] == \
+                [(obs[3:6] + eps * k * direction).tobytes() for eps in ladder]
+
     def test_dimension_mismatch(self):
         net = linear_net([[1.0, -1.0]])
         config = AttackConfig(method="fgsm", constraint="none", k_scale=(1.0,))
@@ -410,8 +431,8 @@ class TestCwScaled:
 
 def reference_cw_l2_box(net, config, observation, tuple_slice, x_orig, k, label):
     """The box generator as it was before the fixed-point exit: always
-    cw_max_iters steps. It yields no Q, so every candidate gets a forward
-    pass of its own."""
+    cw_max_iters steps, one 1-row block each. It yields no Q, so every
+    candidate gets a forward pass of its own."""
     lo, hi = config.spec.box(x_orig.size)
     width = hi - lo
     x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
@@ -432,13 +453,13 @@ def reference_cw_l2_box(net, config, observation, tuple_slice, x_orig, k, label)
         adv_scaled = (tanh_w + 1.0) / 2.0
         candidate = lo + adv_scaled * width
         attacked[tuple_slice] = candidate
-        yield 0.0, candidate, None
+        yield 0.0, candidate[None], None
 
 
 def reference_cw_scaled(net, config, observation, tuple_slice, x_orig, k, label):
     """The scaled generator as it was before the fixed-point exit: always
-    cw_max_iters steps. It yields no Q, so every candidate gets a forward
-    pass of its own."""
+    cw_max_iters steps, one 1-row block each. It yields no Q, so every
+    candidate gets a forward pass of its own."""
     loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
     step_cap = config.cw_lr * config.cw_eps * k
     delta = np.zeros_like(x_orig)
@@ -450,7 +471,7 @@ def reference_cw_scaled(net, config, observation, tuple_slice, x_orig, k, label)
         if not np.isfinite(objective_grad).all():
             return
         delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-        yield config.cw_eps, x_orig + delta, None
+        yield config.cw_eps, (x_orig + delta)[None], None
 
 
 REFERENCES = {"box": reference_cw_l2_box, "scaled": reference_cw_scaled}  # C&W variant: generator
@@ -596,19 +617,32 @@ def margin_key(activations, mode, label):
 
 
 def traced_cw_call(monkeypatch, net, obs, config, tuple_slice, target=None):
-    """(result, the margin key of each descent step, fresh gradients taken)."""
-    forwards = []  # the generator's forward passes: step i reads the i-th one
+    """(result, the margin key of each descent step, fresh gradients taken).
+
+    Step 0 reads the starting point's forward pass; each later step reads
+    its row of the batched forward pass of the block that yielded it."""
+    forwards, blocks = [], []  # the generator's forward passes; the rows each block yielded
+    generator = attacks.PROPOSALS[config.cw_variant]
 
     def recorded(net, x):
         forwards.append(qnet._forward_cached(net, x))
         return forwards[-1]
 
+    def counted(*args):
+        for block in generator(*args):
+            blocks.append(len(block[1]))
+            yield block
+
     with monkeypatch.context() as patch:
         patch.setattr(attacks, "_forward_cached", recorded)
+        patch.setitem(attacks.PROPOSALS, config.cw_variant, counted)
         gradients = counting(patch, "input_gradient")
         result = run_perturbation_attack(net, obs, config, tuple_slice, target)
+    assert len(forwards) in (0, len(blocks) + 1)  # none, or the start's and one per block
     label = target if config.mode == "targeted" else int(forward(net, obs).argmax())
-    steps = forwards[:config.cw_max_iters]  # the last forward of a full descent has no step
+    rows = [[a[j] for a in activations]
+            for activations, n in zip(forwards, [1, *blocks]) for j in range(n)]
+    steps = rows[:config.cw_max_iters]  # the last row of a full descent has no step
     return result, [margin_key(a, config.mode, label) for a in steps], len(gradients)
 
 
@@ -650,6 +684,29 @@ class TestCwGradientReuse:
         for _ in range(60):
             _, keys, fresh = traced_cw_call(monkeypatch, *reuse_problem(rng, variant, mode))
             assert fresh == sum(a != b for a, b in zip([None, *keys], keys))
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_forwards_at_most_two_rows_per_step(self, monkeypatch, variant, mode):
+        # blocks double from one row while the key holds, and a key change
+        # discards the rest of its block, so at most half the rows are wasted
+        rng = np.random.default_rng(47)
+        calls = rows = 0
+        for _ in range(60):
+            net, obs, config, tuple_slice, target = reuse_problem(rng, variant, mode)
+            forwarded = []
+
+            def recorded(net, x):
+                forwarded.append(len(x))
+                return qnet._forward_cached(net, x)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(attacks, "_forward_cached", recorded)
+                projections = counting(patch, "project_constraints")
+                run_perturbation_attack(net, obs, config, tuple_slice, target)
+            assert sum(forwarded) <= 2 * len(projections) + 1
+            calls, rows = calls + len(forwarded), rows + sum(forwarded)
+        assert calls < rows  # blocks of several rows ran
 
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
     @pytest.mark.parametrize("variant", list(REFERENCES))
@@ -739,20 +796,21 @@ class TestSharedForward:
 
         rng = np.random.default_rng(29)
         config = preset("basic-cw", cw_variant=variant, cw_eps=0.01, cw_max_iters=20)
-        projections = []
+        projections, forwarded = [], []  # rows forwarded by each attacks.forward call
         monkeypatch.setattr(attacks, "project_constraints", moved)
-        forwards = counting(monkeypatch, "forward")
+        monkeypatch.setattr(attacks, "forward", lambda net, x: forwarded.append(
+            1 if x.ndim == 1 else len(x)) or forward(net, x))
         outcomes = set()
         for _ in range(40):
             net = QNetwork.initialize([9, 8, 5], rng)
             obs = relative_window(rng)
             q = forward(net, obs)
             expected = run_reference(net, obs, config, slice(6, 9))
-            forwards.clear()
+            forwarded.clear()
             projections.clear()
             result = run_perturbation_attack(net, obs, config, slice(6, 9), q=q)
             assert len(projections) > 0
-            assert len(forwards) == len(projections)  # one per iterate
+            assert sum(forwarded) == len(projections)  # one row per iterate
             assert result_bytes(result) == result_bytes(expected)
             outcomes.add(result.outcome)
         assert outcomes == {SUCCESS, FAILURE}

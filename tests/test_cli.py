@@ -304,6 +304,7 @@ ENV_FIELDS_MALFORMED = [
     {"kind": "managed", "asset": -0.5}, {"kind": "managed", "sharpe_offset": 0},
     {"kind": "managed", "sharpe_offset": -1e-9}, {"kind": "managed", "risk_free": 1e308},
     {"kind": "managed", "risk_free": -1.5},
+    {"kind": "managed", "sharpe_offset": 1e-320},  # denormal: the first mean / offset overflows
 ]
 
 
@@ -337,7 +338,7 @@ class TestConfigShapes:
             "managed_env_cash_negative", "managed_env_asset_negative",
             "managed_env_sharpe_offset_0", "managed_env_sharpe_offset_negative",
             "managed_env_risk_free_huge", "managed_env_risk_free_below_minus_1",
-            "attack_env_episode_cap_string"])
+            "managed_env_sharpe_offset_denormal", "attack_env_episode_cap_string"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"
