@@ -98,9 +98,9 @@ def ledger_rows(ledger) -> list[list]:
              _floats(row.orig_tuple), _floats(row.pert_tuple)] for row in ledger.rows]
 
 
-def play(built=None):
+def play():
     """{run id: (actions, ledger rows)} of the whole sweep."""
-    built = built or agents()
+    built = agents()
     return {run_id: _outputs(*run_episode(*built[agent], seed, config))
             for run_id, agent, config, seed in runs()}
 
@@ -156,23 +156,22 @@ def gap_recorder():
 
 
 def record() -> dict:
+    """{run id: {"actions", "gaps", "ledger"}} of the whole sweep."""
     built = agents()
     recorded = {}
     for run_id, agent, config, seed in runs():
         with gap_recorder() as gaps:
             actions, rows = _outputs(*run_episode(*built[agent], seed, config))
         recorded[run_id] = {"actions": actions, "gaps": gaps, "ledger": rows}
-    return {"columns": COLUMNS, "runs": recorded}
+    return recorded
 
 
 def main() -> None:
     os.makedirs(os.path.dirname(RECORDING), exist_ok=True)
-    with open(RECORDING, "w", encoding="utf-8") as handle:
-        handle.write("{\"columns\": " + json.dumps(COLUMNS) + ",\n\"runs\": {\n")
-        entries = record()["runs"].items()
-        handle.write(",\n".join(f"{json.dumps(run_id)}: {json.dumps(run, sort_keys=True)}"
-                                for run_id, run in entries))
-        handle.write("\n}}\n")
+    runs_json = ",\n".join(f"{json.dumps(run_id)}: {json.dumps(run, sort_keys=True)}"
+                            for run_id, run in record().items())
+    with open(RECORDING, "w", encoding="utf-8") as handle:  # one run per line
+        handle.write(f'{{"columns": {json.dumps(COLUMNS)},\n"runs": {{\n{runs_json}\n}}}}\n')
 
 
 if __name__ == "__main__":
