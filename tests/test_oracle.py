@@ -39,16 +39,16 @@ def close(a, b) -> bool:
     return math.isclose(a, b, rel_tol=TIE, abs_tol=0.0)
 
 
+def floats(row) -> list:
+    """A ledger row's eps, l2 and tuple entries; None where the row has none."""
+    eps, l2, orig, pert = row[EXACT:]
+    return [eps, l2, *orig, *(pert or [None] * len(orig))]
+
+
 def rows_match(expected, actual) -> bool:
-    if expected[:EXACT] != actual[:EXACT]:
-        return False
-    if not all(close(a, b) for a, b in zip(expected[EXACT:EXACT + 2], actual[EXACT:EXACT + 2])):
-        return False
-    for a, b in zip(expected[EXACT + 2:], actual[EXACT + 2:]):
-        if (a is None) != (b is None) or \
-                (a is not None and (len(a) != len(b) or not all(map(close, a, b)))):
-            return False
-    return True
+    want, got = floats(expected), floats(actual)
+    return expected[:EXACT] == actual[:EXACT] and len(want) == len(got) and \
+        all(map(close, want, got))
 
 
 def first_difference(expected, actions, rows):
