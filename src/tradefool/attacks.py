@@ -35,6 +35,7 @@ FAILURE = "failure"
 _PRIORITY = {FAILURE: 0, NON_TARGET: 1, PARTIAL: 2, SUCCESS: 3}
 
 CLOSE_MARGIN = 1e-9  # strictly-between nudge for the projected relative close
+BLOCK_ROWS = 64  # the most proposals a generator yields, and forwards, in one block
 
 
 class AttackError(ValueError):
@@ -72,40 +73,57 @@ CONSTRAINT_SPECS = {
 }
 
 
+def _raise_to(x, bound) -> None:
+    """``x = max(x, bound)`` per entry, in place, as Python's ``max`` does it:
+    ``bound`` only where it is greater, so a NaN or a -0.0 in ``x`` stays."""
+    np.copyto(x, bound, where=bound > x)
+
+
+def _lower_to(x, bound) -> None:
+    """``x = min(x, bound)`` per entry, in place, with Python's NaN and zero sign."""
+    np.copyto(x, bound, where=bound < x)
+
+
 def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray:
-    """Project a perturbed tuple back into the declared feasible set.
+    """Project a perturbed tuple (d,), or each row of a block (k, d), back
+    into the declared feasible set of the original tuple (d,).
 
     relative_price: rel_high >= 0, rel_low <= 0, and the close matches the
     original close's behavior (equal to high, equal to low, or strictly
     between). indicator: RSI coordinate clamped to [0, 100]. box: clamp to
-    the spec's box. none: identity. Idempotent for a fixed original.
+    the spec's box. none: identity. Idempotent for a fixed original. Each
+    row gets the bytes a call on that row alone gives, and the Python-float
+    arithmetic of ``max``, ``min`` and ``+ - * /`` would give.
     """
-    cand = np.asarray(candidate, dtype=np.float64)
+    out = np.array(candidate, dtype=np.float64)  # a copy, projected in place
     orig = np.asarray(original, dtype=np.float64)
-    if cand.shape != orig.shape:
-        raise AttackError(f"shape mismatch {cand.shape} vs {orig.shape}")
-    if spec.kind == "relative_price":  # on Python floats: the same IEEE operations
-        (high, low, close), orig = cand.tolist()[:3], orig.tolist()
-        high = max(high, 0.0)
-        low = min(low, 0.0)
+    if orig.ndim != 1 or out.ndim not in (1, 2) or out.shape[-1:] != orig.shape:
+        raise AttackError(f"shape mismatch {out.shape} vs {orig.shape}")
+    if spec.kind == "relative_price":
+        if orig.shape != (3,):
+            raise AttackError(f"a relative-price tuple has 3 entries, got {orig.shape[0]}")
+        high, low, close = out[..., 0], out[..., 1], out[..., 2]  # views, 0-d for one tuple
+        _raise_to(high, 0.0)
+        _lower_to(low, 0.0)
         if orig[2] == orig[0]:
-            close = high
+            close[...] = high
         elif orig[2] == orig[1]:
-            close = low
-        elif high - low < 2.0 * CLOSE_MARGIN:
-            close = (high + low) / 2.0
+            close[...] = low
         else:
-            close = min(max(close, low + CLOSE_MARGIN), high - CLOSE_MARGIN)
-        return np.array([high, low, close])
-    cand = cand.copy()
+            _raise_to(close, low + CLOSE_MARGIN)
+            _lower_to(close, high - CLOSE_MARGIN)
+            np.copyto(close, (high + low) / 2.0, where=high - low < 2.0 * CLOSE_MARGIN)
+        return out
     if spec.kind == "none":
-        return cand
+        return out
     if spec.kind == "box":
-        lo, hi = spec.box(cand.size)
-        return np.clip(cand, lo, hi)
+        lo, hi = spec.box(out.shape[-1])
+        return np.clip(out, lo, hi)
     if spec.kind == "indicator":
-        cand[2] = min(max(cand[2], 0.0), 100.0)
-        return cand
+        rsi = out[..., 2]
+        _raise_to(rsi, 0.0)
+        _lower_to(rsi, 100.0)
+        return out
     raise AttackError(f"unknown constraint kind {spec.kind!r}")
 
 
@@ -229,9 +247,10 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
 
     The gradient of the cross-entropy loss (against the current greedy
     action, or the adversarial target) is computed once at the original
-    observation; each ladder rung tries x +- eps * k (.) sign(g), one rung per
-    block (a list of one row, which the driver iterates faster than an array)
-    and with no Q. The driver stops at the first full success.
+    observation; rung i tries x +- eps_i * k (.) sign(g). The ladder comes as
+    one block, with one eps per row and no Q, or in blocks of at most
+    ``BLOCK_ROWS`` rungs when it is longer. The driver stops at the first
+    full success.
     """
     grad = input_gradient(net, observation, "cross_entropy", label)
     direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
@@ -239,8 +258,10 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
         direction = -direction  # descend toward the target
     # eps * step has the bytes of eps * k * direction, as direction is +-1, +-0 or NaN
     step = k * direction
-    for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters).tolist():
-        yield eps, [x_orig + eps * step], None
+    ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
+    for start in range(0, len(ladder), BLOCK_ROWS):
+        eps = ladder[start:start + BLOCK_ROWS]
+        yield eps.tolist(), x_orig + eps[:, None] * step, None
 
 
 def _margin_keys(activations, mode, label) -> np.ndarray:
@@ -270,8 +291,8 @@ def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, st
     ``size`` steps under the kept gradient, forwarded in one pass and cut
     after the first row whose key differs; the descent resumes from that row
     with the fresh gradient of its activations. ``size`` starts at 1, doubles
-    while the key holds and is 1 again after a change. No gradient is taken
-    once no step remains."""
+    while the key holds, up to ``BLOCK_ROWS``, and is 1 again after a change.
+    No gradient is taken once no step remains."""
     # crown the target, or dethrone the greedy action
     loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
     batch = observation[None].copy()
@@ -307,7 +328,7 @@ def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, st
         elif len(stepped) < block:
             return  # the step rule stopped under the kept gradient
         else:
-            size *= 2
+            size = min(2 * size, BLOCK_ROWS)
 
 
 def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
@@ -402,20 +423,22 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
     """The configured perturbation attack: project -> classify -> keep best.
 
     ``PROPOSALS`` picks the generator, which yields blocks (eps, proposals,
-    q): k raw candidate tuples as float64 rows (k, d), and None or the
+    q): k <= ``BLOCK_ROWS`` raw candidate tuples as float64 rows (k, d), the
+    block's eps (a float, or a list of one per row), and None or the
     Q-values (k, n_actions) of the observation with each row in the tuple
     slice. Its ``label`` is the target, or the greedy action when
     non-targeted; ``k`` is ``config.k_scale`` checked against the tuple (None
-    for box). Each candidate is projected on its own; one that projection
-    leaves byte-identical is classified by its row of ``q``, and a block's
-    others share one batched forward pass (a lone one, as every FGSM rung
-    is, takes the 1-D path). A batched pass may move Q in the last bits, which can change a
-    decision only at a top-two Q tie within rounding; ``tests/test_oracle.py``
-    checks across versions that no decision moved elsewhere.
-    The best candidate by (outcome priority, then smallest L2) wins. FGSM
-    stops at the first full success; C&W tries every proposal, and a target
-    that is already greedy is a success with no proposal. ``q``, when given,
-    is ``forward(net, observation)``, computed once by the caller.
+    for box). A block is projected in one call. A row that projection leaves
+    byte-identical is classified by its row of ``q``; the block's other rows
+    (every row, when it has no ``q``) share one batched forward pass, and a
+    lone one takes the 1-D path. A batched pass may move Q in the last bits,
+    which can change a decision only at a top-two Q tie within rounding;
+    ``tests/test_oracle.py`` checks across versions that no decision moved
+    elsewhere. The best candidate by (outcome priority, then smallest L2)
+    wins. FGSM stops at the first full success, in the row order of its
+    ladder; C&W tries every proposal, and a target that is already greedy is
+    a success with no proposal. ``q``, when given, is ``forward(net,
+    observation)``, computed once by the caller.
     """
     if config.method not in ("fgsm", "cw"):
         raise AttackError(f"{config.method!r} is not a perturbation attack")
@@ -438,37 +461,42 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
     attacked, iteration, spec = observation.copy(), 0, config.spec
+    outcomes = {}  # induced action: its outcome, classified once per attempt
     for eps, proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
-        candidates = [project_constraints(p, x_orig, spec) for p in proposals]
-        if qs is None:
-            qs = [None] * len(candidates)
-        else:  # equal bytes imply equal values, and cost a tenth of np.array_equal
-            qs = list(qs)
-            moved = [j for j, (c, p) in enumerate(zip(candidates, proposals))
-                     if c.tobytes() != p.tobytes()]
-            if len(moved) > 1:  # the block's moved candidates share one batched pass
-                batch = np.repeat(observation[None], len(moved), axis=0)
-                batch[:, tuple_slice] = [candidates[j] for j in moved]
-                for j, row in zip(moved, forward(net, batch)):
-                    qs[j] = row
-            elif moved:
-                qs[moved[0]] = None  # a lone one takes the 1-D path below
-        for candidate, q in zip(candidates, qs):
+        candidates = project_constraints(proposals, x_orig, spec)
+        if qs is None:  # every row needs a forward pass
+            moved, qs = np.arange(len(candidates)), np.empty((len(candidates), net.n_actions))
+        else:  # equal bytes imply equal values
+            moved = np.flatnonzero((candidates.view(np.uint64)
+                                    != proposals.view(np.uint64)).any(axis=1))
+            if len(moved):
+                qs = qs.copy()  # the generator may still read its own
+        if len(moved) > 1:  # the moved rows share one batched pass
+            batch = np.repeat(observation[None], len(moved), axis=0)
+            batch[:, tuple_slice] = candidates[moved]
+            qs[moved] = forward(net, batch)
+        elif len(moved):  # a lone one takes the 1-D path
+            attacked[tuple_slice] = candidates[moved[0]]
+            qs[moved[0]] = forward(net, attacked)
+        for j, induced in enumerate(qs.argmax(axis=1).tolist()):
             iteration += 1
-            if q is None:  # a lone moved candidate, or one without Q (every FGSM rung)
-                attacked[tuple_slice] = candidate
-                q = forward(net, attacked)
-            induced = int(q.argmax())
-            outcome = classify_outcome(original_action, induced, config.mode, target,
-                                       action_types)
+            outcome = outcomes.get(induced)
+            if outcome is None:
+                outcome = outcomes[induced] = classify_outcome(
+                    original_action, induced, config.mode, target, action_types)
             priority = _PRIORITY[outcome]
-            d = candidate - x_orig
+            if priority < best_priority:
+                continue
+            d = candidates[j] - x_orig
             l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
-            if priority > best_priority or (priority == best_priority and l2 < best_l2):
+            if priority > best_priority or l2 < best_l2:
                 best_priority, best_l2 = priority, l2
-                best = (candidate, outcome, induced, iteration, eps)
+                best = (candidates[j], outcome, induced, iteration,
+                        eps[j] if isinstance(eps, list) else eps)
+                if fgsm and outcome == SUCCESS:
+                    break  # FGSM keeps the first full success of its ladder
         if fgsm and best_priority == _PRIORITY[SUCCESS]:
-            break  # an FGSM block is one rung
+            break
     if best is None:
         iterations = config.eps_iters if fgsm else config.cw_max_iters
         return PerturbationResult(x_orig, FAILURE, original_action, iterations,

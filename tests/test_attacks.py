@@ -86,6 +86,34 @@ class TestDelay:
         assert np.array_equal(served[:27], obs[:27])
 
 
+# ordinary values, NaN, +-0.0, +-inf, and values within CLOSE_MARGIN of every
+# bound the projections clamp to (0 for relative prices, 0 and 100 for RSI)
+EDGY_FLOATS = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, attacks.CLOSE_MARGIN,
+                     -attacks.CLOSE_MARGIN, 2.0 * attacks.CLOSE_MARGIN, 100.0, 5e-324]),
+    st.floats(-3 * attacks.CLOSE_MARGIN, 3 * attacks.CLOSE_MARGIN),
+    st.floats(100.0 - attacks.CLOSE_MARGIN, 100.0 + attacks.CLOSE_MARGIN),
+    st.floats(-0.01, 0.01),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def reference_projection(candidate, original, kind):
+    """The projection of one tuple on Python floats, with Python's max and min."""
+    high, low, close = candidate.tolist()
+    if kind == "indicator":
+        return np.array([high, low, min(max(close, 0.0), 100.0)])
+    high, low = max(high, 0.0), min(low, 0.0)
+    if original[2] == original[0]:
+        close = high
+    elif original[2] == original[1]:
+        close = low
+    elif high - low < 2.0 * attacks.CLOSE_MARGIN:
+        close = (high + low) / 2.0
+    else:
+        close = min(max(close, low + attacks.CLOSE_MARGIN), high - attacks.CLOSE_MARGIN)
+    return np.array([high, low, close])
+
+
 class TestProjection:
     def test_valid_tuple_with_strictly_between_close_unchanged(self):
         original = np.array([0.001, -0.004, -0.0025])
@@ -132,6 +160,31 @@ class TestProjection:
     def test_shape_mismatch(self):
         with pytest.raises(AttackError):
             project_constraints(np.zeros(2), np.zeros(3), RELATIVE)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["relative_price", "indicator"]), st.sampled_from(range(3)),
+           st.lists(st.lists(EDGY_FLOATS, min_size=3, max_size=3), min_size=1, max_size=9),
+           st.lists(EDGY_FLOATS, min_size=3, max_size=3))
+    def test_block_rows_have_the_bytes_of_single_tuples(self, kind, close_branch, rows, orig):
+        # close_branch: the original closed on its high, on its low, or anywhere
+        spec = attacks.CONSTRAINT_SPECS[kind]
+        orig = np.array(orig)
+        if kind == "relative_price" and close_branch < 2:
+            orig[2] = orig[close_branch]
+        block = np.array(rows)
+        projected = project_constraints(block, orig, spec)
+        assert projected.shape == block.shape
+        assert [row.tobytes() for row in projected] == \
+            [project_constraints(row, orig, spec).tobytes() for row in block] == \
+            [reference_projection(row, orig, kind).tobytes() for row in block]
+        assert project_constraints(projected, orig, spec).tobytes() == projected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["relative_price", "indicator", "none"])
+    def test_block_of_wrong_shape(self, kind):
+        spec = attacks.CONSTRAINT_SPECS[kind]
+        for block in (np.zeros((2, 4, 3)), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(())):
+            with pytest.raises(AttackError):
+                project_constraints(block, np.zeros(3), spec)
 
 
 class TestLeastQTarget:
@@ -248,6 +301,23 @@ class TestFgsm:
         assert result.final_eps == pytest.approx(0.4)
         assert result.iterations == 3
 
+    def test_ladder_stops_at_first_success_before_a_closer_later_rung(self):
+        # high is pushed down by 0.01 eps and the close up by eps; the close is
+        # capped at high - CLOSE_MARGIN, so past the first rung every rung keeps
+        # the flip and projects closer to x: the first success must still win
+        w = np.array([[0.0, -1e-6], [0.0, -1e-6], [0.0, 1.0]])  # Q1 - Q0 follows the close
+        net = linear_net(w, [0.0, -0.005])
+        config = AttackConfig(method="fgsm", eps_start=0.012, eps_end=0.05, eps_iters=5,
+                              k_scale=(0.01, 0.01, 1.0), constraint="relative_price")
+        obs = np.array([0.01, -0.01, 0.0])
+        l2s = [np.linalg.norm(project_constraints(obs + eps * np.array([-0.01, -0.01, 1.0]),
+                                                  obs, RELATIVE) - obs)
+               for eps in epsilon_ladder(0.012, 0.05, 5)]
+        assert l2s == sorted(l2s, reverse=True)
+        result = run_perturbation_attack(net, obs, config, slice(0, 3))
+        assert (result.outcome, result.iterations, result.final_eps) == (SUCCESS, 1, 0.012)
+        assert result.l2 == l2s[0]
+
     def test_targeted_descends_toward_target(self):
         net = linear_net([[1.0, -1.0, 0.0]])
         config = AttackConfig(method="fgsm", mode="targeted", eps_start=0.5, eps_end=0.5,
@@ -300,9 +370,10 @@ class TestFgsm:
             sign = np.sign(input_gradient(net, obs, "cross_entropy", label)[3:6])
             direction = -sign if mode == "targeted" else sign
             ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
-            rungs = list(attacks.fgsm_rungs(net, config, obs, slice(3, 6), obs[3:6], k, label))
-            assert [eps for eps, _, _ in rungs] == ladder.tolist()
-            assert [p[0].tobytes() for _, p, _ in rungs] == \
+            (eps, rungs, q), = attacks.fgsm_rungs(net, config, obs, slice(3, 6), obs[3:6], k,
+                                                  label)  # the ladder is one block
+            assert eps == ladder.tolist() and q is None
+            assert [p.tobytes() for p in rungs] == \
                 [(obs[3:6] + eps * k * direction).tobytes() for eps in ladder]
 
     def test_dimension_mismatch(self):
@@ -541,6 +612,19 @@ def counting(monkeypatch, name):
     return calls
 
 
+def projected_rows(monkeypatch):
+    """A list that grows by the bytes of each row ``attacks.project_constraints``
+    is given: one entry per candidate, whether it came alone or in a block."""
+    rows, original = [], attacks.project_constraints
+
+    def recorded(candidate, x_orig, spec):
+        rows.extend(row.tobytes() for row in np.atleast_2d(candidate))
+        return original(candidate, x_orig, spec)
+
+    monkeypatch.setattr(attacks, "project_constraints", recorded)
+    return rows
+
+
 class TestCwFixedPoint:
     @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
     @pytest.mark.parametrize("variant", list(REFERENCES))
@@ -556,7 +640,7 @@ class TestCwFixedPoint:
                               cw_max_iters=100, constraint="none")
         target = 1 if mode == "targeted" else None
         expected = run_reference(net, obs, config, slice(3, 6), target)
-        projections = counting(monkeypatch, "project_constraints")
+        projections = projected_rows(monkeypatch)
         gradients = counting(monkeypatch, "input_gradient")
         result = run_perturbation_attack(net, obs, config, slice(3, 6), target)
         assert len(projections) == 1  # the first iterate; the step that repeats it stops
@@ -574,13 +658,7 @@ class TestCwFixedPoint:
                               cw_max_iters=50, constraint="none", k_scale=(1.0,))
         obs = np.array([0.99])
         expected = run_reference(net, obs, config, slice(0, 1))
-        candidates = []
-
-        def recorded(candidate, original, spec):
-            candidates.append(candidate.tobytes())
-            return project_constraints(candidate, original, spec)
-
-        monkeypatch.setattr(attacks, "project_constraints", recorded)
+        candidates = projected_rows(monkeypatch)
         gradients = counting(monkeypatch, "input_gradient")
         result = run_perturbation_attack(net, obs, config, slice(0, 1))
         assert any(a == b for a, b in zip(candidates, candidates[1:]))
@@ -590,7 +668,7 @@ class TestCwFixedPoint:
 
     def test_matches_reference_without_exit(self, monkeypatch):
         rng = np.random.default_rng(2024)
-        projections = counting(monkeypatch, "project_constraints")
+        projections = projected_rows(monkeypatch)
         seen, stopped_early = set(), 0
         for _ in range(1500):
             net, obs, config, tuple_slice, target, types = random_cw_call(rng)
@@ -702,7 +780,7 @@ class TestCwGradientReuse:
 
             with monkeypatch.context() as patch:
                 patch.setattr(attacks, "_forward_cached", recorded)
-                projections = counting(patch, "project_constraints")
+                projections = projected_rows(patch)
                 run_perturbation_attack(net, obs, config, tuple_slice, target)
             assert sum(forwarded) <= 2 * len(projections) + 1
             calls, rows = calls + len(forwarded), rows + sum(forwarded)
@@ -775,7 +853,7 @@ class TestSharedForward:
         config = AttackConfig(method="cw", mode=mode, cw_variant=variant, cw_eps=0.01,
                               cw_max_iters=20, constraint="none")
         forwards = counting(monkeypatch, "forward")
-        projections = counting(monkeypatch, "project_constraints")
+        projections = projected_rows(monkeypatch)
         for _ in range(20):
             net = QNetwork.initialize([9, 8, 5], rng)
             obs = rng.normal(0, 0.5, 9)
@@ -791,7 +869,7 @@ class TestSharedForward:
     @pytest.mark.parametrize("variant", list(REFERENCES))
     def test_cw_moved_candidate_gets_its_own_forward(self, monkeypatch, variant):
         def moved(candidate, original, spec):
-            projections.append(1)
+            projections.append(len(np.atleast_2d(candidate)))  # rows projected
             return project_constraints(candidate, original, spec) + 2e-3
 
         rng = np.random.default_rng(29)
@@ -810,10 +888,110 @@ class TestSharedForward:
             projections.clear()
             result = run_perturbation_attack(net, obs, config, slice(6, 9), q=q)
             assert len(projections) > 0
-            assert sum(forwarded) == len(projections)  # one row per iterate
+            assert sum(forwarded) == sum(projections)  # one row per iterate
             assert result_bytes(result) == result_bytes(expected)
             outcomes.add(result.outcome)
         assert outcomes == {SUCCESS, FAILURE}
+
+
+def reference_fgsm_rungs(net, config, observation, tuple_slice, x_orig, k, label):
+    """The FGSM generator as it was before the ladder became one block: one
+    rung per block, as a one-row list, and no Q, so every rung gets a
+    forward pass of its own."""
+    direction = np.sign(input_gradient(net, observation, "cross_entropy", label)[tuple_slice])
+    if config.mode == "targeted":
+        direction = -direction
+    step = k * direction
+    for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters).tolist():
+        yield eps, [x_orig + eps * step], None
+
+
+def run_fgsm_reference(net, observation, config, *args, **kwargs):
+    """run_perturbation_attack with the one-rung-per-block FGSM generator."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(attacks.PROPOSALS, "fgsm", reference_fgsm_rungs)
+        return run_perturbation_attack(net, observation, config, *args, **kwargs)
+
+
+def random_fgsm_call(rng, eps_iters):
+    """(net, observation, config, tuple_slice, target, action_types) over both
+    modes, all three constraint sets and optional action types, with ladders
+    that often first succeed on a middle rung."""
+    n_actions = int(rng.integers(2, 6))
+    net = QNetwork.initialize([9, int(rng.integers(2, 9)), n_actions], rng)
+    constraint = str(rng.choice(["relative_price", "indicator", "none"]))
+    obs = {"relative_price": relative_window, "indicator": indicator_window,
+           "none": lambda rng: rng.normal(0, 0.5, 9)}[constraint](rng)
+    mode = str(rng.choice(["non_targeted", "targeted"]))
+    eps_start = 10.0 ** rng.uniform(-4, -1)
+    config = AttackConfig(method="fgsm", mode=mode, constraint=constraint, eps_iters=eps_iters,
+                          eps_start=eps_start, eps_end=eps_start * 10.0 ** rng.uniform(0, 3),
+                          k_scale=tuple(float(k) for k in rng.choice([0.01, 0.1, 1.0], 3)))
+    target = int(rng.integers(n_actions)) if mode == "targeted" else None
+    types = None if rng.random() < 0.5 else \
+        [str(t) for t in rng.choice(["hold", "buy", "sell"], n_actions)]
+    return net, obs, config, slice(6, 9), target, types
+
+
+class TestFgsmLadderBlock:
+    @pytest.mark.parametrize("eps_iters", [1, 5])
+    def test_matches_the_per_rung_reference(self, monkeypatch, eps_iters):
+        rng = np.random.default_rng(59)
+        forwards = counting(monkeypatch, "forward")
+        seen, first_success_rungs = set(), set()
+        for _ in range(400):
+            net, obs, config, tuple_slice, target, types = random_fgsm_call(rng, eps_iters)
+            expected = run_fgsm_reference(net, obs, config, tuple_slice, target, types)
+            forwards.clear()
+            result = run_perturbation_attack(net, obs, config, tuple_slice, target, types)
+            assert result_bytes(result) == result_bytes(expected)
+            assert len(forwards) == 2  # the observation's, and the ladder's
+            # the L2 has np.linalg.norm's bytes, which a vectorised sum need not give
+            assert np.float64(result.l2).tobytes() == \
+                np.linalg.norm(result.perturbed - obs[tuple_slice]).tobytes()
+            seen.add((config.mode, config.constraint, types is None))
+            if result.outcome == SUCCESS:
+                first_success_rungs.add(result.iterations)
+        assert len(seen) == 2 * 3 * 2
+        assert first_success_rungs == set(range(1, eps_iters + 1))  # not only the ends
+
+
+# a tiny net, and C&W steps small enough that the margin key holds and no fixed
+# point comes within 10**4 steps, so only the block cap bounds a block
+LONG_RUNS = {
+    "fgsm": AttackConfig(method="fgsm", eps_start=1e-12, eps_end=1e-10, eps_iters=10**4,
+                         constraint="none"),
+    "box": AttackConfig(method="cw", cw_variant="box", cw_lr=1e-3, cw_const=1e-3,
+                        cw_max_iters=10**4, constraint="none"),
+    "scaled": AttackConfig(method="cw", cw_variant="scaled", cw_lr=1e-3, cw_const=1e-3,
+                           cw_eps=1.0, cw_max_iters=10**4, constraint="none"),
+}
+
+
+class TestBlockCap:
+    @pytest.mark.parametrize("method", list(LONG_RUNS))
+    def test_long_runs_forward_blocks_of_at_most_block_rows(self, monkeypatch, method):
+        rng = np.random.default_rng(61)
+        net = QNetwork.initialize([3, 4, 2], rng)
+        net.biases[0][:] = 0.5  # every hidden unit stays active
+        obs = np.array([0.1, -0.2, 0.3])
+        config = LONG_RUNS[method]
+        reference = run_fgsm_reference if method == "fgsm" else run_reference
+        expected = reference(net, obs, config, slice(0, 3))
+        rows = []  # rows of each attacks.forward and attacks._forward_cached call
+
+        def recorded(wrapped):
+            def call(net, x):
+                rows.append(1 if np.ndim(x) == 1 else len(x))
+                return wrapped(net, x)
+            return call
+
+        monkeypatch.setattr(attacks, "forward", recorded(forward))
+        monkeypatch.setattr(attacks, "_forward_cached", recorded(qnet._forward_cached))
+        result = run_perturbation_attack(net, obs, config, slice(0, 3))
+        assert result_bytes(result) == result_bytes(expected)
+        assert max(rows) == attacks.BLOCK_ROWS  # reached, never passed
+        assert sum(rows) >= 10**4  # the whole run was forwarded, at most a block at a time
 
 
 # keyed by the attack's name, which each test id carries
