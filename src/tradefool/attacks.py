@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,53 +283,72 @@ def _margin_keys(activations, mode, label) -> np.ndarray:
     return np.where(np.isfinite(q).all(axis=1)[:, None], keys, np.nan)
 
 
-def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, state, point,
-             step):
-    """The C&W descent from ``state`` (at ``point``) in blocks (eps, proposals
-    (k, d), Q (k, n_actions)); ``step(state, grad, first)`` is the variant's
-    step rule: the next (state, point), or None to stop. The margin gradient
-    is kept while its key (``_margin_keys``) repeats. A block is up to
-    ``size`` steps under the kept gradient, forwarded in one pass and cut
-    after the first row whose key differs; the descent resumes from that row
-    with the fresh gradient of its activations. ``size`` starts at 1, doubles
-    while the key holds, up to ``BLOCK_ROWS``, and is 1 again after a change.
-    No gradient is taken once no step remains."""
+def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, state, rule,
+             points):
+    """The C&W descent from ``state`` in blocks (eps, proposals (k, d), Q
+    (k, n_actions)). The variant gives the step rule and the rows:
+    ``rule(grad)`` is the step under one margin gradient, ``step(state,
+    first)``, which gives the next state or None to stop (or None itself when
+    that gradient gives no finite step), and ``points(states)`` is the
+    proposal block (k, d) of some states.
+
+    The margin gradient is kept while its key (``_margin_keys``) repeats. A
+    sub-block is up to ``size`` steps under the kept gradient, forwarded in
+    one pass and cut after the first row whose key differs; the descent
+    resumes from that row with the fresh gradient of its activations.
+    ``size`` starts at 1, doubles while the key holds, up to ``BLOCK_ROWS``,
+    and is 1 again after a change. The kept rows of consecutive sub-blocks
+    are held and yielded as one block when the key changes, when the next
+    sub-block would take them past ``BLOCK_ROWS``, and when the descent
+    ends. No gradient is taken once no step remains."""
     # crown the target, or dethrone the greedy action
     loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
     batch = observation[None].copy()
-    batch[0, tuple_slice] = point
+    batch[0, tuple_slice] = points([state])[0]
     activations = _forward_cached(net, batch)
     keys = _margin_keys(activations, config.mode, label)
     fresh, taken, size = 0, 0, 1  # fresh: the row to take a new gradient at, if any
+    held = []  # (proposals, Q) of the sub-blocks not yet yielded
+
+    def release():
+        proposals, qs = zip(*held)
+        held.clear()
+        return eps, np.concatenate(proposals), np.concatenate(qs)
+
     while taken < config.cw_max_iters:
         if fresh is not None:
             kept = keys[fresh]
-            grad = input_gradient(net, batch[fresh], loss, label,
-                                  [a[fresh] for a in activations])[tuple_slice]
-        block, stepped = min(size, config.cw_max_iters - taken), []  # (state, point) per step
-        while len(stepped) < block:
-            advanced = step(state, grad, taken + len(stepped) == 0)
+            step = rule(input_gradient(net, batch[fresh], loss, label,
+                                       [a[fresh] for a in activations])[tuple_slice])
+        block, states = min(size, config.cw_max_iters - taken), []
+        if sum(len(qs) for _, qs in held) + block > BLOCK_ROWS:
+            yield release()
+        while step is not None and len(states) < block:
+            advanced = step(state, taken + len(states) == 0)
             if advanced is None:
                 break
-            stepped.append(advanced)
-            state = advanced[0]
-        if not stepped:
-            return
-        batch = np.repeat(observation[None], len(stepped), axis=0)
-        batch[:, tuple_slice] = [point for _, point in stepped]
+            states.append(advanced)
+            state = advanced
+        if not states:
+            break
+        batch = np.repeat(observation[None], len(states), axis=0)
+        batch[:, tuple_slice] = points(states)
         activations = _forward_cached(net, batch)
         keys = _margin_keys(activations, config.mode, label)
         same = (keys == kept).all(axis=1)
         fresh = None if same.all() else int(same.argmin())
-        cut = len(stepped) if fresh is None else fresh + 1
-        yield eps, batch[:cut, tuple_slice], activations[-1][:cut]
+        cut = len(states) if fresh is None else fresh + 1
+        held.append((batch[:cut, tuple_slice], activations[-1][:cut]))
         taken += cut
         if fresh is not None:
-            state, size = stepped[fresh][0], 1
-        elif len(stepped) < block:
-            return  # the step rule stopped under the kept gradient
+            state, size = states[fresh], 1
+            yield release()
+        elif len(states) < block:
+            break  # the step rule stopped under the kept gradient
         else:
             size = min(2 * size, BLOCK_ROWS)
+    if held:
+        yield release()
 
 
 def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
@@ -338,8 +358,17 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     spec's box, written as (tanh(w)+1)/2, and w is driven by plain gradient
     descent on ||delta||^2 + c * margin. Every iterate is unscaled and tried;
     the smallest-norm qualifying candidate wins. ``k`` is unused (None).
-    ``_descend`` yields the iterates in blocks; each step makes the float
-    operations of a one-step-at-a-time descent, so every iterate keeps its bytes.
+    ``_descend`` yields the iterates in blocks. A state is (w, tanh(w)) as
+    Python floats; each step makes the float operations of a
+    one-step-at-a-time descent, and ``points`` maps a block of states to the
+    box with numpy's elementwise operations, so every iterate keeps its bytes.
+
+    The margin term ``const * g * span`` depends only on the gradient, so it
+    is computed, and checked, once per gradient: with s = (tanh(w)+1)/2 in
+    [0,1], the scaled tuple x in [1e-6, 1-1e-6] and 1 - tanh(w)^2 in [0,1],
+    every step's gradient in w is finite exactly when those terms and x are.
+    (Only an infinite lr makes w NaN; a step-at-a-time descent stops there,
+    this one may repeat the NaN iterate, and a repeat never replaces the best.)
 
     The descent stops at a fixed point: once a step leaves w unchanged after
     at least one iterate, every later iterate would repeat the last one, and
@@ -349,31 +378,32 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     lo, hi = config.spec.box(x_orig.size)
     width = hi - lo
     x_scaled = np.clip((x_orig - lo) / width, 1e-6, 1.0 - 1e-6)
-    w = np.arctanh(2.0 * x_scaled - 1.0).tolist()
-    lo, width, x_scaled = lo.tolist(), width.tolist(), x_scaled.tolist()
+    w = np.arctanh(2.0 * x_scaled - 1.0)
+    spans, x_scaled = width.tolist(), x_scaled.tolist()
     lr, const = config.cw_lr, config.cw_const
-
-    def at(w):
-        tanh_w = np.tanh(w).tolist()  # numpy's tanh: libm's need not match it
-        adv_scaled = [(t + 1.0) / 2.0 for t in tanh_w]
-        return (w, tanh_w, adv_scaled), [low + s * span
-                                         for low, s, span in zip(lo, adv_scaled, width)]
 
     # the step runs on Python floats, with numpy's operations in numpy's order
     # (numpy computes tanh_w ** 2 as tanh_w * tanh_w)
-    def step(state, grad, first):
-        w, tanh_w, adv_scaled = state
-        grad_w = [(2.0 * (s - x) + const * g * span) * (1.0 - t * t) / 2.0
-                  for s, x, g, span, t in zip(adv_scaled, x_scaled, grad.tolist(), width,
-                                              tanh_w)]
-        if not all(map(math.isfinite, grad_w)):
+    def rule(grad):
+        margin = [const * g * span for g, span in zip(grad.tolist(), spans)]
+        if not all(map(math.isfinite, margin + x_scaled)):
             return None
-        next_w = [v - lr * g for v, g in zip(w, grad_w)]
-        if not first and next_w == w:
-            return None  # fixed point: the next iterate is the last one yielded
-        return at(next_w)
 
-    yield from _descend(net, config, observation, tuple_slice, label, 0.0, *at(w), step)
+        def step(state, first):
+            w, tanh_w = state
+            next_w = [v - lr * ((2.0 * ((t + 1.0) / 2.0 - x) + m) * (1.0 - t * t) / 2.0)
+                      for v, t, x, m in zip(w, tanh_w, x_scaled, margin)]
+            if not first and next_w == w:
+                return None  # fixed point: the next iterate is the last one yielded
+            return next_w, np.tanh(next_w).tolist()  # numpy's tanh: libm's need not match it
+
+        return step
+
+    def points(states):
+        return lo + (np.array([tanh_w for _, tanh_w in states]) + 1.0) / 2.0 * width
+
+    yield from _descend(net, config, observation, tuple_slice, label, 0.0,
+                        (w.tolist(), np.tanh(w).tolist()), rule, points)
 
 
 def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig, k, label):
@@ -382,8 +412,10 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     Per-dimension steps are lr * eps * k_d times the objective gradient,
     clipped to at most lr * eps * k_d in magnitude so the emitted
     perturbation stays inside |delta_d| <= eps * k_d * max_iters * lr.
-    ``_descend`` yields the iterates in blocks; each step makes the numpy
-    operations of a one-step-at-a-time descent, so every iterate keeps its bytes.
+    ``_descend`` yields the iterates in blocks. A state is delta; each step
+    makes the numpy operations of a one-step-at-a-time descent, and
+    ``points`` adds a block of deltas to the tuple elementwise, so every
+    iterate keeps its bytes.
 
     The descent stops at a fixed point: once a step gives back the last
     yielded delta (as it does where Q does not depend on the input, e.g. a
@@ -393,18 +425,22 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     """
     step_cap = config.cw_lr * config.cw_eps * k
 
-    def step(delta, grad, first):
-        objective_grad = 2.0 * delta + config.cw_const * grad
-        if not np.isfinite(objective_grad).all():
-            return None
-        next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-        if not first and np.array_equal(next_delta, delta):
-            return None  # fixed point: the next iterate is the last one yielded
-        return next_delta, x_orig + next_delta
+    def rule(grad):
+        margin = config.cw_const * grad
 
-    delta = np.zeros_like(x_orig)
-    yield from _descend(net, config, observation, tuple_slice, label, config.cw_eps, delta,
-                        x_orig + delta, step)
+        def step(delta, first):
+            objective_grad = 2.0 * delta + margin
+            if not np.isfinite(objective_grad).all():
+                return None
+            next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
+            if not first and np.array_equal(next_delta, delta):
+                return None  # fixed point: the next iterate is the last one yielded
+            return next_delta
+
+        return step
+
+    yield from _descend(net, config, observation, tuple_slice, label, config.cw_eps,
+                        np.zeros_like(x_orig), rule, lambda deltas: x_orig + np.array(deltas))
 
 
 # the proposal generator of each attack: config.method for FGSM, config.cw_variant for C&W
@@ -435,10 +471,14 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
     which can change a decision only at a top-two Q tie within rounding;
     ``tests/test_oracle.py`` checks across versions that no decision moved
     elsewhere. The best candidate by (outcome priority, then smallest L2)
-    wins. FGSM stops at the first full success, in the row order of its
-    ladder; C&W tries every proposal, and a target that is already greedy is
-    a success with no proposal. ``q``, when given, is ``forward(net,
-    observation)``, computed once by the caller.
+    wins, the earliest on a tie. A block's squared offsets come from one
+    array expression; only a row that ranks higher than the best so far, or
+    the same with a squared offset within a relative 1e-9 of the best's, gets
+    its exact L2, so the winner keeps the bytes of ``np.linalg.norm``. FGSM
+    stops at the first full success, in the row order of its ladder; C&W
+    tries every proposal, and a target that is already greedy is a success
+    with no proposal. ``q``, when given, is ``forward(net, observation)``,
+    computed once by the caller.
     """
     if config.method not in ("fgsm", "cw"):
         raise AttackError(f"{config.method!r} is not a perturbation attack")
@@ -460,6 +500,7 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
         return PerturbationResult(x_orig, SUCCESS, original_action, 0, _fallback_eps(config), 0.0)
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
+    bound = math.inf  # a row at the best's priority whose squared offset is above this loses
     attacked, iteration, spec = observation.copy(), 0, config.spec
     outcomes = {}  # induced action: its outcome, classified once per attempt
     for eps, proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
@@ -478,6 +519,8 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
         elif len(moved):  # a lone one takes the 1-D path
             attacked[tuple_slice] = candidates[moved[0]]
             qs[moved[0]] = forward(net, attacked)
+        offsets = candidates - x_orig
+        squares = np.einsum("ij,ij->i", offsets, offsets).tolist()  # no overflow warning
         for j, induced in enumerate(qs.argmax(axis=1).tolist()):
             iteration += 1
             outcome = outcomes.get(induced)
@@ -485,12 +528,17 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
                 outcome = outcomes[induced] = classify_outcome(
                     original_action, induced, config.mode, target, action_types)
             priority = _PRIORITY[outcome]
-            if priority < best_priority:
+            if priority < best_priority or priority == best_priority and squares[j] > bound:
                 continue
-            d = candidates[j] - x_orig
+            d = offsets[j]
             l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
             if priority > best_priority or l2 < best_l2:
                 best_priority, best_l2 = priority, l2
+                # the two sums of squares differ by a few ulps, so a row more than a
+                # relative 1e-9 above the best's cannot tie it; below the normal
+                # range the ulps are coarse, so every row gets its exact L2
+                bound = squares[j] * (1.0 + 1e-9) if squares[j] >= sys.float_info.min \
+                    else math.inf
                 best = (candidates[j], outcome, induced, iteration,
                         eps[j] if isinstance(eps, list) else eps)
                 if fgsm and outcome == SUCCESS:

@@ -100,6 +100,10 @@ def build_action_table(stops, takes, size_count: int) -> list[ManagedRiskAction]
     takes = list(takes)
     if not stops or not takes:
         raise EnvError("stop and take lists must be non-empty")
+    # a stop of 1 or more puts a buy's stop price at or below 0, where no bar
+    # reaches it; a take of 0 or less sells a buy back at or below its entry price
+    if not all(0.0 < f < 1.0 for f in stops + takes):
+        raise EnvError(f"stops and takes must be fractions in (0, 1), got {stops} and {takes}")
     if size_count < 1:
         raise EnvError("size_count must be >= 1")
     table = [ManagedRiskAction(side="hold")]
@@ -112,6 +116,15 @@ def build_action_table(stops, takes, size_count: int) -> list[ManagedRiskAction]
                         ManagedRiskAction(side=side, fraction=fraction, stop=stop, take=take)
                     )
     return table
+
+
+def _check_commission(commission_pct) -> float:
+    """The commission as a float in percent of the trade: at 100 or more a buy
+    spends its cash for no asset or less than none, below 0 it pays to trade."""
+    commission_pct = float(commission_pct)
+    if not 0.0 <= commission_pct < 100.0:
+        raise EnvError(f"commission_pct must be in [0, 100), got {commission_pct}")
+    return commission_pct
 
 
 def _pick_start(rng_or_start, min_start: int, max_start: int) -> int:
@@ -188,8 +201,8 @@ class BasicStockEnv(_MarketEnv):
 
     def __init__(self, market: Market, window: int = 10, commission_pct: float = 0.1,
                  episode_cap: int = 250):
+        self.commission_pct = _check_commission(commission_pct)
         super().__init__(market, "relative", window, episode_cap)
-        self.commission_pct = float(commission_pct)
 
     @property
     def observation_dim(self) -> int:
@@ -251,14 +264,14 @@ class ManagedRiskEnv(_MarketEnv):
                            f"{sys.float_info.min}, got {sharpe_offset}")
         if not -1 <= risk_free <= 1:
             raise EnvError(f"risk_free is a per-step rate in [-1, 1], got {risk_free}")
-        super().__init__(market, "indicator", window, episode_cap)
+        self.fee = _check_commission(commission_pct) / 100.0
         self.action_table = build_action_table(stops, takes, size_count)
+        super().__init__(market, "indicator", window, episode_cap)
         self.action_types = [a.side for a in self.action_table]
         self.initial_cash = float(cash)
         self.initial_asset = float(asset)
         self.risk_free = float(risk_free)
         self.sharpe_offset = float(sharpe_offset)
-        self.fee = float(commission_pct) / 100.0
 
     @property
     def n_actions(self) -> int:

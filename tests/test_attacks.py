@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tradefool import attacks, qnet
@@ -694,34 +694,58 @@ def margin_key(activations, mode, label):
     return rival, bool(margin > 0.0), [(a > 0.0).tobytes() for a in activations[1:-1]]
 
 
+def descent_events(monkeypatch, net, obs, config, tuple_slice, target=None):
+    """(result, the C&W generator's work in order, its forward passes):
+    ("forward", rows) per ``_forward_cached`` pass, ("yield", rows) per block
+    the driver gets and ("gradient", 1) per fresh input gradient."""
+    events, passes, generator = [], [], attacks.PROPOSALS[config.cw_variant]
+
+    def forwarded(net, x):
+        events.append(("forward", len(x)))
+        passes.append(qnet._forward_cached(net, x))
+        return passes[-1]
+
+    def gradient(*args):
+        events.append(("gradient", 1))
+        return input_gradient(*args)
+
+    def blocks(*args):
+        for block in generator(*args):
+            events.append(("yield", len(block[1])))
+            yield block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attacks, "_forward_cached", forwarded)
+        patch.setattr(attacks, "input_gradient", gradient)
+        patch.setitem(attacks.PROPOSALS, config.cw_variant, blocks)
+        result = run_perturbation_attack(net, obs, config, tuple_slice, target)
+    return result, events, passes
+
+
 def traced_cw_call(monkeypatch, net, obs, config, tuple_slice, target=None):
     """(result, the margin key of each descent step, fresh gradients taken).
 
     Step 0 reads the starting point's forward pass; each later step reads
-    its row of the batched forward pass of the block that yielded it."""
-    forwards, blocks = [], []  # the generator's forward passes; the rows each block yielded
-    generator = attacks.PROPOSALS[config.cw_variant]
-
-    def recorded(net, x):
-        forwards.append(qnet._forward_cached(net, x))
-        return forwards[-1]
-
-    def counted(*args):
-        for block in generator(*args):
-            blocks.append(len(block[1]))
-            yield block
-
-    with monkeypatch.context() as patch:
-        patch.setattr(attacks, "_forward_cached", recorded)
-        patch.setitem(attacks.PROPOSALS, config.cw_variant, counted)
-        gradients = counting(patch, "input_gradient")
-        result = run_perturbation_attack(net, obs, config, tuple_slice, target)
-    assert len(forwards) in (0, len(blocks) + 1)  # none, or the start's and one per block
+    its row of the batched forward pass of the sub-block that made it. A
+    yielded block holds the rows of whole consecutive sub-blocks, of which
+    only the last may be cut (after the row whose key changed)."""
+    result, events, forwards = descent_events(monkeypatch, net, obs, config, tuple_slice,
+                                              target)
+    blocks = [n for kind, n in events if kind == "yield"]
+    assert forwards or not blocks  # none, or the start's and then the sub-blocks
+    kept, passes = [1] * bool(forwards), iter(forwards[1:])  # the rows each pass gave steps
+    for n in blocks:
+        while n > 0:  # the sub-blocks in order, until they fill the block
+            rows = len(next(passes)[0])
+            kept.append(min(rows, n))
+            n -= rows
+    assert next(passes, None) is None  # every sub-block went into a yielded block
     label = target if config.mode == "targeted" else int(forward(net, obs).argmax())
-    rows = [[a[j] for a in activations]
-            for activations, n in zip(forwards, [1, *blocks]) for j in range(n)]
+    rows = [[a[j] for a in activations] for activations, n in zip(forwards, kept)
+            for j in range(n)]
     steps = rows[:config.cw_max_iters]  # the last row of a full descent has no step
-    return result, [margin_key(a, config.mode, label) for a in steps], len(gradients)
+    return result, [margin_key(a, config.mode, label) for a in steps], \
+        [kind for kind, _ in events].count("gradient")
 
 
 def reuse_problem(rng, variant, mode):
@@ -992,6 +1016,217 @@ class TestBlockCap:
         assert result_bytes(result) == result_bytes(expected)
         assert max(rows) == attacks.BLOCK_ROWS  # reached, never passed
         assert sum(rows) >= 10**4  # the whole run was forwarded, at most a block at a time
+
+
+class TestKeyRunBlocks:
+    # sub-blocks double from one row up to BLOCK_ROWS; the driver gets their
+    # rows held together, up to BLOCK_ROWS at a time
+    @pytest.mark.parametrize("iters, forwards, blocks", [
+        (100, [1, 1, 2, 4, 8, 16, 32, 37], [63, 37]),
+        (300, [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 45], [63, 64, 64, 64, 45]),
+    ])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_a_stable_key_reaches_the_driver_in_full_blocks(self, monkeypatch, variant,
+                                                            iters, forwards, blocks):
+        rng = np.random.default_rng(61)
+        net = QNetwork.initialize([3, 4, 2], rng)  # as in TestBlockCap: the key never changes
+        net.biases[0][:] = 0.5
+        obs = np.array([0.1, -0.2, 0.3])
+        config = replace(LONG_RUNS[variant], cw_max_iters=iters)
+        expected = run_reference(net, obs, config, slice(0, 3))
+        projections = counting(monkeypatch, "project_constraints")
+        result, events, _ = descent_events(monkeypatch, net, obs, config, slice(0, 3))
+        assert result_bytes(result) == result_bytes(expected)
+        assert [n for kind, n in events if kind == "forward"] == forwards
+        assert [n for kind, n in events if kind == "yield"] == blocks
+        assert [kind for kind, _ in events].count("gradient") == 1
+        assert len(projections) == len(blocks)  # one projection per block
+
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_a_key_change_yields_at_once_and_restarts_at_one(self, monkeypatch, variant,
+                                                              mode):
+        rng = np.random.default_rng(53)
+        changes = held = 0
+        for _ in range(60):
+            net, obs, config, tuple_slice, target = reuse_problem(rng, variant, mode)
+            expected = run_reference(net, obs, config, tuple_slice, target)
+            result, events, _ = descent_events(monkeypatch, net, obs, config, tuple_slice,
+                                               target)
+            assert result_bytes(result) == result_bytes(expected)
+            assert events[:1] in ([], [("forward", 1)])  # the start's pass
+            gradients = [i for i, (kind, _) in enumerate(events) if kind == "gradient"]
+            for i in gradients[1:]:  # a fresh gradient after the first follows a key change
+                # the sub-block that found the change was yielded before anything else
+                assert [kind for kind, _ in events[i - 2:i]] == ["forward", "yield"]
+                assert next((n for kind, n in events[i:] if kind == "forward"), 1) == 1
+            changes += len(gradients) - 1
+            sub_blocks = []  # rows of the sub-blocks forwarded since the last yield
+            for kind, n in events[1:]:
+                if kind == "forward":
+                    sub_blocks.append(n)
+                elif kind == "yield":  # whole sub-blocks; only the last may be cut
+                    assert sum(sub_blocks[:-1]) < n <= min(sum(sub_blocks), attacks.BLOCK_ROWS)
+                    held += len(sub_blocks) > 1
+                    sub_blocks = []
+            assert sub_blocks == []  # every sub-block reached the driver
+        assert changes >= 20 and held >= 20  # both paths ran
+
+
+# offsets near the L2 filter's edges: squares below the normal range (1e-160),
+# about its edge (1e-154), ordinary (1e-3) and large (1e100)
+L2_SCALES = [1e-160, 1e-154, 1e-3, 1.0, 1e100]
+OUTCOME_ORDER = [FAILURE, NON_TARGET, PARTIAL, SUCCESS]
+
+
+def keep_best_reference(config, x_orig, blocks, original, target, types):
+    """The driver's keep-best rule row by row, each row with the L2 of
+    ``np.linalg.norm``: what ``run_perturbation_attack`` makes of ``blocks``."""
+    fgsm = config.method == "fgsm"
+    best, best_rank, best_l2, iteration = None, 0, np.inf, 0
+    for eps, rows, qs in blocks:
+        for j, row in enumerate(rows):
+            iteration += 1
+            induced = int(qs[j].argmax())
+            outcome = classify_outcome(original, induced, config.mode, target, types)
+            rank = OUTCOME_ORDER.index(outcome)
+            l2 = float(np.linalg.norm(row - x_orig))
+            if rank > best_rank or rank == best_rank and l2 < best_l2:
+                best_rank, best_l2 = rank, l2
+                best = (row, outcome, induced, iteration, eps[j] if isinstance(eps, list) else eps)
+                if fgsm and outcome == SUCCESS:
+                    return attacks.PerturbationResult(*best, l2=best_l2)
+    if best is None:
+        return attacks.PerturbationResult(x_orig, FAILURE, original,
+                                          config.eps_iters if fgsm else config.cw_max_iters,
+                                          attacks._fallback_eps(config), 0.0)
+    return attacks.PerturbationResult(*best, l2=best_l2)
+
+
+def run_blocks(config, x_orig, blocks, q, target, types):
+    """run_perturbation_attack on a 3-input observation ``x_orig`` whose
+    proposal generator yields ``blocks`` as they are (constraint "none"
+    moves no row, so no forward pass runs)."""
+    net = QNetwork.initialize([3, len(q)], np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(attacks.PROPOSALS, "fgsm" if config.method == "fgsm"
+                      else config.cw_variant, lambda *args: iter(blocks))
+        return run_perturbation_attack(net, x_orig, config, slice(0, 3), target, types, q=q)
+
+
+@st.composite
+def l2_cases(draw):
+    """(config, x_orig, blocks, q, target, types) whose rows tie, nearly tie,
+    hold NaN or infinities, or have tiny norms."""
+    n_actions = draw(st.integers(2, 4))
+    fgsm = draw(st.booleans())
+    mode = draw(st.sampled_from(["non_targeted", "targeted"]))
+    original = draw(st.integers(0, n_actions - 1))
+    target = draw(st.integers(0, n_actions - 1)) if mode == "targeted" else None
+    assume(fgsm or target != original)  # C&W returns early on a greedy target
+    types = draw(st.none() | st.lists(st.sampled_from(["hold", "buy", "sell"]),
+                                      min_size=n_actions, max_size=n_actions))
+    scale = draw(st.sampled_from(L2_SCALES))
+    x_orig = draw(st.sampled_from([np.zeros(3), np.array([0.01, -0.02, 0.005])]))
+    unit = st.floats(-4.0, 4.0, allow_nan=False)
+    bases = [np.array(draw(st.lists(unit, min_size=3, max_size=3))) * scale
+             for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        d = bases[draw(st.integers(0, len(bases) - 1))].copy()
+        how = draw(st.sampled_from(["same", "permuted", "ulps", "nan", "inf", "-inf"]))
+        i = draw(st.integers(0, 2))
+        if how == "permuted":  # the same terms, summed in another order
+            d = d[[1, 2, 0]]
+        elif how == "ulps":
+            for _ in range(draw(st.integers(1, 3))):
+                d[i] = np.nextafter(d[i], draw(st.sampled_from([-np.inf, np.inf])))
+        elif how != "same":
+            d[i] = float(how)
+        rows.append(x_orig + d)
+    induced = [draw(st.integers(-1, n_actions - 1)) for _ in rows]  # -1: a NaN Q row
+    qs = np.array([np.full(n_actions, np.nan) if a < 0 else np.eye(n_actions)[a]
+                   for a in induced])
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1), max_size=4))) \
+        if len(rows) > 1 else []
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        eps = [1e-4 * (i + 1) for i in range(lo, hi)] if fgsm else 1.0
+        blocks.append((eps, np.array(rows[lo:hi]), qs[lo:hi]))
+    config = AttackConfig(method="fgsm" if fgsm else "cw", mode=mode, constraint="none",
+                          eps_iters=len(rows), cw_max_iters=len(rows), cw_variant="scaled")
+    return config, x_orig, blocks, np.eye(n_actions)[original], target, types
+
+
+class TestL2Filter:
+    @settings(max_examples=400, deadline=None)
+    @given(case=l2_cases())
+    def test_matches_the_row_by_row_reference(self, case):
+        config, x_orig, blocks, q, target, types = case
+        original = int(q.argmax())
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's norms of inf rows
+            expected = keep_best_reference(config, x_orig, blocks, original, target, types)
+            result = run_blocks(config, x_orig, blocks, q, target, types)
+        assert result_bytes(result) == result_bytes(expected)
+
+    @pytest.mark.parametrize("method", ["fgsm", "cw"])
+    @pytest.mark.parametrize("rows, induced, best", [
+        # a NaN first row at a priority jump is never replaced, not even by a tie
+        ([[np.nan, 0, 0], [0, 0, 0], [1e-3, 0, 0]], [1, 1, 1], 1),
+        # an exact tie goes to the earliest row
+        ([[2e-3, 0, 0], [1e-3, 1e-3, 0], [1e-3, 1e-3, 0], [0, 1e-3, 1e-3]], [0, 0, 0, 0], 2),
+        # an ulp below the best wins; an ulp above it does not
+        ([[3e-3, 4e-3, 0], [3e-3, np.nextafter(4e-3, 1), 0],
+          [3e-3, np.nextafter(4e-3, 0), 0]], [0, 0, 0], 3),
+        # norms below 1e-154, whose squares are below the normal range
+        ([[3e-160, 4e-160, 0], [4e-160, 3e-160, 0], [1e-160, 1e-160, 1e-160],
+          [5e-170, 0, 0]], [0, 0, 0, 0], 4),
+        # an infinite row, then a finite one
+        ([[np.inf, 0, 0], [-np.inf, 0, 0], [1.0, 0, 0]], [1, 1, 1], 3),
+    ], ids=["nan_first", "exact_tie", "ulps", "subnormal_squares", "inf_rows"])
+    def test_hand_cases(self, method, rows, induced, best):
+        # non-targeted from action 0: action 1 succeeds, action 0 fails
+        config = AttackConfig(method=method, constraint="none", eps_iters=len(rows),
+                              cw_max_iters=len(rows), cw_variant="scaled")
+        x_orig, q = np.zeros(3), np.eye(2)[0]
+        rows = np.array(rows, dtype=np.float64)
+        qs = np.eye(2)[induced]
+        eps = [1e-4 * (i + 1) for i in range(len(rows))] if method == "fgsm" else 1.0
+        blocks = [(eps, rows, qs)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = keep_best_reference(config, x_orig, blocks, 0, None, None)
+            result = run_blocks(config, x_orig, blocks, q, None, None)
+        assert result_bytes(result) == result_bytes(expected)
+        if method == "cw" or induced[0] == 0:  # FGSM stops at its first success
+            assert result.iterations == best
+
+    def test_fgsm_stops_at_its_first_success(self):
+        config = AttackConfig(method="fgsm", constraint="none", eps_iters=4)
+        rows = np.array([[3e-3, 0, 0], [2e-3, 0, 0], [1e-3, 0, 0], [5e-4, 0, 0]])
+        blocks = [([1e-4, 2e-4], rows[:2], np.eye(2)[[0, 1]]),
+                  ([3e-4, 4e-4], rows[2:], np.eye(2)[[1, 1]])]
+        result = run_blocks(config, np.zeros(3), blocks, np.eye(2)[0], None, None)
+        expected = keep_best_reference(config, np.zeros(3), blocks, 0, None, None)
+        assert result_bytes(result) == result_bytes(expected)
+        assert (result.outcome, result.iterations, result.final_eps) == (SUCCESS, 2, 2e-4)
+
+
+class TestBoxStepConstants:
+    def test_an_overflowing_margin_term_stops_at_the_first_step(self, monkeypatch):
+        # the margin gradient is 1: const * g is finite, const * g * span is not
+        net = linear_net([[0.5, -0.5]])
+        config = AttackConfig(method="cw", cw_variant="box", cw_const=1e308,
+                              cw_max_iters=20, constraint="none", k_scale=(1.0,))
+        obs = np.array([0.2])
+        assert np.isfinite(config.cw_const * 1.0) and not np.isfinite(config.cw_const * 2.0)
+        projections = projected_rows(monkeypatch)
+        with np.errstate(over="ignore"):  # the overflow is the point
+            expected = run_reference(net, obs, config, slice(0, 1))
+            projections.clear()
+            result = run_perturbation_attack(net, obs, config, slice(0, 1))
+        assert result_bytes(result) == result_bytes(expected)
+        assert projections == []  # no step was taken
+        assert (result.outcome, result.iterations) == (FAILURE, config.cw_max_iters)
 
 
 # keyed by the attack's name, which each test id carries

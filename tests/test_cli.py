@@ -305,6 +305,11 @@ ENV_FIELDS_MALFORMED = [
     {"kind": "managed", "sharpe_offset": -1e-9}, {"kind": "managed", "risk_free": 1e308},
     {"kind": "managed", "risk_free": -1.5},
     {"kind": "managed", "sharpe_offset": 1e-320},  # denormal: the first mean / offset overflows
+    # each made a nonsense trade: a negative asset, a buy for nothing, a reward
+    # for buying, a sale at half price, a stop no bar reaches
+    {"kind": "managed", "commission_pct": 250}, {"kind": "basic", "commission_pct": 100},
+    {"kind": "basic", "commission_pct": -5}, {"kind": "managed", "takes": [-0.5]},
+    {"kind": "managed", "stops": [1.5]},
 ]
 
 
@@ -323,6 +328,7 @@ class TestConfigShapes:
                                  "learning_starts": 100}, "env": fields})
           for fields in ENV_FIELDS_MALFORMED),
         ("attack", {"env": ENV_FIELDS_MALFORMED[0]}),
+        ("attack", {"env": {"kind": "basic", "commission_pct": -5}}),
     ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
             "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
             "batch_size_negative", "epsilon_decay_interval_0",
@@ -338,7 +344,10 @@ class TestConfigShapes:
             "managed_env_cash_negative", "managed_env_asset_negative",
             "managed_env_sharpe_offset_0", "managed_env_sharpe_offset_negative",
             "managed_env_risk_free_huge", "managed_env_risk_free_below_minus_1",
-            "managed_env_sharpe_offset_denormal", "attack_env_episode_cap_string"])
+            "managed_env_sharpe_offset_denormal", "managed_env_commission_250",
+            "env_commission_100", "env_commission_negative", "managed_env_takes_negative",
+            "managed_env_stops_above_1", "attack_env_episode_cap_string",
+            "attack_env_commission_negative"])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"

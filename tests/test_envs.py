@@ -337,3 +337,32 @@ class TestMakeEnv:
         env = make_env("managed", managed_bars, **fields)
         env.reset(env._min_start)
         assert np.isfinite(env.step(0).reward)
+
+    # each made a nonsense trade: a managed commission of 250 turned a buy into
+    # a negative asset, 100 spent cash for nothing, a basic -5 paid +5 for
+    # buying, a take of -0.5 sold every buy back at half price on the next bar,
+    # and a stop of 1.5 set a stop price below 0, where no bar reaches it
+    @pytest.mark.parametrize("kind, fields", [
+        ("managed", {"commission_pct": 250.0}), ("managed", {"commission_pct": 100.0}),
+        ("basic", {"commission_pct": 100.0}), ("basic", {"commission_pct": -5.0}),
+        ("managed", {"commission_pct": -1e-9}), ("basic", {"commission_pct": float("nan")}),
+        ("managed", {"takes": (-0.5,)}), ("managed", {"takes": (0.01, 1.0)}),
+        ("managed", {"stops": (1.5,)}), ("managed", {"stops": (0.0, 0.02)}),
+        ("managed", {"stops": (float("nan"),)}),
+    ])
+    def test_trade_fields_out_of_range_fail_at_construction(self, trending_bars, kind,
+                                                            fields):
+        with pytest.raises(EnvError, match="|".join(fields)):
+            make_env(kind, trending_bars, **fields)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("basic", {"commission_pct": 0.0}), ("basic", {"commission_pct": 99.9}),
+        ("managed", {"commission_pct": 99.9, "stops": (1e-9,), "takes": (0.999,)}),
+    ])
+    def test_trade_fields_at_their_bounds_build(self, managed_bars, kind, fields):
+        env = make_env(kind, managed_bars, **fields)
+        env.reset(env._min_start)
+        result = env.step(1)  # a buy
+        assert np.isfinite(result.reward)
+        if kind == "managed":
+            assert env.portfolio.cash >= 0.0 and env.portfolio.asset >= 0.0
