@@ -165,9 +165,9 @@ class AttackConfig:
         if any(isinstance(k, bool) or not isinstance(k, (int, float)) or not 0.0 < k <= 1.0
                for k in self.k_scale):
             raise AttackError(f"k_scale entries must be numbers in (0, 1], got {self.k_scale}")
-        for name in ("cw_lr", "cw_eps", "cw_const"):
-            if not getattr(self, name) > 0.0:
-                raise AttackError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("eps_end", "cw_lr", "cw_eps", "cw_const"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise AttackError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.cw_variant not in ("box", "scaled"):
             raise AttackError(f"unknown cw variant {self.cw_variant!r}")
         if self.constraint not in CONSTRAINT_SPECS:
@@ -249,9 +249,8 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
     The gradient of the cross-entropy loss (against the current greedy
     action, or the adversarial target) is computed once at the original
     observation; rung i tries x +- eps_i * k (.) sign(g). The ladder comes as
-    one block, with one eps per row and no Q, or in blocks of at most
-    ``BLOCK_ROWS`` rungs when it is longer. The driver stops at the first
-    full success.
+    one block with no Q, or in blocks of at most ``BLOCK_ROWS`` rungs when it
+    is longer.
     """
     grad = input_gradient(net, observation, "cross_entropy", label)
     direction = np.sign(grad[tuple_slice])  # ascend away from the greedy action
@@ -261,8 +260,7 @@ def fgsm_rungs(net, config: AttackConfig, observation, tuple_slice, x_orig, k, l
     step = k * direction
     ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
     for start in range(0, len(ladder), BLOCK_ROWS):
-        eps = ladder[start:start + BLOCK_ROWS]
-        yield eps.tolist(), x_orig + eps[:, None] * step, None
+        yield x_orig + ladder[start:start + BLOCK_ROWS, None] * step, None
 
 
 def _margin_keys(activations, mode, label) -> np.ndarray:
@@ -283,14 +281,18 @@ def _margin_keys(activations, mode, label) -> np.ndarray:
     return np.where(np.isfinite(q).all(axis=1)[:, None], keys, np.nan)
 
 
-def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, state, rule,
-             points):
-    """The C&W descent from ``state`` in blocks (eps, proposals (k, d), Q
+def _descend(net, config: AttackConfig, observation, tuple_slice, label, state, rule, points):
+    """The C&W descent from ``state`` in blocks (proposals (k, d), Q
     (k, n_actions)). The variant gives the step rule and the rows:
-    ``rule(grad)`` is the step under one margin gradient, ``step(state,
-    first)``, which gives the next state or None to stop (or None itself when
-    that gradient gives no finite step), and ``points(states)`` is the
-    proposal block (k, d) of some states.
+    ``rule(grad)`` is the step under one margin gradient, or None when that
+    gradient gives no finite step; ``step(state)`` is the next state, the
+    same object when it would repeat ``state``, or None to stop; and
+    ``points(states)`` is the proposal block (k, d) of some states.
+
+    The descent stops at a fixed point: once a step repeats its state after
+    at least one iterate, every later iterate would repeat the last one, and
+    a repeat never replaces the best candidate, so the result (``iterations``
+    included) is the one all ``cw_max_iters`` steps would give.
 
     The margin gradient is kept while its key (``_margin_keys``) repeats. A
     sub-block is up to ``size`` steps under the kept gradient, forwarded in
@@ -303,17 +305,21 @@ def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, st
     ends. No gradient is taken once no step remains."""
     # crown the target, or dethrone the greedy action
     loss = "deficit_margin" if config.mode == "targeted" else "lead_margin"
-    batch = observation[None].copy()
-    batch[0, tuple_slice] = points([state])[0]
-    activations = _forward_cached(net, batch)
-    keys = _margin_keys(activations, config.mode, label)
+
+    def forward_rows(states):
+        batch = np.repeat(observation[None], len(states), axis=0)
+        batch[:, tuple_slice] = points(states)
+        activations = _forward_cached(net, batch)
+        return batch, activations, _margin_keys(activations, config.mode, label)
+
+    batch, activations, keys = forward_rows([state])
     fresh, taken, size = 0, 0, 1  # fresh: the row to take a new gradient at, if any
     held = []  # (proposals, Q) of the sub-blocks not yet yielded
 
     def release():
         proposals, qs = zip(*held)
         held.clear()
-        return eps, np.concatenate(proposals), np.concatenate(qs)
+        return np.concatenate(proposals), np.concatenate(qs)
 
     while taken < config.cw_max_iters:
         if fresh is not None:
@@ -324,17 +330,14 @@ def _descend(net, config: AttackConfig, observation, tuple_slice, label, eps, st
         if sum(len(qs) for _, qs in held) + block > BLOCK_ROWS:
             yield release()
         while step is not None and len(states) < block:
-            advanced = step(state, taken + len(states) == 0)
-            if advanced is None:
-                break
+            advanced = step(state)
+            if advanced is None or advanced is state and (taken or states):
+                break  # stopped, or a fixed point past the first iterate
             states.append(advanced)
             state = advanced
         if not states:
             break
-        batch = np.repeat(observation[None], len(states), axis=0)
-        batch[:, tuple_slice] = points(states)
-        activations = _forward_cached(net, batch)
-        keys = _margin_keys(activations, config.mode, label)
+        batch, activations, keys = forward_rows(states)
         same = (keys == kept).all(axis=1)
         fresh = None if same.all() else int(same.argmin())
         cut = len(states) if fresh is None else fresh + 1
@@ -362,18 +365,12 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     Python floats; each step makes the float operations of a
     one-step-at-a-time descent, and ``points`` maps a block of states to the
     box with numpy's elementwise operations, so every iterate keeps its bytes.
+    A step that leaves w unchanged repeats its state.
 
     The margin term ``const * g * span`` depends only on the gradient, so it
     is computed, and checked, once per gradient: with s = (tanh(w)+1)/2 in
     [0,1], the scaled tuple x in [1e-6, 1-1e-6] and 1 - tanh(w)^2 in [0,1],
     every step's gradient in w is finite exactly when those terms and x are.
-    (Only an infinite lr makes w NaN; a step-at-a-time descent stops there,
-    this one may repeat the NaN iterate, and a repeat never replaces the best.)
-
-    The descent stops at a fixed point: once a step leaves w unchanged after
-    at least one iterate, every later iterate would repeat the last one, and
-    a repeat never replaces the best candidate, so the result (``iterations``
-    included) is the one all ``cw_max_iters`` steps would give.
     """
     lo, hi = config.spec.box(x_orig.size)
     width = hi - lo
@@ -389,12 +386,12 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
         if not all(map(math.isfinite, margin + x_scaled)):
             return None
 
-        def step(state, first):
+        def step(state):
             w, tanh_w = state
             next_w = [v - lr * ((2.0 * ((t + 1.0) / 2.0 - x) + m) * (1.0 - t * t) / 2.0)
                       for v, t, x, m in zip(w, tanh_w, x_scaled, margin)]
-            if not first and next_w == w:
-                return None  # fixed point: the next iterate is the last one yielded
+            if next_w == w:
+                return state
             return next_w, np.tanh(next_w).tolist()  # numpy's tanh: libm's need not match it
 
         return step
@@ -402,7 +399,7 @@ def cw_box_iterates(net, config: AttackConfig, observation, tuple_slice, x_orig,
     def points(states):
         return lo + (np.array([tanh_w for _, tanh_w in states]) + 1.0) / 2.0 * width
 
-    yield from _descend(net, config, observation, tuple_slice, label, 0.0,
+    yield from _descend(net, config, observation, tuple_slice, label,
                         (w.tolist(), np.tanh(w).tolist()), rule, points)
 
 
@@ -415,42 +412,38 @@ def cw_scaled_iterates(net, config: AttackConfig, observation, tuple_slice, x_or
     ``_descend`` yields the iterates in blocks. A state is delta; each step
     makes the numpy operations of a one-step-at-a-time descent, and
     ``points`` adds a block of deltas to the tuple elementwise, so every
-    iterate keeps its bytes.
-
-    The descent stops at a fixed point: once a step gives back the last
-    yielded delta (as it does where Q does not depend on the input, e.g. a
-    hidden layer with no active unit), every later iterate would repeat it,
-    and a repeat never replaces the best candidate, so the result
-    (``iterations`` included) is the one all ``cw_max_iters`` steps would give.
+    iterate keeps its bytes. A step that gives back delta (as it does where
+    Q does not depend on the input, e.g. a hidden layer with no active unit)
+    repeats its state.
     """
     step_cap = config.cw_lr * config.cw_eps * k
 
     def rule(grad):
         margin = config.cw_const * grad
 
-        def step(delta, first):
+        def step(delta):
             objective_grad = 2.0 * delta + margin
             if not np.isfinite(objective_grad).all():
                 return None
             next_delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-            if not first and np.array_equal(next_delta, delta):
-                return None  # fixed point: the next iterate is the last one yielded
-            return next_delta
+            return delta if np.array_equal(next_delta, delta) else next_delta
 
         return step
 
-    yield from _descend(net, config, observation, tuple_slice, label, config.cw_eps,
-                        np.zeros_like(x_orig), rule, lambda deltas: x_orig + np.array(deltas))
+    yield from _descend(net, config, observation, tuple_slice, label, np.zeros_like(x_orig),
+                        rule, lambda deltas: x_orig + np.array(deltas))
 
 
 # the proposal generator of each attack: config.method for FGSM, config.cw_variant for C&W
 PROPOSALS = {"fgsm": fgsm_rungs, "box": cw_box_iterates, "scaled": cw_scaled_iterates}
 
 
-def _fallback_eps(config: AttackConfig) -> float:
-    """``final_eps`` of a result that no proposal made."""
+def _final_eps(config: AttackConfig, iteration: int) -> float:
+    """``final_eps`` of a result whose ``iterations`` is ``iteration``: the
+    ladder rung of that number for FGSM, the variant's constant for C&W."""
     if config.method == "fgsm":
-        return float(epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)[-1])
+        ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
+        return float(ladder[iteration - 1])
     return 0.0 if config.cw_variant == "box" else config.cw_eps
 
 
@@ -458,27 +451,27 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
                             action_types=None, q=None) -> PerturbationResult:
     """The configured perturbation attack: project -> classify -> keep best.
 
-    ``PROPOSALS`` picks the generator, which yields blocks (eps, proposals,
-    q): k <= ``BLOCK_ROWS`` raw candidate tuples as float64 rows (k, d), the
-    block's eps (a float, or a list of one per row), and None or the
-    Q-values (k, n_actions) of the observation with each row in the tuple
-    slice. Its ``label`` is the target, or the greedy action when
+    ``PROPOSALS`` picks the generator, which yields blocks (proposals, q):
+    k <= ``BLOCK_ROWS`` raw candidate tuples as float64 rows (k, d), and None
+    or the Q-values (k, n_actions) of the observation with each row in the
+    tuple slice. Its ``label`` is the target, or the greedy action when
     non-targeted; ``k`` is ``config.k_scale`` checked against the tuple (None
     for box). A block is projected in one call. A row that projection leaves
     byte-identical is classified by its row of ``q``; the block's other rows
-    (every row, when it has no ``q``) share one batched forward pass, and a
-    lone one takes the 1-D path. A batched pass may move Q in the last bits,
-    which can change a decision only at a top-two Q tie within rounding;
-    ``tests/test_oracle.py`` checks across versions that no decision moved
-    elsewhere. The best candidate by (outcome priority, then smallest L2)
-    wins, the earliest on a tie. A block's squared offsets come from one
-    array expression; only a row that ranks higher than the best so far, or
-    the same with a squared offset within a relative 1e-9 of the best's, gets
-    its exact L2, so the winner keeps the bytes of ``np.linalg.norm``. FGSM
-    stops at the first full success, in the row order of its ladder; C&W
-    tries every proposal, and a target that is already greedy is a success
-    with no proposal. ``q``, when given, is ``forward(net, observation)``,
-    computed once by the caller.
+    (every row, when it has no ``q``) share one forward pass, which gives a
+    lone row the bytes of a 1-D pass. A batch of several rows may move Q in
+    the last bits, which can change a decision only at a top-two Q tie
+    within rounding; ``tests/test_oracle.py`` checks across versions that no
+    decision moved elsewhere. The best candidate by (outcome priority, then
+    smallest L2) wins, the earliest on a tie. A block's squared offsets come
+    from one array expression; only a row that ranks higher than the best so
+    far, or the same with a squared offset within a relative 1e-9 of the
+    best's, gets its exact L2, so the winner keeps the bytes of
+    ``np.linalg.norm``. FGSM stops at the first full success, in the row
+    order of its ladder; C&W tries every proposal, and a target that is
+    already greedy is a success with no proposal. A result's eps is
+    ``_final_eps`` of its ``iterations``. ``q``, when given, is
+    ``forward(net, observation)``, computed once by the caller.
     """
     if config.method not in ("fgsm", "cw"):
         raise AttackError(f"{config.method!r} is not a perturbation attack")
@@ -497,13 +490,13 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
         raise AttackError("targeted mode requires a target action")
     original_action = int((forward(net, observation) if q is None else q).argmax())
     if not fgsm and config.mode == "targeted" and original_action == target:
-        return PerturbationResult(x_orig, SUCCESS, original_action, 0, _fallback_eps(config), 0.0)
+        return PerturbationResult(x_orig, SUCCESS, original_action, 0, _final_eps(config, 0), 0.0)
     label = target if config.mode == "targeted" else original_action
     best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
     bound = math.inf  # a row at the best's priority whose squared offset is above this loses
-    attacked, iteration, spec = observation.copy(), 0, config.spec
+    iteration, spec = 0, config.spec
     outcomes = {}  # induced action: its outcome, classified once per attempt
-    for eps, proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
+    for proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
         candidates = project_constraints(proposals, x_orig, spec)
         if qs is None:  # every row needs a forward pass
             moved, qs = np.arange(len(candidates)), np.empty((len(candidates), net.n_actions))
@@ -512,13 +505,10 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
                                     != proposals.view(np.uint64)).any(axis=1))
             if len(moved):
                 qs = qs.copy()  # the generator may still read its own
-        if len(moved) > 1:  # the moved rows share one batched pass
+        if len(moved):
             batch = np.repeat(observation[None], len(moved), axis=0)
             batch[:, tuple_slice] = candidates[moved]
             qs[moved] = forward(net, batch)
-        elif len(moved):  # a lone one takes the 1-D path
-            attacked[tuple_slice] = candidates[moved[0]]
-            qs[moved[0]] = forward(net, attacked)
         offsets = candidates - x_orig
         squares = np.einsum("ij,ij->i", offsets, offsets).tolist()  # no overflow warning
         for j, induced in enumerate(qs.argmax(axis=1).tolist()):
@@ -539,14 +529,12 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
                 # range the ulps are coarse, so every row gets its exact L2
                 bound = squares[j] * (1.0 + 1e-9) if squares[j] >= sys.float_info.min \
                     else math.inf
-                best = (candidates[j], outcome, induced, iteration,
-                        eps[j] if isinstance(eps, list) else eps)
+                best = (candidates[j], outcome, induced, iteration)
                 if fgsm and outcome == SUCCESS:
                     break  # FGSM keeps the first full success of its ladder
         if fgsm and best_priority == _PRIORITY[SUCCESS]:
             break
     if best is None:
-        iterations = config.eps_iters if fgsm else config.cw_max_iters
-        return PerturbationResult(x_orig, FAILURE, original_action, iterations,
-                                  _fallback_eps(config), 0.0)
-    return PerturbationResult(*best, l2=best_l2)
+        best, best_l2 = (x_orig, FAILURE, original_action,
+                         config.eps_iters if fgsm else config.cw_max_iters), 0.0
+    return PerturbationResult(*best, final_eps=_final_eps(config, best[3]), l2=best_l2)

@@ -370,9 +370,9 @@ class TestFgsm:
             sign = np.sign(input_gradient(net, obs, "cross_entropy", label)[3:6])
             direction = -sign if mode == "targeted" else sign
             ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters)
-            (eps, rungs, q), = attacks.fgsm_rungs(net, config, obs, slice(3, 6), obs[3:6], k,
-                                                  label)  # the ladder is one block
-            assert eps == ladder.tolist() and q is None
+            (rungs, q), = attacks.fgsm_rungs(net, config, obs, slice(3, 6), obs[3:6], k,
+                                             label)  # the ladder is one block
+            assert q is None
             assert [p.tobytes() for p in rungs] == \
                 [(obs[3:6] + eps * k * direction).tobytes() for eps in ladder]
 
@@ -524,7 +524,7 @@ def reference_cw_l2_box(net, config, observation, tuple_slice, x_orig, k, label)
         adv_scaled = (tanh_w + 1.0) / 2.0
         candidate = lo + adv_scaled * width
         attacked[tuple_slice] = candidate
-        yield 0.0, candidate[None], None
+        yield candidate[None], None
 
 
 def reference_cw_scaled(net, config, observation, tuple_slice, x_orig, k, label):
@@ -542,7 +542,7 @@ def reference_cw_scaled(net, config, observation, tuple_slice, x_orig, k, label)
         if not np.isfinite(objective_grad).all():
             return
         delta = delta - np.clip(step_cap * objective_grad, -step_cap, step_cap)
-        yield config.cw_eps, (x_orig + delta)[None], None
+        yield (x_orig + delta)[None], None
 
 
 REFERENCES = {"box": reference_cw_l2_box, "scaled": reference_cw_scaled}  # C&W variant: generator
@@ -711,7 +711,7 @@ def descent_events(monkeypatch, net, obs, config, tuple_slice, target=None):
 
     def blocks(*args):
         for block in generator(*args):
-            events.append(("yield", len(block[1])))
+            events.append(("yield", len(block[0])))
             yield block
 
     with monkeypatch.context() as patch:
@@ -920,14 +920,13 @@ class TestSharedForward:
 
 def reference_fgsm_rungs(net, config, observation, tuple_slice, x_orig, k, label):
     """The FGSM generator as it was before the ladder became one block: one
-    rung per block, as a one-row list, and no Q, so every rung gets a
-    forward pass of its own."""
+    rung per block, and no Q, so every rung gets a forward pass of its own."""
     direction = np.sign(input_gradient(net, observation, "cross_entropy", label)[tuple_slice])
     if config.mode == "targeted":
         direction = -direction
     step = k * direction
     for eps in epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters).tolist():
-        yield eps, [x_orig + eps * step], None
+        yield (x_orig + eps * step)[None], None
 
 
 def run_fgsm_reference(net, observation, config, *args, **kwargs):
@@ -969,6 +968,8 @@ class TestFgsmLadderBlock:
             forwards.clear()
             result = run_perturbation_attack(net, obs, config, tuple_slice, target, types)
             assert result_bytes(result) == result_bytes(expected)
+            assert result.final_eps == epsilon_ladder(
+                config.eps_start, config.eps_end, config.eps_iters)[result.iterations - 1]
             assert len(forwards) == 2  # the observation's, and the ladder's
             # the L2 has np.linalg.norm's bytes, which a vectorised sum need not give
             assert np.float64(result.l2).tobytes() == \
@@ -1081,10 +1082,19 @@ OUTCOME_ORDER = [FAILURE, NON_TARGET, PARTIAL, SUCCESS]
 
 def keep_best_reference(config, x_orig, blocks, original, target, types):
     """The driver's keep-best rule row by row, each row with the L2 of
-    ``np.linalg.norm``: what ``run_perturbation_attack`` makes of ``blocks``."""
+    ``np.linalg.norm``: what ``run_perturbation_attack`` makes of ``blocks``.
+    A result's eps is the ladder rung of its number for FGSM, and the
+    variant's constant for C&W."""
     fgsm = config.method == "fgsm"
+    ladder = epsilon_ladder(config.eps_start, config.eps_end, config.eps_iters).tolist()
+
+    def eps(iteration):
+        if fgsm:
+            return ladder[iteration - 1]
+        return 0.0 if config.cw_variant == "box" else config.cw_eps
+
     best, best_rank, best_l2, iteration = None, 0, np.inf, 0
-    for eps, rows, qs in blocks:
+    for rows, qs in blocks:
         for j, row in enumerate(rows):
             iteration += 1
             induced = int(qs[j].argmax())
@@ -1093,13 +1103,13 @@ def keep_best_reference(config, x_orig, blocks, original, target, types):
             l2 = float(np.linalg.norm(row - x_orig))
             if rank > best_rank or rank == best_rank and l2 < best_l2:
                 best_rank, best_l2 = rank, l2
-                best = (row, outcome, induced, iteration, eps[j] if isinstance(eps, list) else eps)
+                best = (row, outcome, induced, iteration, eps(iteration))
                 if fgsm and outcome == SUCCESS:
                     return attacks.PerturbationResult(*best, l2=best_l2)
     if best is None:
-        return attacks.PerturbationResult(x_orig, FAILURE, original,
-                                          config.eps_iters if fgsm else config.cw_max_iters,
-                                          attacks._fallback_eps(config), 0.0)
+        iterations = config.eps_iters if fgsm else config.cw_max_iters
+        return attacks.PerturbationResult(x_orig, FAILURE, original, iterations,
+                                          eps(iterations), 0.0)
     return attacks.PerturbationResult(*best, l2=best_l2)
 
 
@@ -1151,8 +1161,7 @@ def l2_cases(draw):
         if len(rows) > 1 else []
     blocks = []
     for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-        eps = [1e-4 * (i + 1) for i in range(lo, hi)] if fgsm else 1.0
-        blocks.append((eps, np.array(rows[lo:hi]), qs[lo:hi]))
+        blocks.append((np.array(rows[lo:hi]), qs[lo:hi]))
     config = AttackConfig(method="fgsm" if fgsm else "cw", mode=mode, constraint="none",
                           eps_iters=len(rows), cw_max_iters=len(rows), cw_variant="scaled")
     return config, x_orig, blocks, np.eye(n_actions)[original], target, types
@@ -1190,9 +1199,7 @@ class TestL2Filter:
                               cw_max_iters=len(rows), cw_variant="scaled")
         x_orig, q = np.zeros(3), np.eye(2)[0]
         rows = np.array(rows, dtype=np.float64)
-        qs = np.eye(2)[induced]
-        eps = [1e-4 * (i + 1) for i in range(len(rows))] if method == "fgsm" else 1.0
-        blocks = [(eps, rows, qs)]
+        blocks = [(rows, np.eye(2)[induced])]
         with np.errstate(over="ignore", invalid="ignore"):
             expected = keep_best_reference(config, x_orig, blocks, 0, None, None)
             result = run_blocks(config, x_orig, blocks, q, None, None)
@@ -1203,12 +1210,12 @@ class TestL2Filter:
     def test_fgsm_stops_at_its_first_success(self):
         config = AttackConfig(method="fgsm", constraint="none", eps_iters=4)
         rows = np.array([[3e-3, 0, 0], [2e-3, 0, 0], [1e-3, 0, 0], [5e-4, 0, 0]])
-        blocks = [([1e-4, 2e-4], rows[:2], np.eye(2)[[0, 1]]),
-                  ([3e-4, 4e-4], rows[2:], np.eye(2)[[1, 1]])]
+        blocks = [(rows[:2], np.eye(2)[[0, 1]]), (rows[2:], np.eye(2)[[1, 1]])]
         result = run_blocks(config, np.zeros(3), blocks, np.eye(2)[0], None, None)
         expected = keep_best_reference(config, np.zeros(3), blocks, 0, None, None)
         assert result_bytes(result) == result_bytes(expected)
-        assert (result.outcome, result.iterations, result.final_eps) == (SUCCESS, 2, 2e-4)
+        assert (result.outcome, result.iterations, result.final_eps) == \
+            (SUCCESS, 2, epsilon_ladder(1e-4, 1e-3, 4)[1])
 
 
 class TestBoxStepConstants:
@@ -1227,6 +1234,30 @@ class TestBoxStepConstants:
         assert result_bytes(result) == result_bytes(expected)
         assert projections == []  # no step was taken
         assert (result.outcome, result.iterations) == (FAILURE, config.cw_max_iters)
+
+
+class TestNanObservation:
+    @pytest.mark.parametrize("inside", [True, False], ids=["in_tuple", "outside_tuple"])
+    @pytest.mark.parametrize("mode", ["non_targeted", "targeted"])
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    def test_the_descent_ends_within_two_rows(self, monkeypatch, variant, mode, inside):
+        # a NaN input makes every hidden unit NaN, which the backward pass masks
+        # off (NaN > 0 is False): the margin gradient is zero, not NaN, so the
+        # descent ends at a fixed point after one step, or at once in the box
+        # when the NaN is in the tuple it maps
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            hidden = [int(n) for n in rng.integers(1, 20, rng.integers(1, 3))]
+            net = QNetwork.initialize([9, *hidden, 3], rng)
+            obs = relative_window(rng)
+            obs[rng.integers(6, 9) if inside else rng.integers(0, 6)] = np.nan
+            config = preset("basic-cw", mode=mode, cw_variant=variant)
+            target = 2 if mode == "targeted" else None
+            expected = run_reference(net, obs, config, slice(6, 9), target)
+            result, events, _ = descent_events(monkeypatch, net, obs, config, slice(6, 9),
+                                               target)
+            assert result_bytes(result) == result_bytes(expected)
+            assert 1 <= sum(n for kind, n in events if kind == "forward") <= 2
 
 
 # keyed by the attack's name, which each test id carries
@@ -1352,6 +1383,16 @@ class TestPresets:
             preset("basic-fgsm", chance=1.5)
         with pytest.raises(AttackError):
             preset("basic-fgsm", seed=-1)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("field", ["eps_end", "cw_lr", "cw_eps", "cw_const"])
+    def test_attack_floats_must_be_finite_and_positive(self, field, value):
+        # presets reject these values; a config built in Python must too
+        for method in ("fgsm", "cw"):
+            config = AttackConfig(method=method)
+            config.validate()
+            with pytest.raises(AttackError):
+                replace(config, **{field: value}).validate()
 
     def test_deterministic_results(self):
         rng = np.random.default_rng(3)

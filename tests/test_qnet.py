@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefool.dqn import Transition
 from tradefool.qnet import (
@@ -49,7 +51,33 @@ def relative_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
+AGENT_SIZES = [[32, 64, 64, 3], [60, 16, 16, 181]]  # the stored benchmark agents' shapes
+
+
+@st.composite
+def nets_and_states(draw):
+    """A net of random layer widths (1-200) or a stored agent's shape, with
+    random biases, and 20 states on one of three scales."""
+    sizes = draw(st.sampled_from(AGENT_SIZES)
+                 | st.lists(st.integers(1, 200), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = QNetwork.initialize(sizes, rng)
+    for b in net.biases:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    return net, rng.normal(size=(20, net.input_dim)) * scale
+
+
 class TestForward:
+    @settings(max_examples=100, deadline=None)
+    @given(case=nets_and_states())
+    def test_a_one_row_batch_has_the_bytes_of_a_state(self, case):
+        # the attack driver forwards the rows projection moved as one batch,
+        # however few, so a lone row must get the bytes of the 1-D pass
+        net, states = case
+        for x in states:
+            assert forward(net, x[None])[0].tobytes() == forward(net, x).tobytes()
+
     def test_zero_network_outputs_zero(self):
         net = zero_net([4, 8, 3])
         assert np.all(forward(net, np.ones(4)) == 0.0)
