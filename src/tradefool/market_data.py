@@ -30,6 +30,7 @@ class MarketDataError(ValueError):
 
 _CANONICAL_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 _VALUE_COLUMNS = _CANONICAL_COLUMNS[1:]
+_CHUNK_ROWS = 4096  # bars per step of synthesize_bars and write_bars_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,40 +338,53 @@ def synthesize_bars(
                       (math.isfinite(drift), f"drift must be finite, got {drift}")):
         if not ok:
             raise MarketDataError(error)
-    # Four standard normals per bar, in the order the per-bar draws
-    # (z, up wick, down wick, lognormal volume) take them from the generator.
-    draws = np.random.default_rng(seed).standard_normal((n_bars, 4)).tolist()
-    values = array("d")
+    rng = np.random.default_rng(seed)
+    bars = np.empty((n_bars, len(_VALUE_COLUMNS)))  # open, high, low, close, volume
     price = float(start_price)
-    prev_ret = drift
+    ret = drift
     try:
-        for z, up, down, log_volume in draws:
-            ret = drift + momentum * (prev_ret - drift) + volatility * z
-            prev_ret = ret
-            close = price * math.exp(ret)
-            values.extend((price,
-                           max(price, close) * math.exp(abs(up) * volatility * 0.5),
-                           min(price, close) * math.exp(-(abs(down) * volatility * 0.5)),
-                           close,
-                           math.exp(0.0 + 0.5 * log_volume)))  # Generator.lognormal(0.0, 0.5)
-            price = close
-        timestamps = array("q", (start_timestamp + i * bar_seconds for i in range(n_bars)))
+        for first in range(0, n_bars, _CHUNK_ROWS):
+            # Four standard normals per bar (z, up wick, down wick, lognormal
+            # volume), in one (n_bars, 4) stream. The numpy ops round as Python
+            # float ops; an inf or NaN they make fails the finite check below.
+            draws = rng.standard_normal((min(_CHUNK_ROWS, n_bars - first), 4))
+            with np.errstate(over="ignore"):
+                shocks = (volatility * draws[:, 0]).tolist()
+                wicks = np.abs(draws[:, 1:3]) * volatility * 0.5
+            closes = [price]
+            for shock in shocks:
+                ret = drift + momentum * (ret - drift) + shock
+                price = price * math.exp(ret)
+                closes.append(price)
+            rows = bars[first:first + len(shocks)]
+            rows[:, 0], rows[:, 3] = closes[:-1], closes[1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows[:, 1] = np.maximum(rows[:, 0], rows[:, 3]) * _exp(wicks[:, 0])
+                rows[:, 2] = np.minimum(rows[:, 0], rows[:, 3]) * _exp(-wicks[:, 1])
+            rows[:, 4] = _exp(0.5 * draws[:, 3])  # Generator.lognormal(0.0, 0.5)
+        timestamps = array("q", range(start_timestamp, start_timestamp + n_bars * bar_seconds,
+                                      bar_seconds))
     except OverflowError as exc:
         raise MarketDataError(f"synthesized bars overflow: {exc}") from exc
     # the wicks bracket open and close by construction, so bars whose values are
     # all finite and > 0 pass load_csv; max and min check that without temporaries
-    bars = np.frombuffer(values)
     if not (math.isfinite(bars.max()) and bars.min() > 0):
         raise MarketDataError(f"synthesized prices leave the positive finite range with "
                               f"drift {drift}, volatility {volatility}")
-    return _market_from_arrays(timestamps, values)
+    return Market(np.frombuffer(timestamps, dtype=np.int64), *bars.T)
+
+
+def _exp(values: np.ndarray) -> list[float]:
+    """libm's ``math.exp`` of each value, whose bits ``np.exp`` need not match."""
+    return list(map(math.exp, values.tolist()))
 
 
 def write_bars_csv(market: Market, path) -> None:
-    """Write a market in the canonical CSV layout (byte-deterministic)."""
+    """Write a market in the canonical CSV layout (byte-deterministic), as
+    ``csv.writer`` would: a float's ``repr`` never needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CANONICAL_COLUMNS)
-        writer.writerows(zip(market.timestamp.tolist(),
-                             *(map(repr, getattr(market, name).tolist())
-                               for name in _VALUE_COLUMNS)))
+        handle.write(",".join(_CANONICAL_COLUMNS) + "\r\n")
+        for first in range(0, len(market), _CHUNK_ROWS):
+            columns = (getattr(market, name)[first:first + _CHUNK_ROWS].tolist()
+                       for name in _CANONICAL_COLUMNS)
+            handle.write("".join(map("%d,%r,%r,%r,%r,%r\r\n".__mod__, zip(*columns))))

@@ -1,4 +1,9 @@
+import csv
+import hashlib
 import math
+import tracemalloc
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -21,6 +26,9 @@ from tradefool.market_data import (
 from conftest import make_market
 
 COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
+CHUNK = market_data._CHUNK_ROWS
+# lengths on either side of the chunk boundaries of synthesize_bars and write_bars_csv
+CHUNK_LENGTHS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
 def write_csv(path, rows, header="timestamp,open,high,low,close,volume"):
@@ -470,9 +478,47 @@ def reference_synthesize(n_bars, drift=0.0, volatility=0.002, seed=0, start_pric
     return rows
 
 
+def reference_outcome(**params):
+    """synthesize_bars as the per-bar reference with the checks of the one-pass
+    loop it replaced: the columns, or the text of its MarketDataError."""
+    try:
+        rows = reference_synthesize(**params)
+        array("q", (row[0] for row in rows))
+    except OverflowError as exc:
+        return f"synthesized bars overflow: {exc}"
+    values = np.array([row[1:] for row in rows])
+    if not (np.isfinite(values).all() and (values > 0).all()):
+        return (f"synthesized prices leave the positive finite range with "
+                f"drift {params.get('drift', 0.0)}, volatility {params.get('volatility', 0.002)}")
+    return [list(column) for column in zip(*rows)]
+
+
+def synthesize_outcome(**params):
+    """synthesize_bars' columns, or the text of its MarketDataError; a numpy
+    warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            market = synthesize_bars(**params)
+        except MarketDataError as exc:
+            return str(exc)
+    return [getattr(market, name).tolist() for name in COLUMNS]
+
+
+# the acceptance suite's and perfbench's two markets, and the sha256 of their CSVs
+BENCHMARK_MARKETS = [
+    (dict(n_bars=50_000, drift=1e-4, volatility=0.05, momentum=-0.5, seed=11),
+     "ffa2a681bd977e941f14d762d1bbb9399139c840d0dbc94776c259612e0c191e"),
+    (dict(n_bars=12_000, drift=2e-4, volatility=0.01, momentum=-0.3, seed=77,
+          start_price=1000.0, bar_seconds=3600),
+     "b0978f855075d46866bebbc3c08f09c49cf42a06fee0f6ca44e4a55ec7542c51"),
+]
+
+
 class TestSynthesize:
-    def test_zero_volatility_is_flat(self):
-        market = synthesize_bars(50, drift=0.0, volatility=0.0, seed=9)
+    @pytest.mark.parametrize("n_bars", [50, *CHUNK_LENGTHS])
+    def test_zero_volatility_is_flat(self, n_bars):
+        market = synthesize_bars(n_bars, drift=0.0, volatility=0.0, seed=9)
         for name in ("open", "high", "low", "close"):
             assert np.all(getattr(market, name) == 100.0)
 
@@ -486,6 +532,8 @@ class TestSynthesize:
         dict(n_bars=300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5),
         dict(n_bars=120, drift=2e-4, volatility=0.01, momentum=-0.3, seed=77,
              start_price=1000.0, bar_seconds=3600),
+        *(dict(n_bars=n, drift=1e-4, volatility=0.05, momentum=-0.5, seed=11)
+          for n in CHUNK_LENGTHS),
     ])
     def test_matches_per_bar_reference(self, params):
         market = synthesize_bars(**params)
@@ -503,6 +551,116 @@ class TestSynthesize:
             assert np.array_equal(getattr(loaded, name), getattr(market, name)), name
         write_bars_csv(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("params, digest", BENCHMARK_MARKETS)
+    def test_benchmark_markets_keep_their_bytes(self, tmp_path, params, digest):
+        write_bars_csv(synthesize_bars(**params), tmp_path / "bars.csv")
+        assert hashlib.sha256((tmp_path / "bars.csv").read_bytes()).hexdigest() == digest
+
+
+class TestSynthesizeErrors:
+    @pytest.mark.parametrize("params", [
+        dict(n_bars=10, volatility=1e300),  # exp of a finite return
+        dict(n_bars=10, drift=-1e6, volatility=2000.0),  # exp of a wick; closes reach 0
+        dict(n_bars=100, volatility=1e308),  # some shocks are inf in numpy
+    ])
+    def test_an_overflowing_exp_is_a_market_data_error(self, params):
+        assert synthesize_outcome(**params) == "synthesized bars overflow: math range error"
+
+    @pytest.mark.parametrize("params", [
+        dict(n_bars=20, start_timestamp=2**63 - 19, bar_seconds=1),
+        dict(n_bars=3, start_timestamp=2**62, bar_seconds=2**62),
+        dict(n_bars=1, start_timestamp=-2**63 - 1),
+    ])
+    def test_timestamps_outside_int64_are_an_error_not_a_wrap(self, params):
+        assert synthesize_outcome(**params) == "synthesized bars overflow: int too big to convert"
+
+    @pytest.mark.parametrize("params, last", [
+        (dict(n_bars=20, start_timestamp=2**63 - 20, bar_seconds=1), 2**63 - 1),
+        (dict(n_bars=3, start_timestamp=-2**63, bar_seconds=2**62), 0),
+        (dict(n_bars=1, start_timestamp=2**63 - 1, bar_seconds=10**30), 2**63 - 1),
+    ])
+    def test_timestamps_up_to_the_int64_ends_are_kept(self, params, last):
+        assert synthesize_bars(**params).timestamp[-1] == last
+
+    @pytest.mark.parametrize("params", [
+        # closes overflow to inf, then a wick factor of 0 makes a NaN low
+        dict(n_bars=2, drift=1.0, volatility=1150.0, seed=0, start_price=1e308),
+        # an open near the float maximum times a wick factor overflows in numpy
+        dict(n_bars=10, drift=-1.0, volatility=0.1, start_price=1.797e308),
+        # prices overflow in the third chunk
+        dict(n_bars=2 * CHUNK + 200, drift=0.085, volatility=0.001),
+    ])
+    def test_prices_leaving_the_finite_range_are_an_error_without_warnings(self, params):
+        assert synthesize_outcome(**params) == (
+            f"synthesized prices leave the positive finite range with "
+            f"drift {params.get('drift', 0.0)}, volatility {params['volatility']}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_bars=st.sampled_from([1, 2, 7, CHUNK + 1]),
+           drift=st.floats(-1e6, 1e6),
+           volatility=st.floats(0.0, 1e308),
+           momentum=st.floats(-0.99, 0.99),
+           start_price=st.floats(5e-324, 1.7976931348623157e308),
+           start_timestamp=st.integers(-2**63 - 2, 2**63 + 1),
+           bar_seconds=st.integers(1, 2**62),
+           seed=st.integers(0, 2**32))
+    def test_matches_the_reference_on_any_parameters(self, **params):
+        assert synthesize_outcome(**params) == reference_outcome(**params)
+
+
+def csv_writer_bars(market, path):
+    """write_bars_csv as one csv.writer pass over whole columns."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(COLUMNS)
+        writer.writerows(zip(market.timestamp.tolist(),
+                             *(map(repr, getattr(market, name).tolist()) for name in COLUMNS[1:])))
+
+
+def odd_market():
+    """Values a CSV writer might quote or spell differently, at negative timestamps."""
+    values = [-0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"), 0.1, -2.5e-7]
+    return Market(np.arange(-4, 4) * 7, *(np.roll(values, shift) for shift in range(5)))
+
+
+class TestWriteBarsCsv:
+    @pytest.mark.parametrize("market", [
+        *(pytest.param(lambda n=n: synthesize_bars(n, volatility=0.01, seed=n), id=f"n={n}")
+          for n in CHUNK_LENGTHS),
+        pytest.param(odd_market, id="odd-values"),
+        pytest.param(lambda: synthesize_bars(2 * CHUNK + 1, seed=3)[5:-3], id="slice"),
+        pytest.param(lambda: synthesize_bars(3 * CHUNK, seed=3)[1::2], id="step-slice"),
+        pytest.param(lambda: synthesize_bars(1)[:0], id="empty"),
+    ])
+    def test_bytes_equal_a_csv_writer_pass(self, tmp_path, market):
+        market = market()
+        write_bars_csv(market, tmp_path / "chunked.csv")
+        csv_writer_bars(market, tmp_path / "reference.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """On the 50k-bar benchmark market, passes over whole columns peaked at
+    12.0 MB (synthesize_bars, whose result is 2.4 MB) and 10.2 MB
+    (write_bars_csv); chunked, they peak at about 2.8 MB and 1.8 MB."""
+
+    def test_synthesize_bars_holds_one_chunk_beyond_its_result(self):
+        assert traced_peak(lambda: synthesize_bars(**BENCHMARK_MARKETS[0][0])) < 4.5e6
+
+    def test_write_bars_csv_holds_one_chunk(self, tmp_path):
+        market = synthesize_bars(**BENCHMARK_MARKETS[0][0])
+        assert traced_peak(lambda: write_bars_csv(market, tmp_path / "bars.csv")) < 3e6
 
 
 class TestMarket:
