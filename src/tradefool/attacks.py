@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import RuleTable
 from .qnet import QNetwork, _forward_cached, forward, input_gradient
 
 SUCCESS = "success"
@@ -151,29 +152,16 @@ class AttackConfig:
     constraint: str = "relative_price"
     seed: int | None = None
 
+    RULES = RuleTable(AttackError, dict(
+        method=("delay", "fgsm", "cw"), mode=("non_targeted", "targeted"), chance="[0, 1]",
+        eps_start="(0, inf)", eps_end="(0, inf)", eps_iters="[1, inf)", k_scale="(0, 1]",
+        cw_variant=("box", "scaled"), cw_max_iters="[1, inf)", cw_lr="(0, inf)",
+        cw_const="(0, inf)", cw_eps="(0, inf)", constraint=tuple(CONSTRAINT_SPECS),
+        seed="[0, inf)"),
+        {"eps_start <= eps_end": lambda eps_start, eps_end: eps_start <= eps_end})
+
     def validate(self) -> None:
-        if self.method not in ("delay", "fgsm", "cw"):
-            raise AttackError(f"unknown method {self.method!r}")
-        if self.mode not in ("non_targeted", "targeted"):
-            raise AttackError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.chance <= 1.0:
-            raise AttackError(f"chance must be in [0,1], got {self.chance}")
-        if not 0.0 < self.eps_start <= self.eps_end:
-            raise AttackError("need 0 < eps_start <= eps_end")
-        if self.eps_iters < 1 or self.cw_max_iters < 1:
-            raise AttackError("iteration counts must be >= 1")
-        if any(isinstance(k, bool) or not isinstance(k, (int, float)) or not 0.0 < k <= 1.0
-               for k in self.k_scale):
-            raise AttackError(f"k_scale entries must be numbers in (0, 1], got {self.k_scale}")
-        for name in ("eps_end", "cw_lr", "cw_eps", "cw_const"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise AttackError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.cw_variant not in ("box", "scaled"):
-            raise AttackError(f"unknown cw variant {self.cw_variant!r}")
-        if self.constraint not in CONSTRAINT_SPECS:
-            raise AttackError(f"unknown constraint set {self.constraint!r}")
-        if self.seed is not None and self.seed < 0:
-            raise AttackError(f"seed must be >= 0, got {self.seed}")
+        self.RULES.check(vars(self))
 
     @property
     def spec(self) -> ConstraintSpec:

@@ -22,8 +22,9 @@ import sys
 
 from . import __version__, presets
 from .attacks import AttackConfig
-from .dqn import train
-from .envs import ENVS, EnvError, make_env
+from .dqn import TrainingError, train
+from .envs import EnvError, make_env
+from .fields import from_json
 from .harness import run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
@@ -49,8 +50,7 @@ def build_env(env_block: dict, market):
     if kind not in ("basic", "managed"):
         raise UserError(f"env kind must be 'basic' or 'managed', got {kind!r}")
     try:
-        presets.check_fields(ENVS[kind], block, EnvError)
-        return make_env(kind, market, **block)
+        return make_env(kind, market, **from_json(block))
     except (TypeError, EnvError, MarketDataError) as exc:
         raise UserError(f"cannot build {kind} env: {exc}") from exc
 
@@ -147,7 +147,10 @@ def cmd_train(args) -> int:
         "seeds": [args.seed], "data": str(data_path), "data_digest": digest,
         "out": str(out_dir)})
 
-    net, trace = train(env, tconfig, args.seed)
+    try:
+        net, trace = train(env, tconfig, args.seed)
+    except TrainingError as exc:  # the run blew up; its config can tame it
+        raise UserError(str(exc)) from exc
     meta = {"env": env_block, "data_digest": digest, "seed": args.seed,
             "trainer": dataclasses.asdict(tconfig)}
     ckpt_path = os.path.join(out_dir, "checkpoint.json")

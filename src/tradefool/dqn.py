@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import RuleTable
 from .qnet import Batch, QNetwork, forward, sgd_step, sync_target, td_loss
 
 
@@ -97,29 +98,21 @@ class TrainerConfig:
     exploration: str = "epsilon_greedy"  # | "param_noise"
     param_noise_sigma: float = 0.05
 
+    RULES = RuleTable(TrainingError, dict(
+        total_timesteps="[1, inf)", gamma="[0, 1]", learning_rate="(0, inf)",
+        buffer_capacity="[1, inf)", learning_starts="[0, inf)", target_sync_every="[1, inf)",
+        batch_size="[1, inf)", epsilon_initial="[0, 1]", epsilon_final="[0, 1]",
+        epsilon_decay_fraction="(0, 1]", epsilon_decay_interval="[1, inf)",
+        hidden_sizes="[1, inf)", exploration=("epsilon_greedy", "param_noise"),
+        param_noise_sigma="[0, inf)"), {
+            "epsilon_final <= epsilon_initial":
+                lambda epsilon_final, epsilon_initial: epsilon_final <= epsilon_initial,
+            "exactly one of epsilon_decay_fraction and epsilon_decay_interval":
+                lambda epsilon_decay_fraction, epsilon_decay_interval:
+                    (epsilon_decay_fraction is None) != (epsilon_decay_interval is None)})
+
     def validate(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise TrainingError(f"gamma must be in [0,1], got {self.gamma}")
-        if not 0.0 <= self.epsilon_final <= self.epsilon_initial <= 1.0:
-            raise TrainingError(
-                f"need 0 <= final eps <= initial eps <= 1, got "
-                f"{self.epsilon_final}, {self.epsilon_initial}"
-            )
-        if self.total_timesteps < 1 or self.learning_rate <= 0:
-            raise TrainingError("bad timesteps or learning rate")
-        if min(self.batch_size, self.buffer_capacity, self.target_sync_every) < 1:
-            raise TrainingError("batch_size, buffer_capacity and target_sync_every must be >= 1")
-        if self.epsilon_decay_fraction is None and self.epsilon_decay_interval is None:
-            raise TrainingError("one of decay fraction / decay interval must be set")
-        fraction = self.epsilon_decay_fraction
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise TrainingError(f"epsilon decay fraction must be in (0, 1], got {fraction}")
-        if self.epsilon_decay_interval is not None and self.epsilon_decay_interval < 1:
-            raise TrainingError("epsilon decay interval must be >= 1")
-        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.hidden_sizes):
-            raise TrainingError(f"hidden sizes must be ints >= 1, got {self.hidden_sizes}")
-        if self.exploration not in ("epsilon_greedy", "param_noise"):
-            raise TrainingError(f"unknown exploration mode {self.exploration!r}")
+        self.RULES.check(vars(self))
 
     def epsilon_at(self, step: int) -> float:
         """Exploration probability at 1-based step ``step``."""
@@ -179,7 +172,8 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     net = QNetwork.initialize(
         [env.observation_dim, *config.hidden_sizes, env.n_actions], rng_init)
     target = net.clone()
-    buffer = ReplayBuffer(config.buffer_capacity, rng_buffer)
+    # transition k goes to slot k % capacity, and a run stores total_timesteps
+    buffer = ReplayBuffer(min(config.buffer_capacity, config.total_timesteps), rng_buffer)
     trace = TrainingTrace()
 
     env.reset(rng_env)
@@ -190,44 +184,47 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     cum_reward = 0.0
     last_loss: float | None = None
 
-    for t in range(1, config.total_timesteps + 1):
-        epsilon = config.epsilon_at(t)
-        if config.exploration == "param_noise":
-            if epsilon > 0.0 and rng_explore.random() < epsilon:
-                action = _param_noise_action(net, obs, config.param_noise_sigma, rng_explore)
+    # td_loss and sgd_step raise on a blow-up, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        for t in range(1, config.total_timesteps + 1):
+            epsilon = config.epsilon_at(t)
+            if config.exploration == "param_noise":
+                if epsilon > 0.0 and rng_explore.random() < epsilon:
+                    action = _param_noise_action(net, obs, config.param_noise_sigma, rng_explore)
+                else:
+                    action = int(forward(net, obs).argmax())
             else:
-                action = int(forward(net, obs).argmax())
-        else:
-            action = select_action(net, obs, epsilon, rng_explore)
-        result = env.step(action)
-        state, obs = obs, env.observation()
-        stored_reward = float(np.clip(result.reward, -1.0, 1.0)) if config.clip_rewards \
-            else result.reward
-        buffer.push(state, action, stored_reward, obs, result.terminal)
+                action = select_action(net, obs, epsilon, rng_explore)
+            result = env.step(action)
+            state, obs = obs, env.observation()
+            stored_reward = float(np.clip(result.reward, -1.0, 1.0)) if config.clip_rewards \
+                else result.reward
+            buffer.push(state, action, stored_reward, obs, result.terminal)
 
-        episode_step += 1
-        episode_reward += result.reward
-        cum_reward += result.reward
-        trace.rows.append(
-            (episode, episode_step, action, result.reward, cum_reward, epsilon, last_loss))
+            episode_step += 1
+            episode_reward += result.reward
+            cum_reward += result.reward
+            trace.rows.append(
+                (episode, episode_step, action, result.reward, cum_reward, epsilon, last_loss))
 
-        if result.terminal:
-            trace.episode_rewards.append(episode_reward)
-            episode += 1
-            episode_step = 0
-            episode_reward = 0.0
-            env.reset(rng_env)
-            obs = env.observation()
+            if result.terminal:
+                trace.episode_rewards.append(episode_reward)
+                episode += 1
+                episode_step = 0
+                episode_reward = 0.0
+                env.reset(rng_env)
+                obs = env.observation()
 
-        if t > config.learning_starts and len(buffer) >= config.batch_size:
-            batch = buffer.sample(config.batch_size)
-            try:
-                bundle = td_loss(net, target, batch, config.gamma)
-                sgd_step(net, bundle, config.learning_rate)
-            except ValueError as exc:
-                raise TrainingError(f"training aborted at step {t}: {exc}") from exc
-            last_loss = bundle.loss
-        if t % config.target_sync_every == 0:
-            sync_target(net, target)
+            if t > config.learning_starts and len(buffer) >= config.batch_size:
+                batch = buffer.sample(config.batch_size)
+                try:
+                    bundle = td_loss(net, target, batch, config.gamma)
+                    sgd_step(net, bundle, config.learning_rate)
+                except ValueError as exc:
+                    raise TrainingError(f"training diverged at step {t}: {exc}; lower "
+                                        "learning_rate, or set clip_rewards") from exc
+                last_loss = bundle.loss
+            if t % config.target_sync_every == 0:
+                sync_target(net, target)
 
     return net, trace

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import RuleTable
 from .market_data import FeatureSeries, Market, build_feature_series
 
 WAIT, BUY, CLOSE = 0, 1, 2
@@ -96,16 +97,8 @@ def build_action_table(stops, takes, size_count: int) -> list[ManagedRiskAction]
     33.3% / 66.6% / 99.9% pattern for size_count=3. Total length is
     2 * size_count * len(stops) * len(takes) + 1.
     """
-    stops = list(stops)
-    takes = list(takes)
     if not stops or not takes:
         raise EnvError("stop and take lists must be non-empty")
-    # a stop of 1 or more puts a buy's stop price at or below 0, where no bar
-    # reaches it; a take of 0 or less sells a buy back at or below its entry price
-    if not all(0.0 < f < 1.0 for f in stops + takes):
-        raise EnvError(f"stops and takes must be fractions in (0, 1), got {stops} and {takes}")
-    if size_count < 1:
-        raise EnvError("size_count must be >= 1")
     table = [ManagedRiskAction(side="hold")]
     for side in ("buy", "sell"):
         for k in range(1, size_count + 1):
@@ -118,13 +111,8 @@ def build_action_table(stops, takes, size_count: int) -> list[ManagedRiskAction]
     return table
 
 
-def _check_commission(commission_pct) -> float:
-    """The commission as a float in percent of the trade: at 100 or more a buy
-    spends its cash for no asset or less than none, below 0 it pays to trade."""
-    commission_pct = float(commission_pct)
-    if not 0.0 <= commission_pct < 100.0:
-        raise EnvError(f"commission_pct must be in [0, 100), got {commission_pct}")
-    return commission_pct
+# a commission of 100% or more buys no asset, or less than none; below 0 it pays
+_MARKET_BOUNDS = dict(window="[1, inf)", episode_cap="[1, inf)", commission_pct="[0, 100)")
 
 
 def _pick_start(rng_or_start, min_start: int, max_start: int) -> int:
@@ -154,8 +142,6 @@ class _MarketEnv:
     tuple_dim = 3
 
     def __init__(self, market: Market, mode: str, window: int, episode_cap: int):
-        if window < 1 or episode_cap < 1:
-            raise EnvError(f"window and episode_cap must be >= 1, got {window} and {episode_cap}")
         self.market = market
         self.features: FeatureSeries = build_feature_series(market, mode)
         self.window = window
@@ -198,10 +184,12 @@ class BasicStockEnv(_MarketEnv):
 
     n_actions = 3
     action_types = None  # every action is its own type
+    RULES = RuleTable(EnvError, _MARKET_BOUNDS)
 
     def __init__(self, market: Market, window: int = 10, commission_pct: float = 0.1,
                  episode_cap: int = 250):
-        self.commission_pct = _check_commission(commission_pct)
+        self.RULES.check(locals())
+        self.commission_pct = float(commission_pct)
         super().__init__(market, "relative", window, episode_cap)
 
     @property
@@ -248,23 +236,23 @@ class ManagedRiskEnv(_MarketEnv):
     Reward is the Sharpe ratio of the episode's per-step net-worth returns.
     """
 
+    # a stop of 1 or more sets a stop price no bar reaches, a take of 0 or less
+    # sells at a loss; the Sharpe reward needs a start net worth to divide by
+    # and an offset whose sum with a std is a normal float above 0
+    RULES = RuleTable(EnvError, dict(
+        _MARKET_BOUNDS, stops="(0, 1)", takes="(0, 1)", size_count="[1, inf)",
+        cash="[0, inf)", asset="[0, inf)", risk_free="[-1, 1]",
+        sharpe_offset=f"[{sys.float_info.min!r}, inf)"),
+        {"cash or asset above 0": lambda cash, asset: cash > 0 or asset > 0})
+
     def __init__(self, market: Market, window: int = 20, episode_cap: int = 250,
                  stops: tuple[float, ...] = (0.02, 0.04, 0.06),
                  takes: tuple[float, ...] = (0.01, 0.02, 0.03), size_count: int = 10,
                  cash: float = 10_000.0, asset: float = 10.0,
                  risk_free: float = 0.0, sharpe_offset: float = 1e-9,
                  commission_pct: float = 0.0):
-        # what step's Sharpe reward needs: a start net worth to divide by, an
-        # offset that keeps its denominator a normal float above 0 (a denormal
-        # one overflows the first step's mean / offset), and a per-step rate
-        if not (cash >= 0 and asset >= 0) or cash == asset == 0:
-            raise EnvError(f"cash and asset must be >= 0 and not both 0, got {cash} and {asset}")
-        if not sharpe_offset >= sys.float_info.min:
-            raise EnvError(f"sharpe_offset must be at least the smallest normal float "
-                           f"{sys.float_info.min}, got {sharpe_offset}")
-        if not -1 <= risk_free <= 1:
-            raise EnvError(f"risk_free is a per-step rate in [-1, 1], got {risk_free}")
-        self.fee = _check_commission(commission_pct) / 100.0
+        self.RULES.check(locals())
+        self.fee = float(commission_pct) / 100.0
         self.action_table = build_action_table(stops, takes, size_count)
         super().__init__(market, "indicator", window, episode_cap)
         self.action_types = [a.side for a in self.action_table]

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import RuleTable
+
 MACD_FAST = 10
 MACD_SLOW = 50
 RSI_PERIOD = 20
@@ -325,19 +327,7 @@ def synthesize_bars(
     flat bars. Parameters, or prices, that ``load_csv`` would refuse are a
     ``MarketDataError``.
     """
-    if n_bars < 1:
-        raise MarketDataError("n_bars must be >= 1")
-    if not (-1.0 < momentum < 1.0):
-        raise MarketDataError("momentum must be in (-1, 1)")
-    for ok, error in ((seed >= 0, f"seed must be >= 0, got {seed}"),
-                      (bar_seconds >= 1, f"bar_seconds must be >= 1, got {bar_seconds}"),
-                      (math.isfinite(start_price) and start_price > 0,
-                       f"start_price must be finite and > 0, got {start_price}"),
-                      (math.isfinite(volatility) and volatility >= 0,
-                       f"volatility must be finite and >= 0, got {volatility}"),
-                      (math.isfinite(drift), f"drift must be finite, got {drift}")):
-        if not ok:
-            raise MarketDataError(error)
+    _SYNTH_RULES.check(locals())
     rng = np.random.default_rng(seed)
     bars = np.empty((n_bars, len(_VALUE_COLUMNS)))  # open, high, low, close, volume
     price = float(start_price)
@@ -372,6 +362,12 @@ def synthesize_bars(
         raise MarketDataError(f"synthesized prices leave the positive finite range with "
                               f"drift {drift}, volatility {volatility}")
     return Market(np.frombuffer(timestamps, dtype=np.int64), *bars.T)
+
+
+_SYNTH_RULES = RuleTable(MarketDataError, dict(
+    n_bars="[1, inf)", drift="(-inf, inf)", volatility="[0, inf)", seed="[0, inf)",
+    start_price="(0, inf)", momentum="(-1, 1)", bar_seconds="[1, inf)",
+    start_timestamp="(-inf, inf)"), owner=synthesize_bars)
 
 
 def _exp(values: np.ndarray) -> list[float]:

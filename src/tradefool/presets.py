@@ -1,14 +1,11 @@
-"""Stock configurations as field dicts, one way to build a validated attack
-or trainer config from an optional preset name and field overrides, and the
-field check it applies, which also holds an env block to the same rule."""
+"""Stock configurations as field dicts, and one way to build a validated
+attack or trainer config from an optional preset name and field overrides."""
 
 from __future__ import annotations
 
-import inspect
-import sys
-
 from .attacks import AttackConfig, AttackError
 from .dqn import TrainerConfig, TrainingError
+from .fields import from_json
 
 ATTACK = {
     "delay": dict(method="delay"),
@@ -58,37 +55,6 @@ def _build(config_class, error, stock: dict, preset, fields: dict):
         raise error(f"unknown preset {preset!r}; have {sorted(stock)}")
     if preset:
         fields = {**stock[preset], **fields}
-    check_fields(config_class, fields, error)
-    config = config_class(**fields)
+    config = config_class(**from_json(fields))
     config.validate()
     return config
-
-
-_NUMBERS = {"int": int, "float": (int, float)}  # JSON may give any type
-
-
-def _is_number(value, kind: str) -> bool:
-    # finite; an int too large for a float counts as infinite
-    return not isinstance(value, bool) and isinstance(value, _NUMBERS[kind]) \
-        and abs(value) <= sys.float_info.max
-
-
-def check_fields(cls, fields: dict, error) -> None:
-    """Check ``fields`` against the annotations of ``cls``'s constructor: an
-    ``int`` is an int that is not a bool, a ``float`` a finite number, and a
-    ``tuple[int, ...]`` or ``tuple[float, ...]`` a list of those, stored back
-    as a tuple. Fields the constructor does not take are left to it."""
-    for parameter in inspect.signature(cls).parameters.values():
-        name, annotation = parameter.name, parameter.annotation
-        value = fields.get(name)
-        if value is None and (name not in fields or annotation.endswith(" | None")):
-            continue
-        kind = annotation.removesuffix(" | None")
-        entry = kind.removeprefix("tuple[").removesuffix(", ...]")
-        if entry != kind:
-            if not isinstance(value, (list, tuple)) or \
-                    not all(_is_number(v, entry) for v in value):
-                raise error(f"{name} must be a list of finite {entry}s, got {value!r}")
-            fields[name] = tuple(value)
-        elif kind in _NUMBERS and not _is_number(value, kind):
-            raise error(f"{name} must be a finite {kind}, got {value!r}")

@@ -1384,8 +1384,11 @@ class TestPresets:
         with pytest.raises(AttackError):
             preset("basic-fgsm", seed=-1)
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0])
-    @pytest.mark.parametrize("field", ["eps_end", "cw_lr", "cw_eps", "cw_const"])
+    # a string or None once raised TypeError from the comparison
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("eps_end", "cw_lr", "cw_eps", "cw_const")
+          for value in (np.inf, -np.inf, np.nan, 0.0, "0.5", None)),
+        ("chance", None), ("chance", "1"), ("eps_iters", "5"), ("k_scale", None)])
     def test_attack_floats_must_be_finite_and_positive(self, field, value):
         # presets reject these values; a config built in Python must too
         for method in ("fgsm", "cw"):

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tradefool import cli, envs, presets
+from tradefool.attacks import AttackConfig
 from tradefool.cli import main
+from tradefool.dqn import TrainerConfig
 from tradefool.harness import run_sweep
 from tradefool.market_data import load_csv
 from tradefool.qnet import QNetwork, load_checkpoint, save_checkpoint
@@ -521,3 +527,174 @@ class TestReport:
 
     def test_missing_directory_is_user_error(self, tmp_path):
         assert run_cli("report", str(tmp_path / "missing")) == 1
+
+
+@pytest.fixture(scope="module")
+def bars_3000(tmp_path_factory):
+    """The bars of ``synthesize_bars(3000, seed=1)``."""
+    path = tmp_path_factory.mktemp("bars3000") / "bars.csv"
+    assert run_cli("synth", "--bars", "3000", "--seed", "1", "--out", str(path)) == 0
+    return path
+
+
+def train_in(out, data, config):
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(config))
+    return run_cli("--config", str(cfg_path), "--out", str(out), "train", "--data", str(data))
+
+
+class TestTrainFailures:
+    def test_string_for_a_bool_is_user_error_before_manifest(self, tmp_path, bars_3000,
+                                                             capsys):
+        # once trained with clipping, since "no" is truthy
+        config = {"trainer": {"preset": "basic", "total_timesteps": 300, "clip_rewards": "no"}}
+        assert train_in(tmp_path / "out", bars_3000, config) == 1
+        assert "clip_rewards must be a bool" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_buffer_capacity_above_total_timesteps_trains(self, tmp_path, bars_3000):
+        # once exited 2 with MemoryError after manifest.jsonl was written
+        config = {"trainer": {"preset": "basic", "total_timesteps": 300, "learning_starts": 100,
+                              "hidden_sizes": [4], "buffer_capacity": 10**15}}
+        assert train_in(tmp_path / "out", bars_3000, config) == 0
+        assert (tmp_path / "out" / "checkpoint.json").is_file()
+
+    def test_divergence_is_user_error_without_numpy_warnings(self, tmp_path, bars_3000,
+                                                             capsys):
+        # once exited 2 at step 1,006 with overflow warnings on stderr
+        config = {"trainer": {"preset": "managed", "learning_rate": 3,
+                              "total_timesteps": 3000}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert train_in(tmp_path / "out", bars_3000, config) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step ")
+        assert "learning_rate" in err and "clip_rewards" in err
+        assert (tmp_path / "out" / "manifest.jsonl").is_file()  # the run had started
+
+
+RULE_TABLES = {"trainer": TrainerConfig.RULES, "attack": AttackConfig.RULES,
+               **{kind: env.RULES for kind, env in envs.ENVS.items()}}
+
+
+def test_readme_names_every_rule():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    for table in RULE_TABLES.values():
+        for field in table.fields:
+            assert field.kind == "bool" or field.bound is not None, field.name
+            assert f"`{field.name}`: {field.describe()}" in section, field.name
+        for text in table.rules:
+            assert f"`{text}`" in section, text
+
+
+OTHER_KINDS = [math.nan, math.inf, -math.inf, 1e308, 10**400, True, False, "1", None, [1]]
+
+
+def edge_values(field) -> list:
+    """A field's values on, and one step either side of, each end of its bound,
+    or its allowed strings and one more; then values of every other kind."""
+    if not isinstance(field.bound, str):
+        return [*(field.bound or ()), "other", *OTHER_KINDS]
+    values = [math.nextafter(end, to) for end in field.ends for to in (-math.inf, end, math.inf)]
+    if field.kind == "int":
+        values += [int(end) + step for end in field.ends if math.isfinite(end)
+                   for step in (-1, 0, 1)]
+    return values + OTHER_KINDS
+
+
+@st.composite
+def overrides(draw, table) -> dict:
+    fields = draw(st.lists(st.sampled_from(table.fields), max_size=3,
+                           unique_by=lambda field: field.name))
+    drawn = {}
+    for field in fields:
+        edges = edge_values(field)
+        # half the draws keep to the rule, so that some runs get past the checks
+        kept = [v for v in edges if field.accepts([v] if field.many else v)]
+        entries = st.one_of(st.sampled_from(kept), st.sampled_from(edges))
+        drawn[field.name] = draw(st.one_of(st.lists(entries, max_size=3), entries)
+                                 if field.many else entries)
+    return drawn
+
+
+# small enough that a whole run takes a few hundred milliseconds at most
+TINY_ENV = {"basic": {"kind": "basic", "episode_cap": 30},
+            "managed": {"kind": "managed", "episode_cap": 30, "size_count": 1,
+                        "stops": [0.02], "takes": [0.01]}}
+TINY_TRAINER = {"total_timesteps": 200, "learning_starts": 50, "batch_size": 8,
+                "hidden_sizes": [4]}
+AGENT_PRESETS = {"basic": ["delay", "basic-fgsm", "basic-cw"],
+                 "managed": ["delay", "managed-fgsm", "managed-cw"]}
+
+
+@st.composite
+def train_configs(draw) -> dict:
+    kind = draw(st.sampled_from(sorted(TINY_ENV)))
+    return {"env": {**TINY_ENV[kind], **draw(overrides(RULE_TABLES[kind]))},
+            "trainer": {"preset": draw(st.sampled_from(sorted(presets.TRAINER))),
+                        **TINY_TRAINER, **draw(overrides(RULE_TABLES["trainer"]))}}
+
+
+@st.composite
+def attack_configs(draw) -> tuple[str, dict]:
+    agent = draw(st.sampled_from(sorted(TINY_ENV)))
+    config = {"attack": {"preset": draw(st.sampled_from(AGENT_PRESETS[agent])),
+                         **draw(overrides(RULE_TABLES["attack"]))}}
+    if draw(st.booleans()):
+        config["env"] = {**TINY_ENV[agent], **draw(overrides(RULE_TABLES[agent]))}
+    return agent, config
+
+
+@pytest.fixture(scope="module")
+def tiny_agents(tmp_path_factory):
+    """An untrained agent for each tiny env, by env kind."""
+    paths = {}
+    for kind, env_block in TINY_ENV.items():
+        inputs = {"basic": 10 * 3 + 2, "managed": 20 * 3}[kind]  # the default windows
+        net = QNetwork.initialize([inputs, 4, 3], np.random.default_rng(0))
+        paths[kind] = tmp_path_factory.mktemp(kind) / "checkpoint.json"
+        save_checkpoint(net, paths[kind], {"env": env_block})
+    return paths
+
+
+def assert_exit_and_files(code, out, err, command):
+    """0 or 1; a user error writes nothing, unless training diverged once it
+    ran; success writes the files the command promises."""
+    assert code in (0, 1), err
+    if code == 1:
+        diverged = command == "train" and "non-finite" in err
+        assert diverged or not out.exists(), err
+    else:
+        promised = ["checkpoint.json", "trace.csv"] if command == "train" else \
+            [os.path.join("runs", run, name) for run in os.listdir(out / "runs")
+             for name in ("run.json", "record.csv", "summary.json")]
+        assert all((out / name).is_file() for name in ["manifest.jsonl", *promised])
+
+
+# each example reads all it wrote to stderr, so sharing capsys is safe
+BOUNDARY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFieldBoundaries:
+    @BOUNDARY_SETTINGS
+    @given(config=train_configs())
+    def test_train(self, tmp_path_factory, bars_3000, capsys, config):
+        out = tmp_path_factory.mktemp("train") / "out"
+        code = train_in(out, bars_3000, config)
+        assert_exit_and_files(code, out, capsys.readouterr().err, "train")
+
+    @BOUNDARY_SETTINGS
+    @given(agent_config=attack_configs())
+    def test_attack(self, tmp_path_factory, bars_3000, tiny_agents, capsys, agent_config):
+        agent, config = agent_config
+        out = tmp_path_factory.mktemp("attack") / "out"
+        cfg_path = out.parent / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code = run_cli("--config", str(cfg_path), "--out", str(out), "attack",
+                       "--checkpoint", str(tiny_agents[agent]), "--data", str(bars_3000),
+                       "--chances", "1.0", "--seeds", "0")
+        assert_exit_and_files(code, out, capsys.readouterr().err, "attack")

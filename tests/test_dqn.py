@@ -245,7 +245,37 @@ class TestEpsilonSchedule:
             small_config(epsilon_initial=0.1, epsilon_final=0.5).validate()
 
 
+class TestTrainerFields:
+    # each once raised TypeError from a comparison, or passed: a string for a
+    # bool trained with clipping, and both decay settings decayed by interval
+    @pytest.mark.parametrize("fields", [
+        {"total_timesteps": "10"}, {"gamma": None}, {"learning_rate": "1e-3"},
+        {"hidden_sizes": (8, "8")}, {"clip_rewards": "no"}, {"clip_rewards": 1},
+        {"epsilon_decay_interval": 200}, {"epsilon_decay_fraction": None},
+        {"learning_starts": -1}, {"param_noise_sigma": -0.05},
+    ])
+    def test_bad_field_raises_training_error(self, fields):
+        with pytest.raises(TrainingError, match="|".join(fields)):
+            small_config(**fields).validate()
+
+    def test_numpy_scalars_and_tuples_pass(self):
+        small_config(total_timesteps=np.int64(400), gamma=np.float64(0.9),
+                     clip_rewards=np.bool_(True), hidden_sizes=(np.int32(8),)).validate()
+
+
 class TestTrain:
+    def test_replay_rows_stop_at_total_timesteps(self, small_env_bars, monkeypatch):
+        # a run stores one transition per step, so rows past total_timesteps are
+        # never written: a capacity of 10**15 once failed with MemoryError
+        capacities = []
+        monkeypatch.setattr(dqn_module, "ReplayBuffer", lambda capacity, rng: (
+            capacities.append(capacity) or ReplayBuffer(capacity, rng)))
+        runs = [train(BasicStockEnv(small_env_bars), small_config(buffer_capacity=capacity),
+                      seed=4) for capacity in (400, 10**15)]
+        assert capacities == [400, 400]
+        (net_a, trace_a), (net_b, trace_b) = runs
+        assert np.array_equal(net_a.params, net_b.params) and trace_a.rows == trace_b.rows
+
     def test_no_updates_before_learning_start(self, small_env_bars):
         env = BasicStockEnv(small_env_bars)
         config = small_config(total_timesteps=40, learning_starts=100)
