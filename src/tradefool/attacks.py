@@ -461,68 +461,72 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
     ``_final_eps`` of its ``iterations``. ``q``, when given, is
     ``forward(net, observation)``, computed once by the caller.
     """
-    if config.method not in ("fgsm", "cw"):
-        raise AttackError(f"{config.method!r} is not a perturbation attack")
-    fgsm = config.method == "fgsm"
-    generator = PROPOSALS[config.method if fgsm else config.cw_variant]
-    observation = np.asarray(observation, dtype=np.float64)
-    if observation.shape[0] != net.input_dim:
-        raise AttackError(f"observation dim {observation.shape[0]} != net input {net.input_dim}")
-    x_orig = observation[tuple_slice].copy()
-    k = None
-    if fgsm or config.cw_variant != "box":
-        k = np.asarray(config.k_scale, dtype=np.float64)
-        if k.shape != x_orig.shape:
-            raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
-    if config.mode == "targeted" and target is None:
-        raise AttackError("targeted mode requires a target action")
-    original_action = int((forward(net, observation) if q is None else q).argmax())
-    if not fgsm and config.mode == "targeted" and original_action == target:
-        return PerturbationResult(x_orig, SUCCESS, original_action, 0, _final_eps(config, 0), 0.0)
-    label = target if config.mode == "targeted" else original_action
-    best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
-    bound = math.inf  # a row at the best's priority whose squared offset is above this loses
-    iteration, spec = 0, config.spec
-    outcomes = {}  # induced action: its outcome, classified once per attempt
-    for proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
-        candidates = project_constraints(proposals, x_orig, spec)
-        if qs is None:  # every row needs a forward pass
-            moved, qs = np.arange(len(candidates)), np.empty((len(candidates), net.n_actions))
-        else:  # equal bytes imply equal values
-            moved = np.flatnonzero((candidates.view(np.uint64)
-                                    != proposals.view(np.uint64)).any(axis=1))
+    # numpy need not warn of an overflow: an overflowed candidate is ranked like any other
+    with np.errstate(all="ignore"):
+        if config.method not in ("fgsm", "cw"):
+            raise AttackError(f"{config.method!r} is not a perturbation attack")
+        fgsm = config.method == "fgsm"
+        generator = PROPOSALS[config.method if fgsm else config.cw_variant]
+        observation = np.asarray(observation, dtype=np.float64)
+        if observation.shape[0] != net.input_dim:
+            raise AttackError(f"observation dim {observation.shape[0]} "
+                              f"!= net input {net.input_dim}")
+        x_orig = observation[tuple_slice].copy()
+        k = None
+        if fgsm or config.cw_variant != "box":
+            k = np.asarray(config.k_scale, dtype=np.float64)
+            if k.shape != x_orig.shape:
+                raise AttackError(f"k scalars shape {k.shape} != tuple shape {x_orig.shape}")
+        if config.mode == "targeted" and target is None:
+            raise AttackError("targeted mode requires a target action")
+        original_action = int((forward(net, observation) if q is None else q).argmax())
+        if not fgsm and config.mode == "targeted" and original_action == target:
+            return PerturbationResult(x_orig, SUCCESS, original_action, 0,
+                                      _final_eps(config, 0), 0.0)
+        label = target if config.mode == "targeted" else original_action
+        best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
+        bound = math.inf  # a row at the best's priority whose squared offset is above this loses
+        iteration, spec = 0, config.spec
+        outcomes = {}  # induced action: its outcome, classified once per attempt
+        for proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
+            candidates = project_constraints(proposals, x_orig, spec)
+            if qs is None:  # every row needs a forward pass
+                moved, qs = np.arange(len(candidates)), np.empty((len(candidates), net.n_actions))
+            else:  # equal bytes imply equal values
+                moved = np.flatnonzero((candidates.view(np.uint64)
+                                        != proposals.view(np.uint64)).any(axis=1))
+                if len(moved):
+                    qs = qs.copy()  # the generator may still read its own
             if len(moved):
-                qs = qs.copy()  # the generator may still read its own
-        if len(moved):
-            batch = np.repeat(observation[None], len(moved), axis=0)
-            batch[:, tuple_slice] = candidates[moved]
-            qs[moved] = forward(net, batch)
-        offsets = candidates - x_orig
-        squares = np.einsum("ij,ij->i", offsets, offsets).tolist()  # no overflow warning
-        for j, induced in enumerate(qs.argmax(axis=1).tolist()):
-            iteration += 1
-            outcome = outcomes.get(induced)
-            if outcome is None:
-                outcome = outcomes[induced] = classify_outcome(
-                    original_action, induced, config.mode, target, action_types)
-            priority = _PRIORITY[outcome]
-            if priority < best_priority or priority == best_priority and squares[j] > bound:
-                continue
-            d = offsets[j]
-            l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
-            if priority > best_priority or l2 < best_l2:
-                best_priority, best_l2 = priority, l2
-                # the two sums of squares differ by a few ulps, so a row more than a
-                # relative 1e-9 above the best's cannot tie it; below the normal
-                # range the ulps are coarse, so every row gets its exact L2
-                bound = squares[j] * (1.0 + 1e-9) if squares[j] >= sys.float_info.min \
-                    else math.inf
-                best = (candidates[j], outcome, induced, iteration)
-                if fgsm and outcome == SUCCESS:
-                    break  # FGSM keeps the first full success of its ladder
-        if fgsm and best_priority == _PRIORITY[SUCCESS]:
-            break
-    if best is None:
-        best, best_l2 = (x_orig, FAILURE, original_action,
-                         config.eps_iters if fgsm else config.cw_max_iters), 0.0
-    return PerturbationResult(*best, final_eps=_final_eps(config, best[3]), l2=best_l2)
+                batch = np.repeat(observation[None], len(moved), axis=0)
+                batch[:, tuple_slice] = candidates[moved]
+                qs[moved] = forward(net, batch)
+            offsets = candidates - x_orig
+            squares = np.einsum("ij,ij->i", offsets, offsets).tolist()  # no overflow warning
+            for j, induced in enumerate(qs.argmax(axis=1).tolist()):
+                iteration += 1
+                outcome = outcomes.get(induced)
+                if outcome is None:
+                    outcome = outcomes[induced] = classify_outcome(
+                        original_action, induced, config.mode, target, action_types)
+                priority = _PRIORITY[outcome]
+                if priority < best_priority or priority == best_priority and squares[j] > bound:
+                    continue
+                d = offsets[j]
+                l2 = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-D real array
+                if priority > best_priority or l2 < best_l2:
+                    best_priority, best_l2 = priority, l2
+                    # the two sums of squares differ by a few ulps, so a row more than a
+                    # relative 1e-9 above the best's cannot tie it; below the normal
+                    # range the ulps are coarse, so every row gets its exact L2
+                    bound = squares[j] * (1.0 + 1e-9) if squares[j] >= sys.float_info.min \
+                        else math.inf
+                    best = (candidates[j], outcome, induced, iteration)
+                    if fgsm and outcome == SUCCESS:
+                        break  # FGSM keeps the first full success of its ladder
+            if fgsm and best_priority == _PRIORITY[SUCCESS]:
+                break
+        if best is None:
+            best, best_l2 = (x_orig, FAILURE, original_action,
+                             config.eps_iters if fgsm else config.cw_max_iters), 0.0
+        return PerturbationResult(*best, final_eps=_final_eps(config, best[3]), l2=best_l2)

@@ -21,10 +21,9 @@ import os
 import sys
 
 from . import __version__, presets
-from .attacks import AttackConfig
+from .attacks import AttackConfig, AttackError
 from .dqn import TrainingError, train
 from .envs import EnvError, make_env
-from .fields import from_json
 from .harness import run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
@@ -38,7 +37,7 @@ def _config(what: str, build, block: dict):
     fields = dict(block)
     try:
         return build(fields.pop("preset", None), **fields)
-    except Exception as exc:  # noqa: BLE001 - surfaced as user error
+    except (TypeError, AttackError, TrainingError) as exc:
         raise UserError(f"bad {what} config: {exc}") from exc
 
 
@@ -46,13 +45,10 @@ def build_env(env_block: dict, market):
     if not isinstance(env_block, dict):
         raise UserError(f"env config must be a JSON object, got {type(env_block).__name__}")
     block = dict(env_block)
-    kind = block.pop("kind", None)
-    if kind not in ("basic", "managed"):
-        raise UserError(f"env kind must be 'basic' or 'managed', got {kind!r}")
     try:
-        return make_env(kind, market, **from_json(block))
+        return make_env(block.pop("kind", None), market, **block)
     except (TypeError, EnvError, MarketDataError) as exc:
-        raise UserError(f"cannot build {kind} env: {exc}") from exc
+        raise UserError(f"bad env config: {exc}") from exc
 
 
 def file_digest(path) -> str:

@@ -129,19 +129,19 @@ class TrainerConfig:
         return self.epsilon_initial + (self.epsilon_final - self.epsilon_initial) * frac
 
 
-def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy action; greedy ties break to the lowest index."""
+def select_action(net: QNetwork, state, epsilon: float, rng: np.random.Generator,
+                  noise_sigma: float | None = None) -> int:
+    """With probability ``epsilon`` a uniform random action or, given
+    ``noise_sigma``, the greedy action of ``net`` with Gaussian noise of that
+    sigma on its parameters; else the greedy action, ties to the lowest index."""
     if not 0.0 <= epsilon <= 1.0:
         raise TrainingError(f"epsilon must be in [0,1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(net.n_actions))
+        if noise_sigma is None:
+            return int(rng.integers(net.n_actions))
+        net = net.clone()
+        net.params += noise_sigma * rng.standard_normal(net.params.size)
     return int(forward(net, state).argmax())
-
-
-def _param_noise_action(net: QNetwork, state, sigma: float, rng: np.random.Generator) -> int:
-    noisy = net.clone()
-    noisy.params += sigma * rng.standard_normal(noisy.params.size)
-    return int(forward(noisy, state).argmax())
 
 
 @dataclass
@@ -183,18 +183,13 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     episode_reward = 0.0
     cum_reward = 0.0
     last_loss: float | None = None
+    noise_sigma = config.param_noise_sigma if config.exploration == "param_noise" else None
 
     # td_loss and sgd_step raise on a blow-up, so numpy need not warn of it
     with np.errstate(all="ignore"):
         for t in range(1, config.total_timesteps + 1):
             epsilon = config.epsilon_at(t)
-            if config.exploration == "param_noise":
-                if epsilon > 0.0 and rng_explore.random() < epsilon:
-                    action = _param_noise_action(net, obs, config.param_noise_sigma, rng_explore)
-                else:
-                    action = int(forward(net, obs).argmax())
-            else:
-                action = select_action(net, obs, epsilon, rng_explore)
+            action = select_action(net, obs, epsilon, rng_explore, noise_sigma)
             result = env.step(action)
             state, obs = obs, env.observation()
             stored_reward = float(np.clip(result.reward, -1.0, 1.0)) if config.clip_rewards \

@@ -348,6 +348,6 @@ ENVS = {"basic": BasicStockEnv, "managed": ManagedRiskEnv}
 
 
 def make_env(kind: str, market: Market, **kwargs):
-    if kind not in ENVS:
-        raise EnvError(f"unknown env kind {kind!r}")
+    if not isinstance(kind, str) or kind not in ENVS:  # a list is no dict key
+        raise EnvError(f"unknown env kind {kind!r}; have {sorted(ENVS)}")
     return ENVS[kind](market, **kwargs)

@@ -94,8 +94,3 @@ class RuleTable:
             if not test(*(values[name] for name in names)):
                 given = ", ".join(f"{name}={values[name]!r}" for name in names)
                 raise self.error(f"need {text}, got {given}")
-
-
-def from_json(block: dict) -> dict:
-    """A JSON config block as constructor arguments: each list a tuple."""
-    return {name: tuple(v) if isinstance(v, list) else v for name, v in block.items()}

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .attacks import AttackConfig, AttackError
 from .dqn import TrainerConfig, TrainingError
-from .fields import from_json
 
 ATTACK = {
     "delay": dict(method="delay"),
@@ -55,6 +54,6 @@ def _build(config_class, error, stock: dict, preset, fields: dict):
         raise error(f"unknown preset {preset!r}; have {sorted(stock)}")
     if preset:
         fields = {**stock[preset], **fields}
-    config = config_class(**from_json(fields))
+    config = config_class(**fields)
     config.validate()
     return config

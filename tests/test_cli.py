@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -293,7 +294,7 @@ TRAINER_FIELDS_MALFORMED = [
 ATTACK_FIELDS_MALFORMED = [
     {"eps_iters": 2.5}, {"cw_max_iters": 2.5}, {"cw_lr": float("nan")}, {"seed": 1.5},
     {"cw_lr": -0.5}, {"cw_lr": 0}, {"cw_eps": -1.0}, {"cw_const": 0.0},
-    {"k_scale": [True, True, True]}, {"k_scale": "abc"}, {"k_scale": [1.0, "x", 1.0]},
+    {"k_scale": [True, True, True]}, {"k_scale": "abc"}, {"k_scale": [1, "x", 1]},
 ]
 # each crashed the run (exit 2), before or after manifest.jsonl was written,
 # or trained silently: a bool window on a 1-bar window, a cap below 1 on
@@ -369,11 +370,41 @@ class TestConfigShapes:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        # the message names each field and echoes its value as given, a list as a list
         if config.get("attack") in ATTACK_FIELDS_MALFORMED:
-            assert all(name in err for name in config["attack"])  # the message names it
+            assert all(name in err and repr(value) in err
+                       for name, value in config["attack"].items())
         if config.get("env") in ENV_FIELDS_MALFORMED:
-            assert all(name in err for name in config["env"] if name != "kind")
+            assert all(name in err and repr(value) in err
+                       for name, value in config["env"].items() if name != "kind")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    @pytest.mark.parametrize("kind", ["x", None, ["basic"]], ids=["unknown", "null", "list"])
+    def test_bad_env_kind_is_user_error_naming_the_kinds(self, tmp_path, data_csv, trained,
+                                                         capsys, command, kind):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"env": {"kind": kind}}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out), command, "--data", str(data_csv)]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--preset", "basic-fgsm"]
+        else:
+            argv += ["--preset", "basic"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"unknown env kind {kind!r}; have ['basic', 'managed']" in err
+        assert not (out / "manifest.jsonl").exists()
+
+    def test_internal_fault_in_a_config_build_is_internal_error(self, tmp_path, data_csv,
+                                                                monkeypatch, capsys):
+        def broken(preset=None, **fields):
+            raise KeyError("broken")
+
+        monkeypatch.setattr(presets, "trainer", broken)
+        assert run_cli("--out", str(tmp_path / "out"), "train", "--preset", "basic",
+                       "--data", str(data_csv)) == 2
+        assert capsys.readouterr().err.startswith("internal error: KeyError")
 
     def test_bad_env_in_checkpoint_meta_is_user_error_before_manifest(
             self, tmp_path, data_csv, trained, capsys):
@@ -579,8 +610,9 @@ RULE_TABLES = {"trainer": TrainerConfig.RULES, "attack": AttackConfig.RULES,
 
 
 def test_readme_names_every_rule():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                  encoding="utf-8").read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as handle:
+        readme = handle.read()
     section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
     for table in RULE_TABLES.values():
         for field in table.fields:
@@ -698,3 +730,24 @@ class TestFieldBoundaries:
                        "--checkpoint", str(tiny_agents[agent]), "--data", str(bars_3000),
                        "--chances", "1.0", "--seeds", "0")
         assert_exit_and_files(code, out, capsys.readouterr().err, "attack")
+
+    @pytest.mark.parametrize("agent, attack", [
+        ("managed", {"preset": "managed-cw", "cw_eps": sys.float_info.max}),
+        ("managed", {"preset": "managed-fgsm", "eps_end": sys.float_info.max}),
+        ("basic", {"preset": "basic-fgsm", "eps_end": sys.float_info.max}),
+    ], ids=["cw_eps", "managed_eps_end", "basic_eps_end"])
+    def test_attack_at_the_top_of_the_float_range_warns_of_nothing(
+            self, tmp_path, bars_3000, tiny_agents, capsys, agent, attack):
+        # once exited 0 with numpy's overflow warnings from the C&W step, the
+        # L2 of a candidate or the FGSM ladder on stderr
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"attack": attack}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("--config", str(cfg_path), "--out", str(out), "attack",
+                           "--checkpoint", str(tiny_agents[agent]), "--data", str(bars_3000),
+                           "--chances", "1.0", "--seeds", "0")
+        assert code == 0, capsys.readouterr().err
+        assert_exit_and_files(code, out, "", "attack")
+        assert len(os.listdir(out / "runs")) == 2  # the control and the attacked run

@@ -9,7 +9,6 @@ from tradefool.dqn import (
     TrainerConfig,
     TrainingError,
     Transition,
-    _param_noise_action,
     select_action,
     train,
 )
@@ -59,8 +58,10 @@ class TestSelectAction:
 
 
 def per_array_param_noise(net, state, sigma, rng):
-    """Reference: noise drawn array by array, every weight matrix, then every
-    bias vector. Returns (noisy net, its greedy action)."""
+    """Reference: the exploration gate's draw, then noise drawn array by
+    array, every weight matrix, then every bias vector. Returns (noisy net,
+    its greedy action)."""
+    rng.random()
     noisy = net.clone()
     for w in noisy.weights:
         w += sigma * rng.standard_normal(w.shape)
@@ -79,7 +80,8 @@ class TestParamNoise:
                             lambda noisy, obs: served.append(noisy) or forward(noisy, obs))
         actions = set()
         for seed in range(12):
-            action = _param_noise_action(net, state, 0.5, np.random.default_rng(seed))
+            action = select_action(net, state, 1.0, np.random.default_rng(seed),
+                                   noise_sigma=0.5)
             noisy, expected = per_array_param_noise(net, state, 0.5,
                                                     np.random.default_rng(seed))
             assert np.array_equal(served[-1].params, noisy.params)
