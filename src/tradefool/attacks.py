@@ -114,7 +114,8 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
         else:
             _raise_to(close, low + CLOSE_MARGIN)
             _lower_to(close, high - CLOSE_MARGIN)
-            np.copyto(close, (high + low) / 2.0, where=high - low < 2.0 * CLOSE_MARGIN)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf: NaN, as in Python
+                np.copyto(close, (high + low) / 2.0, where=high - low < 2.0 * CLOSE_MARGIN)
         return out
     if spec.kind == "none":
         return out

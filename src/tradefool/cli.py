@@ -7,7 +7,7 @@ and override individual fields. ``train`` and ``attack`` append a line to
 configuration, seeds, input-data digest) before running. Output files are
 reproducible byte-for-byte from the manifest inputs.
 
-Exit codes: 0 success, 1 user error, 2 internal invariant violation.
+Exit codes: 0 success, 1 user error or a closed stdout, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8, an int over 4,300 digits
         raise UserError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UserError(f"config {path} must be a JSON object, got {type(config).__name__}")
@@ -331,10 +331,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except SystemExit as exc:  # argparse's: --help, or bad flags
         return 1 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    except BrokenPipeError:  # stdout's reader left; every command prints after its files
+        return 1
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -343,5 +346,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def script() -> None:
+    """The console script: ``main``, with what a closed stdout left unread dropped at exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

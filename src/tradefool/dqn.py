@@ -8,7 +8,6 @@ sigma parameter noise for action selection), optional reward clipping to
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,7 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.rng = rng
         self._columns: Batch | None = None
+        self._batch: Batch | None = None  # what sample() returns, refilled on every call
         self._size = 0
         self._next = 0
 
@@ -73,11 +73,17 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int) -> Batch:
-        """``batch_size`` transitions drawn uniformly with replacement."""
+        """``batch_size`` transitions drawn uniformly with replacement, gathered
+        into arrays the buffer owns: the next ``sample`` overwrites them."""
         if self._size == 0:
             raise TrainingError("cannot sample from an empty buffer")
         idx = self.rng.integers(0, self._size, size=batch_size)
-        return Batch(*(column.take(idx, axis=0) for column in self._columns))
+        if self._batch is None or len(self._batch.actions) != batch_size:
+            self._batch = Batch(*(np.empty((batch_size, *c.shape[1:]), c.dtype)
+                                  for c in self._columns))
+        for column, out in zip(self._columns, self._batch):
+            column.take(idx, axis=0, out=out, mode="clip")  # idx is in range already
+        return self._batch
 
 
 @dataclass
@@ -150,14 +156,12 @@ class TrainingTrace:
     episode_rewards: list[float] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["episode", "step", "action", "reward", "cum_reward",
-                             "epsilon", "loss"])
-            for episode, step, action, reward, cum, eps, loss in self.rows:
-                writer.writerow([episode, step, action, repr(float(reward)),
-                                 repr(float(cum)), repr(float(eps)),
-                                 "" if loss is None else repr(float(loss))])
+        with open(path, "w", newline="", encoding="utf-8") as handle:  # csv.writer's bytes
+            handle.write("episode,step,action,reward,cum_reward,epsilon,loss\r\n")
+            handle.write("".join(
+                f"{episode},{step},{action},{float(reward)!r},{float(cum)!r},{float(eps)!r},"
+                f"{'' if loss is None else repr(float(loss))}\r\n"
+                for episode, step, action, reward, cum, eps, loss in self.rows))
 
 
 def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrace]:
@@ -183,6 +187,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     episode_reward = 0.0
     cum_reward = 0.0
     last_loss: float | None = None
+    bundle = None  # td_loss allocates it on the first update and reuses it after
     noise_sigma = config.param_noise_sigma if config.exploration == "param_noise" else None
 
     # td_loss and sgd_step raise on a blow-up, so numpy need not warn of it
@@ -213,7 +218,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
             if t > config.learning_starts and len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size)
                 try:
-                    bundle = td_loss(net, target, batch, config.gamma)
+                    bundle = td_loss(net, target, batch, config.gamma, bundle)
                     sgd_step(net, bundle, config.learning_rate)
                 except ValueError as exc:
                     raise TrainingError(f"training diverged at step {t}: {exc}; lower "

@@ -50,6 +50,8 @@ def trainer(preset: str | None = None, **fields) -> TrainerConfig:
 
 
 def _build(config_class, error, stock: dict, preset, fields: dict):
+    if not isinstance(preset, (str, type(None))):
+        raise error(f"preset must be a string naming one of {sorted(stock)}, got {preset!r}")
     if preset and preset not in stock:
         raise error(f"unknown preset {preset!r}; have {sorted(stock)}")
     if preset:

@@ -5,10 +5,11 @@ action. Besides parameter gradients for TD training, the network exposes
 analytic gradients of attack losses with respect to its *input*, which the
 gradient-based observation attacks need.
 
-Parameters live in one float64 vector, ``QNetwork.params``, and each update's
-gradients in one of the same layout, so SGD and the finiteness check are one
-array operation each. ``weights`` and ``biases`` are views of ``params``, every
-weight matrix then every bias vector: write them in place, never rebind them.
+Parameters live in one float64 vector, ``QNetwork.params``, and gradients in
+one of the same layout, which a training run reuses for every update, so SGD
+and the finiteness check are one array operation each. ``weights`` and
+``biases`` are views of ``params``, every weight matrix then every bias
+vector: write them in place, never rebind them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ class QNetError(ValueError):
     pass
 
 
-def _pack(weights, biases, flat=None) -> tuple[np.ndarray, list, list]:
-    """``flat`` (by default the arrays packed anew, in order) and views of it in their shapes."""
-    if flat is None:
-        weights, biases = ([np.asarray(a, dtype=np.float64) for a in arrays]
-                           for arrays in (weights, biases))
-        flat = np.concatenate([a.ravel() for a in (*weights, *biases)] or [np.empty(0)])
+def _pack(weights, biases) -> tuple[np.ndarray, list, list]:
+    """The arrays packed anew, in order, into one vector, and views of it in their shapes."""
+    weights, biases = ([np.asarray(a, dtype=np.float64) for a in arrays]
+                       for arrays in (weights, biases))
+    flat = np.concatenate([a.ravel() for a in (*weights, *biases)] or [np.empty(0)])
     views, end = [], 0
     for a in (*weights, *biases):
         start, end = end, end + a.size
@@ -109,12 +109,10 @@ class GradientBundle:
     loss: float
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.flat is None:
-            self.flat, self.weight_grads, self.bias_grads = _pack(self.weight_grads,
-                                                                  self.bias_grads)
+        self.flat, self.weight_grads, self.bias_grads = _pack(self.weight_grads, self.bias_grads)
 
 
 def _forward_cached(net: QNetwork, x: np.ndarray):
@@ -139,11 +137,13 @@ def forward(net: QNetwork, state) -> np.ndarray:
     return _forward_cached(net, x)[-1]
 
 
-def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBundle:
+def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float,
+            grads: GradientBundle | None = None) -> GradientBundle:
     """Mean squared TD error over a ``Batch`` or a sequence of transitions.
 
     y = r + gamma * max_a' Q_target(s', a'), or y = r for terminal rows; the
-    target branch is treated as a constant.
+    target branch is treated as a constant. ``grads``, a bundle an earlier call
+    for ``net`` returned, is overwritten and returned instead of a new one.
     """
     if not 0.0 <= gamma <= 1.0:
         raise QNetError(f"gamma must be in [0,1], got {gamma}")
@@ -152,27 +152,29 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float) -> GradientBun
     if n == 0:
         raise QNetError("empty batch")
 
-    next_q = forward(target, next_states)
+    next_q = _forward_cached(target, next_states)[-1]  # unchecked: a wrong width fails in dot
     y = rewards + gamma * next_q.max(axis=1) * (~terminal)
 
     activations = _forward_cached(net, states)
     q = activations[-1]
-    rows = np.arange(n)
-    diff = q[rows, actions] - y
+    taken = np.ravel_multi_index((np.arange(n), actions), q.shape)  # checks each action
+    diff = q.take(taken) - y
     loss = float(np.add.reduce(diff**2) / n)  # np.mean's own computation
     if not math.isfinite(loss):
         raise QNetError("non-finite TD loss")
 
-    delta = np.zeros_like(q)
-    delta[rows, actions] = 2.0 * diff / n
-    flat, weight_grads, bias_grads = _pack(net.weights, net.biases, np.empty_like(net.params))
+    delta = np.zeros(q.shape)
+    delta.put(taken, 2.0 * diff / n)
+    if grads is None:  # packed from the parameters for their shapes, then overwritten
+        grads = GradientBundle(loss, net.weights, net.biases)
+    grads.loss = loss
     for i in range(len(net.weights) - 1, -1, -1):  # backprop dLoss/dQ into the views
-        np.dot(activations[i].T, delta, out=weight_grads[i])
-        np.add.reduce(delta, axis=0, out=bias_grads[i])
+        np.dot(activations[i].T, delta, out=grads.weight_grads[i])
+        np.add.reduce(delta, axis=0, out=grads.bias_grads[i])
         if i > 0:
             delta = delta.dot(net.weights[i].T)
             delta *= activations[i] > 0.0
-    return GradientBundle(loss, weight_grads, bias_grads, flat)
+    return grads
 
 
 def _softmax(q: np.ndarray) -> np.ndarray:
@@ -243,12 +245,14 @@ def input_gradient(net: QNetwork, state, loss_spec: str, action: int,
 
 
 def sgd_step(net: QNetwork, grads: GradientBundle, learning_rate: float) -> QNetwork:
-    """In-place plain SGD update; returns the mutated network."""
+    """In-place plain SGD update; returns the mutated network. The step is
+    scaled in ``grads`` itself: its gradients come back times ``learning_rate``."""
     if learning_rate <= 0:
         raise QNetError(f"learning rate must be > 0, got {learning_rate}")
     if grads.flat.shape != net.params.shape:
         raise QNetError(f"{grads.flat.size} gradients for {net.params.size} parameters")
-    net.params -= learning_rate * grads.flat
+    grads.flat *= learning_rate
+    net.params -= grads.flat
     net.check_finite()
     return net
 

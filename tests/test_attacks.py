@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tradefool import attacks, qnet
@@ -165,6 +165,7 @@ class TestProjection:
     @given(st.sampled_from(["relative_price", "indicator"]), st.sampled_from(range(3)),
            st.lists(st.lists(EDGY_FLOATS, min_size=3, max_size=3), min_size=1, max_size=9),
            st.lists(EDGY_FLOATS, min_size=3, max_size=3))
+    @example("relative_price", 2, [[np.inf, -np.inf, 0.0]], [1.0, -1.0, 0.0])  # inf + -inf
     def test_block_rows_have_the_bytes_of_single_tuples(self, kind, close_branch, rows, orig):
         # close_branch: the original closed on its high, on its low, or anywhere
         spec = attacks.CONSTRAINT_SPECS[kind]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import warnings
 
@@ -396,6 +397,34 @@ class TestConfigShapes:
         assert f"unknown env kind {kind!r}; have ['basic', 'managed']" in err
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("command, block, preset", [
+        ("train", "trainer", ["basic"]), ("attack", "attack", ["basic-fgsm"])])
+    def test_non_string_preset_is_user_error_naming_the_presets(
+            self, tmp_path, data_csv, trained, capsys, command, block, preset):
+        # once "bad ... config: unhashable type: 'list'"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({block: {"preset": preset}}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out), command, "--data", str(data_csv)]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json")]
+        assert run_cli(*argv) == 1
+        stock = presets.ATTACK if command == "attack" else presets.TRAINER
+        assert capsys.readouterr().err == (f"error: bad {block} config: preset must be a "
+                                           f"string naming one of {sorted(stock)}, "
+                                           f"got {preset!r}\n")
+        assert not out.exists()
+
+    def test_integer_over_python_digit_limit_is_user_error(self, tmp_path, data_csv, capsys):
+        # json.load raises a plain ValueError for it; once exited 2 as an internal error
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"trainer": {"preset": "basic", "seed": ' + "9" * 5000 + "}}")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg_path), "--out", str(out), "train",
+                       "--data", str(data_csv)) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg_path}: ")
+        assert not out.exists()
+
     def test_internal_fault_in_a_config_build_is_internal_error(self, tmp_path, data_csv,
                                                                 monkeypatch, capsys):
         def broken(preset=None, **fields):
@@ -603,6 +632,28 @@ class TestTrainFailures:
         assert err.startswith("error: training diverged at step ")
         assert "learning_rate" in err and "clip_rewards" in err
         assert (tmp_path / "out" / "manifest.jsonl").is_file()  # the run had started
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_1_after_writing_the_files(self, tmp_path, bars_3000,
+                                                            unbuffered):
+        # once "internal error: BrokenPipeError", exit 2 (or 120 from the exit-time flush)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trainer": {"preset": "basic", "total_timesteps": 300,
+                                                    "learning_starts": 100}}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tradefool.cli", "--config", str(cfg_path), "--out", str(out),
+             "train", "--data", str(bars_3000)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the only reader leaves before the first print
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+        assert (out / "checkpoint.json").is_file() and (out / "trace.csv").is_file()
 
 
 RULE_TABLES = {"trainer": TrainerConfig.RULES, "attack": AttackConfig.RULES,

@@ -338,10 +338,10 @@ class TestTrain:
         hashes = []
         original = dqn_module.td_loss
 
-        def spy(net, target, batch, gamma):
+        def spy(net, target, *args):  # batch, gamma and whatever train passes after them
             hashes.append(hashlib.sha256(
                 b"".join(w.tobytes() for w in target.weights)).hexdigest())
-            return original(net, target, batch, gamma)
+            return original(net, target, *args)
 
         monkeypatch.setattr(dqn_module, "td_loss", spy)
         env = BasicStockEnv(small_env_bars)
@@ -354,6 +354,52 @@ class TestTrain:
         assert 1 < len(set(hashes)) <= 4
         boundaries = [i for i in range(1, len(hashes)) if hashes[i] != hashes[i - 1]]
         assert len(boundaries) == len(set(hashes)) - 1
+
+
+class TestWorkspaceReuse:
+    @pytest.mark.parametrize("exploration", ["epsilon_greedy", "param_noise"])
+    def test_reused_arrays_carry_nothing_between_updates(self, small_env_bars, monkeypatch,
+                                                         tmp_path, exploration):
+        # 400 updates across 4 target syncs, rewards clipped
+        config = small_config(total_timesteps=450, learning_starts=50, target_sync_every=100,
+                              clip_rewards=True, exploration=exploration)
+        td_loss, sample = dqn_module.td_loss, ReplayBuffer.sample
+        returned = []
+
+        def run(name):
+            returned.clear()
+            net, trace = train(BasicStockEnv(small_env_bars), config, seed=9)
+            trace.write_csv(tmp_path / name)
+            losses = [row[-1] for row in trace.rows if row[-1] is not None]
+            return net.params.tobytes(), trace.rows, losses, (tmp_path / name).read_bytes()
+
+        def spy_td_loss(*args):
+            returned.append(td_loss(*args))
+            return returned[-1]
+
+        def spy_sample(self, batch_size):
+            returned.append(sample(self, batch_size))
+            return returned[-1]
+
+        monkeypatch.setattr(dqn_module, "td_loss", spy_td_loss)
+        monkeypatch.setattr(ReplayBuffer, "sample", spy_sample)
+        reused = run("reused.csv")
+        assert len(returned) == 800
+        assert len({id(x) for x in returned}) == 2  # one bundle and one batch per run
+
+        def fresh_td_loss(net, target, batch, gamma, grads=None):
+            returned.append(td_loss(net, target, batch, gamma))
+            return returned[-1]
+
+        def fresh_sample(self, batch_size):
+            returned.append(Batch(*(column.copy() for column in sample(self, batch_size))))
+            return returned[-1]
+
+        monkeypatch.setattr(dqn_module, "td_loss", fresh_td_loss)
+        monkeypatch.setattr(ReplayBuffer, "sample", fresh_sample)
+        fresh = run("fresh.csv")
+        assert len(returned) == 800 and len(fresh[2]) >= 300
+        assert fresh == reused
 
 
 def random_policy_reward(env, start: int, rng) -> float:

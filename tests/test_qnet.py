@@ -130,6 +130,15 @@ class TestTdLoss:
         with pytest.raises(QNetError):
             td_loss(net, net.clone(), batch, 1.5)
 
+    @pytest.mark.parametrize("action", [2, -1])
+    def test_rejects_an_action_outside_the_network(self, action):
+        # Q is read at flat (row, action) offsets, where row 0's action 2 is row 1's 0
+        net = zero_net([1, 2])
+        batch = [Transition(np.zeros(1), action, 0.0, np.zeros(1), True),
+                 Transition(np.zeros(1), 0, 0.0, np.zeros(1), True)]
+        with pytest.raises(ValueError, match="invalid entry"):
+            td_loss(net, net.clone(), batch, 0.5)
+
 
 def finite_difference_input_grad(net, x, loss_spec, action, h=1e-5):
     grad = np.zeros_like(x)
@@ -338,13 +347,14 @@ class TestBitIdentity:
         target = net.clone()
         ref, ref_target = list_layout(net), list_layout(target)
         initial = net.params.copy()
+        bundle = None  # one bundle for every update, as in dqn.train
         for step in range(1, 2001):
             n = int(rng.integers(1, 33))
             batch = Batch(rng.normal(size=(n, net.input_dim)),
                           rng.integers(net.n_actions, size=n).astype(np.intp),
                           rng.normal(size=n), rng.normal(size=(n, net.input_dim)),
                           rng.random(n) < 0.1)
-            bundle = td_loss(net, target, batch, 0.99)
+            bundle = td_loss(net, target, batch, 0.99, bundle)
             sgd_step(net, bundle, 1e-3)
             loss, weight_grads, bias_grads = reference_td_grads(
                 ref, ref_target, [Transition(*row) for row in zip(*batch)], 0.99)
