@@ -49,7 +49,7 @@ class ConstraintSpec:
     """Domain rules for a feature tuple plus the affine box used to map the
     tuple into [0,1] for the tanh-box attack."""
 
-    kind: str  # "relative_price" | "indicator" | "box" | "none"
+    kind: str  # "relative_price" | "indicator" | "none"
     box_low: tuple[float, ...]
     box_high: tuple[float, ...]
 
@@ -92,10 +92,10 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
 
     relative_price: rel_high >= 0, rel_low <= 0, and the close matches the
     original close's behavior (equal to high, equal to low, or strictly
-    between). indicator: RSI coordinate clamped to [0, 100]. box: clamp to
-    the spec's box. none: identity. Idempotent for a fixed original. Each
-    row gets the bytes a call on that row alone gives, and the Python-float
-    arithmetic of ``max``, ``min`` and ``+ - * /`` would give.
+    between). indicator: RSI coordinate clamped to [0, 100]. none: identity.
+    Idempotent for a fixed original. Each row gets the bytes a call on that
+    row alone gives, and the Python-float arithmetic of ``max``, ``min`` and
+    ``+ - * /`` would give.
     """
     out = np.array(candidate, dtype=np.float64)  # a copy, projected in place
     orig = np.asarray(original, dtype=np.float64)
@@ -119,9 +119,6 @@ def project_constraints(candidate, original, spec: ConstraintSpec) -> np.ndarray
         return out
     if spec.kind == "none":
         return out
-    if spec.kind == "box":
-        lo, hi = spec.box(out.shape[-1])
-        return np.clip(out, lo, hi)
     if spec.kind == "indicator":
         rsi = out[..., 2]
         _raise_to(rsi, 0.0)
@@ -161,7 +158,7 @@ class AttackConfig:
         seed="[0, inf)"),
         {"eps_start <= eps_end": lambda eps_start, eps_end: eps_start <= eps_end})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.RULES.check(vars(self))
 
     @property

@@ -87,10 +87,13 @@ def load_config_file(path) -> dict:
         raise UserError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise UserError(f"config {path} must be a JSON object, got {type(config).__name__}")
-    for name in ("data", "trainer", "attack"):  # null counts as absent; build_env checks env
+    for name in ("data", "env", "trainer", "attack"):  # null counts as absent
         if config.get(name) is not None and not isinstance(config[name], dict):
             raise UserError(f"config block {name!r} must be a JSON object, "
                             f"got {type(config[name]).__name__}")
+    path = (config.get("data") or {}).get("path")
+    if not isinstance(path, (str, type(None))):  # open() takes an int as a file descriptor
+        raise UserError(f"config data.path must be a string, got {path!r}")
     return config
 
 

@@ -86,7 +86,7 @@ class ReplayBuffer:
         return self._batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     total_timesteps: int
     gamma: float = 0.99
@@ -117,7 +117,7 @@ class TrainerConfig:
                 lambda epsilon_decay_fraction, epsilon_decay_interval:
                     (epsilon_decay_fraction is None) != (epsilon_decay_interval is None)})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.RULES.check(vars(self))
 
     def epsilon_at(self, step: int) -> float:
@@ -166,7 +166,6 @@ class TrainingTrace:
 
 def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrace]:
     """Run the DQN interaction loop; fully determined by (seed, data, config)."""
-    config.validate()
     streams = np.random.SeedSequence(seed).spawn(4)
     rng_init = np.random.default_rng(streams[0])
     rng_env = np.random.default_rng(streams[1])

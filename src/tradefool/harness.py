@@ -35,10 +35,6 @@ from .attacks import (
 from .qnet import QNetwork, forward
 
 
-class HarnessError(RuntimeError):
-    pass
-
-
 @dataclass
 class LedgerRow:
     t: int
@@ -100,10 +96,8 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
     episode can be replayed under different attack randomness.
     """
     env_stream, gate_stream = np.random.SeedSequence(seed).spawn(2)
-    if config is not None:
-        config.validate()
-        if config.seed is not None:
-            gate_stream = np.random.SeedSequence(config.seed)
+    if config is not None and config.seed is not None:
+        gate_stream = np.random.SeedSequence(config.seed)
     env.reset(np.random.default_rng(env_stream))
     gate_rng = np.random.default_rng(gate_stream)
 
@@ -162,22 +156,6 @@ def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = Non
     return record, ledger
 
 
-def reward_difference(control: RunRecord, attacked: RunRecord) -> np.ndarray:
-    """Control cumulative reward minus attacked cumulative reward, per step."""
-    if len(control) != len(attacked):
-        raise HarnessError(f"record lengths differ: {len(control)} vs {len(attacked)}")
-    return np.asarray(control.cum_rewards) - np.asarray(attacked.cum_rewards)
-
-
-def networth_difference(control: RunRecord, attacked: RunRecord) -> np.ndarray:
-    """Control net-worth minus attacked net-worth, per step (managed env only)."""
-    if control.net_worths is None or attacked.net_worths is None:
-        raise HarnessError("net-worth differences need runs from an env with net-worth")
-    if len(control.net_worths) != len(attacked.net_worths):
-        raise HarnessError("record lengths differ")
-    return np.asarray(control.net_worths) - np.asarray(attacked.net_worths)
-
-
 def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
@@ -201,22 +179,14 @@ def write_ledger_csv(ledger: AttackLedger, path, tuple_dim: int) -> None:
         for row in ledger.rows))
 
 
-def summary_dict(ledger: AttackLedger, record: RunRecord,
-                 control: RunRecord | None = None) -> dict:
-    summary = dict(ledger.counters())
-    summary["total_reward"] = record.total_reward
-    summary["final_networth"] = record.final_net_worth
-    if control is not None:
-        summary["control_total_reward"] = control.total_reward
-        summary["control_final_networth"] = control.final_net_worth
-    return summary
-
-
 def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
                   control: RunRecord | None = None, tuple_dim: int = 3) -> dict:
     """Write ledger.csv, record.csv, summary.json, and (when a control run is
-    given) the plot-ready curves.csv of per-timestep differences; return the
-    summary. Byte-deterministic for identical inputs."""
+    given) the plot-ready curves.csv of per-timestep control-minus-attacked
+    differences, with empty net-worth columns unless both runs have net worth;
+    return the summary. Byte-deterministic for identical inputs."""
+    if control is not None and len(control) != len(record):
+        raise ValueError(f"record lengths differ: {len(control)} vs {len(record)}")
     os.makedirs(out_dir, exist_ok=True)
     write_ledger_csv(ledger, os.path.join(out_dir, "ledger.csv"), tuple_dim)
     net_worths = record.net_worths or [None] * len(record)
@@ -224,20 +194,25 @@ def export_report(ledger: AttackLedger, record: RunRecord, out_dir,
                ["t", "action", "reward", "cum_reward", "net_worth"],
                ([i, record.actions[i], _fmt(record.rewards[i]), _fmt(record.cum_rewards[i]),
                  _fmt(net_worths[i])] for i in range(len(record))))
-    summary = summary_dict(ledger, record, control)
+    summary = {**ledger.counters(), "total_reward": record.total_reward,
+               "final_networth": record.final_net_worth}
+    if control is not None:
+        summary.update(control_total_reward=control.total_reward,
+                       control_final_networth=control.final_net_worth)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, sort_keys=True, indent=1)
     if control is not None:
-        diff = reward_difference(control, attacked=record)
-        worths = [(None, None, None)] * len(record)
+        columns = [control.cum_rewards, record.cum_rewards,
+                   np.subtract(control.cum_rewards, record.cum_rewards)]
         if control.net_worths is not None and record.net_worths is not None:
-            worths = list(zip(control.net_worths, record.net_worths,
-                              networth_difference(control, record)))
+            columns += [control.net_worths, record.net_worths,
+                        np.subtract(control.net_worths, record.net_worths)]
+        else:
+            columns += [[None] * len(record)] * 3
         _write_csv(os.path.join(out_dir, "curves.csv"),
                    ["t", "control_cum_reward", "attacked_cum_reward", "reward_diff",
                     "control_networth", "attacked_networth", "networth_diff"],
-                   ([i, _fmt(control.cum_rewards[i]), _fmt(record.cum_rewards[i]),
-                     _fmt(diff[i]), *map(_fmt, worths[i])] for i in range(len(record))))
+                   ([i, *(_fmt(column[i]) for column in columns)] for i in range(len(record))))
     return summary
 
 
@@ -261,15 +236,11 @@ def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int
     one report each, with a run.json that names the job's method, mode,
     chance and seed, written before the report.
 
-    config=None runs a control. Every config is validated before the first
-    episode. Controls run first, so each attacked job is paired with the
-    control of its seed for difference curves. Each episode resets ``env``,
-    so reusing it gives the same runs as a fresh env per job.
+    config=None runs a control. Controls run first, so each attacked job is
+    paired with the control of its seed for difference curves. Each episode
+    resets ``env``, so reusing it gives the same runs as a fresh env per job.
     Returns {job name: summary dict} in sorted-name order.
     """
-    for _, config, _ in jobs:
-        if config is not None:
-            config.validate()
     controls: dict[int, RunRecord] = {}
     summaries: dict[str, dict] = {}
     for name, config, seed in sorted(jobs, key=lambda job: job[1] is not None):

@@ -1,5 +1,5 @@
-"""Stock configurations as field dicts, and one way to build a validated
-attack or trainer config from an optional preset name and field overrides."""
+"""Stock configurations as field dicts, and one way to build an attack or
+trainer config from an optional preset name and field overrides."""
 
 from __future__ import annotations
 
@@ -56,6 +56,4 @@ def _build(config_class, error, stock: dict, preset, fields: dict):
         raise error(f"unknown preset {preset!r}; have {sorted(stock)}")
     if preset:
         fields = {**stock[preset], **fields}
-    config = config_class(**fields)
-    config.validate()
-    return config
+    return config_class(**fields)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from tradefool.attacks import (
     SUCCESS,
     AttackConfig,
     AttackError,
-    ConstraintSpec,
     classify_outcome,
     delay_attack,
     epsilon_ladder,
@@ -33,10 +32,6 @@ def linear_net(weights, biases=None):
     w = np.asarray(weights, dtype=np.float64)
     b = np.zeros(w.shape[1]) if biases is None else np.asarray(biases, dtype=np.float64)
     return QNetwork(sizes=[w.shape[0], w.shape[1]], weights=[w], biases=[b])
-
-
-def box_spec(d, half_width=1.0):
-    return ConstraintSpec(kind="box", box_low=(-half_width,) * d, box_high=(half_width,) * d)
 
 
 # Reference perturbed relative-price samples; every one of them must
@@ -449,11 +444,8 @@ class TestCwBox:
             net, x = boundary_adjacent_problem(rng, d)
             minimal = grid_minimal_flip(net, x)
             assert minimal is not None
-            spec_name = f"_test_box_{d}"
-            from tradefool import attacks as attacks_module
-            attacks_module.CONSTRAINT_SPECS[spec_name] = box_spec(d)
             config = AttackConfig(method="cw", cw_variant="box", cw_max_iters=800,
-                                  cw_lr=0.02, cw_const=0.2, constraint=spec_name,
+                                  cw_lr=0.02, cw_const=0.2, constraint="none",
                                   k_scale=(1.0,) * d)
             result = run_perturbation_attack(net, x, config, slice(0, d))
             assert result.outcome == SUCCESS
@@ -1394,9 +1386,20 @@ class TestPresets:
         # presets reject these values; a config built in Python must too
         for method in ("fgsm", "cw"):
             config = AttackConfig(method=method)
-            config.validate()
             with pytest.raises(AttackError):
-                replace(config, **{field: value}).validate()
+                replace(config, **{field: value})
+
+    # a config the constructor accepts is one every attack can run: these two
+    # once reached run_perturbation_attack, which raised IndexError on the empty
+    # ladder and reported a NaN learning rate as a failure after 100 iterations
+    @pytest.mark.parametrize("method, field, value", [("fgsm", "eps_iters", 0),
+                                                      ("cw", "cw_lr", np.nan)],
+                             ids=["fgsm_eps_iters_0", "cw_lr_nan"])
+    def test_bad_config_raises_at_construction(self, method, field, value):
+        with pytest.raises(AttackError, match=field):
+            AttackConfig(method=method, **{field: value})
+        with pytest.raises(FrozenInstanceError):
+            AttackConfig(method=method).chance = 2.0
 
     def test_deterministic_results(self):
         rng = np.random.default_rng(3)

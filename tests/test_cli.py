@@ -337,6 +337,12 @@ class TestConfigShapes:
           for fields in ENV_FIELDS_MALFORMED),
         ("attack", {"env": ENV_FIELDS_MALFORMED[0]}),
         ("attack", {"env": {"kind": "basic", "commission_pct": -5}}),
+        # open() once took a float or a list with TypeError, exit 2
+        *((command, {"data": {"path": path}}) for path in (3.5, ["bars.csv"], {"f": "b.csv"})
+          for command in ("train", "attack")),
+        # a falsy one was once ignored: train took the preset's env, attack the checkpoint's
+        *((command, {"env": block}) for block in ([], 0, False, "", [1])
+          for command in ("train", "attack")),
     ], ids=["k_scale_length", "k_scale_scalar", "data_string", "hidden_sizes_scalar",
             "basic_env_stops", "buffer_capacity_0", "target_sync_every_0", "batch_size_0",
             "batch_size_negative", "epsilon_decay_interval_0",
@@ -355,7 +361,12 @@ class TestConfigShapes:
             "managed_env_sharpe_offset_denormal", "managed_env_commission_250",
             "env_commission_100", "env_commission_negative", "managed_env_takes_negative",
             "managed_env_stops_above_1", "attack_env_episode_cap_string",
-            "attack_env_commission_negative"])
+            "attack_env_commission_negative",
+            *(f"{command}_data_path_{kind}" for kind in ("float", "list", "object")
+              for command in ("train", "attack")),
+            *(f"{command}_env_{kind}" for kind in ("empty_list", "zero", "false",
+                                                   "empty_string", "list")
+              for command in ("train", "attack"))])
     def test_bad_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
                                                      capsys, command, config):
         cfg_path = tmp_path / "config.json"
@@ -446,6 +457,28 @@ class TestConfigShapes:
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
         assert "episode_cap" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    @pytest.mark.parametrize("path", [0, True], ids=["zero", "true"])
+    def test_file_descriptor_data_path_is_user_error(self, tmp_path, trained, command, path):
+        # open() takes these as file descriptors: 0 once read the market from stdin
+        # and closed it, true once closed stdout and exited 2
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"data": {"path": path}}))
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out"), command]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--preset", "basic-fgsm"]
+        else:
+            argv += ["--preset", "basic"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "tradefool.cli", *argv],
+                              stdin=subprocess.DEVNULL, capture_output=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: config data.path must be a string, got {path!r}\n" \
+            .encode()
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputPath:

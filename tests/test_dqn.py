@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ class TestEpsilonSchedule:
 
     def test_validate_rejects_bad_epsilons(self):
         with pytest.raises(TrainingError):
-            small_config(epsilon_initial=0.1, epsilon_final=0.5).validate()
+            small_config(epsilon_initial=0.1, epsilon_final=0.5)
 
 
 class TestTrainerFields:
@@ -258,11 +259,18 @@ class TestTrainerFields:
     ])
     def test_bad_field_raises_training_error(self, fields):
         with pytest.raises(TrainingError, match="|".join(fields)):
-            small_config(**fields).validate()
+            small_config(**fields)
+
+    def test_replace_checks_and_fields_are_frozen(self):
+        config = small_config()
+        with pytest.raises(TrainingError, match="gamma"):
+            replace(config, gamma=1.5)
+        with pytest.raises(FrozenInstanceError):
+            config.gamma = 1.5
 
     def test_numpy_scalars_and_tuples_pass(self):
         small_config(total_timesteps=np.int64(400), gamma=np.float64(0.9),
-                     clip_rewards=np.bool_(True), hidden_sizes=(np.int32(8),)).validate()
+                     clip_rewards=np.bool_(True), hidden_sizes=(np.int32(8),))
 
 
 class TestTrain:

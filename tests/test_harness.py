@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -11,15 +12,11 @@ from tradefool.attacks import AttackConfig, AttackError
 from tradefool.envs import BasicStockEnv, ManagedRiskEnv
 from tradefool.harness import (
     AttackLedger,
-    HarnessError,
     LedgerRow,
     RunRecord,
     export_report,
-    networth_difference,
-    reward_difference,
     run_episode,
     run_sweep,
-    summary_dict,
 )
 from tradefool.market_data import synthesize_bars
 from tradefool.presets import attack as preset
@@ -216,19 +213,27 @@ class TestRunAttacked:
         assert ledger1.counters() == ledger2.counters()
 
 
-class TestDifferences:
-    def test_identical_runs_give_zero(self):
-        record = RunRecord(actions=[0, 0], rewards=[1.0, 2.0], cum_rewards=[1.0, 3.0])
-        assert np.all(reward_difference(record, record) == 0.0)
+def curves(control, attacked, out_dir) -> dict[str, list]:
+    """The columns of export_report's curves.csv, an empty field read as None."""
+    export_report(AttackLedger(), attacked, out_dir, control)
+    with open(out_dir / "curves.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    return {name: [float(row[name]) if row[name] else None for row in rows] for name in rows[0]}
 
-    def test_shift_by_one_at_step_k(self):
+
+class TestDifferences:
+    def test_identical_runs_give_zero(self, tmp_path):
+        record = RunRecord(actions=[0, 0], rewards=[1.0, 2.0], cum_rewards=[1.0, 3.0])
+        assert curves(record, record, tmp_path)["reward_diff"] == [0.0, 0.0]
+
+    def test_shift_by_one_at_step_k(self, tmp_path):
         control = RunRecord(actions=[0] * 4, rewards=[1, 1, 1, 1],
                             cum_rewards=[1, 2, 3, 4])
         attacked = RunRecord(actions=[0] * 4, rewards=[1, 0, 1, 1],
                              cum_rewards=[1, 1, 2, 3])
-        assert reward_difference(control, attacked).tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert curves(control, attacked, tmp_path)["reward_diff"] == [0.0, 1.0, 1.0, 1.0]
 
-    def test_matches_brute_force_prefix_sums(self, rng):
+    def test_matches_brute_force_prefix_sums(self, rng, tmp_path):
         rewards_c = rng.normal(size=30)
         rewards_a = rng.normal(size=30)
         control = RunRecord(actions=[0] * 30, rewards=list(rewards_c),
@@ -236,25 +241,32 @@ class TestDifferences:
         attacked = RunRecord(actions=[0] * 30, rewards=list(rewards_a),
                              cum_rewards=list(np.cumsum(rewards_a)))
         expected = [sum(rewards_c[:i + 1]) - sum(rewards_a[:i + 1]) for i in range(30)]
-        assert np.allclose(reward_difference(control, attacked), expected)
+        assert np.allclose(curves(control, attacked, tmp_path)["reward_diff"], expected)
 
-    def test_length_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self, tmp_path):
+        # one row against two: a bare np.subtract would broadcast it
         a = RunRecord(actions=[0], rewards=[1.0], cum_rewards=[1.0])
         b = RunRecord(actions=[0, 0], rewards=[1.0, 1.0], cum_rewards=[1.0, 2.0])
-        with pytest.raises(HarnessError):
-            reward_difference(a, b)
+        for control, attacked in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="record lengths differ"):
+                export_report(AttackLedger(), attacked, tmp_path / "run", control)
+        assert not (tmp_path / "run").exists()  # checked before any file is written
 
-    def test_networth_difference_needs_net_worth(self):
+    def test_networth_difference_needs_net_worth(self, tmp_path):
         a = RunRecord(actions=[0], rewards=[1.0], cum_rewards=[1.0])
-        with pytest.raises(HarnessError):
-            networth_difference(a, a)
+        b = RunRecord(actions=[0], rewards=[1.0], cum_rewards=[1.0], net_worths=[100.0])
+        for control, attacked in ((a, a), (a, b), (b, a)):
+            columns = curves(control, attacked, tmp_path)
+            assert columns["reward_diff"] == [0.0]
+            for name in ("control_networth", "attacked_networth", "networth_diff"):
+                assert columns[name] == [None]
 
-    def test_final_networth_difference(self):
+    def test_final_networth_difference(self, tmp_path):
         a = RunRecord(actions=[0, 0], rewards=[0, 0], cum_rewards=[0, 0],
                       net_worths=[100.0, 110.0])
         b = RunRecord(actions=[0, 0], rewards=[0, 0], cum_rewards=[0, 0],
                       net_worths=[100.0, 90.0])
-        diff = networth_difference(a, b)
+        diff = curves(a, b, tmp_path)["networth_diff"]
         assert diff[-1] == pytest.approx(a.net_worths[-1] - b.net_worths[-1])
 
 
@@ -369,12 +381,10 @@ class TestSweep:
             for path in sorted((tmp_path / "a" / name).iterdir()):
                 assert path.read_bytes() == (tmp_path / "b" / name / path.name).read_bytes()
 
-    def test_bad_config_rejected_before_any_episode(self, bars, net, tmp_path):
-        jobs = [("control-s1", None, 1),
-                ("fgsm-c2-s1", replace(preset("basic-fgsm"), chance=2.0), 1)]
-        with pytest.raises(AttackError):
-            run_sweep(net, BasicStockEnv(bars), jobs, tmp_path / "runs")
-        assert not (tmp_path / "runs").exists()
+    def test_bad_config_rejected_before_any_episode(self):
+        # a config is checked when it is built, so no sweep job can hold a bad one
+        with pytest.raises(AttackError, match="chance"):
+            replace(preset("basic-fgsm"), chance=2.0)
 
     def test_reused_managed_env_matches_fresh_env(self, bars):
         reused = ManagedRiskEnv(bars, episode_cap=60)
@@ -396,11 +406,12 @@ class TestSweep:
                 traded.update(reused.action_types[a] for a in record.actions)
         assert {"buy", "sell"} <= traded  # episodes leave portfolio and order state behind
 
-    def test_summary_dict_carries_totals(self, bars, net):
+    def test_summary_dict_carries_totals(self, bars, net, tmp_path):
         env = BasicStockEnv(bars)
         record, ledger = run_episode(net, env, 2, preset("basic-fgsm"))
         control = run_episode(net, env, 2)[0]
-        summary = summary_dict(ledger, record, control)
+        summary = export_report(ledger, record, tmp_path, control)
+        assert summary == json.loads((tmp_path / "summary.json").read_text())
         assert summary["total_reward"] == record.total_reward
         assert summary["control_total_reward"] == control.total_reward
         assert summary["final_networth"] is None
