@@ -134,7 +134,9 @@ def cmd_train(args) -> int:
     if not trainer_block:
         raise UserError("no trainer config (use --preset or a config trainer block)")
     tconfig = _config("trainer", presets.trainer, trainer_block)
-    env_block = config.get("env") or presets.ENV[trainer_block.get("preset") or "basic"]
+    env_block = config.get("env")  # only a missing or null block takes the preset's env
+    if env_block is None:
+        env_block = presets.ENV[trainer_block.get("preset") or "basic"]
     if args.seed < 0:
         raise UserError(f"seed must be >= 0, got {args.seed}")
     env = build_env(env_block, _load_market(data_path))
@@ -188,8 +190,10 @@ def cmd_attack(args) -> int:
     except (OSError, ValueError) as exc:
         raise UserError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     data_path = args.data or (config_file.get("data") or {}).get("path")
-    env_block = config_file.get("env") or meta.get("env")
-    if not env_block:
+    env_block = config_file.get("env")  # only a missing or null block takes the checkpoint's
+    if env_block is None:
+        env_block = meta.get("env")
+    if env_block is None:
         raise UserError("no env config in checkpoint meta or config file")
     env = build_env(env_block, _load_market(data_path))
     if env.observation_dim != net.input_dim or env.n_actions != net.n_actions:

@@ -4,6 +4,20 @@ Plain SGD on the squared TD error, uniform experience replay, a periodically
 synchronized target network, epsilon-greedy exploration (optionally fixed-
 sigma parameter noise for action selection), optional reward clipping to
 [-1, 1].
+
+The TD target of a replayed transition is y = r + b, with its bootstrap
+b = gamma * max_a' Q_target(s', a') (0 when the transition is terminal). The
+target network is frozen between syncs, so b changes only when its slot is
+overwritten or the target synced. While the buffer holds no more rows than
+``batch_size * target_sync_every`` (the rows one sync period's batches
+forward), ``train`` keeps each slot's b in a ``BootstrapCache``: a push marks
+its slot stale, a sync marks every slot stale, and a sample that draws a
+stale slot first refreshes every stale slot, ``BootstrapCache.CHUNK`` rows
+per target pass, so a refresh holds the activations of at most that many
+rows whatever the buffer's size. Above that size a refresh would forward more
+rows than the batches it serves, and ``td_loss`` runs the target over each
+batch's next states instead. A refresh forwards rows in other batch shapes
+than a per-batch pass, which moves b in its last bits only.
 """
 
 from __future__ import annotations
@@ -13,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import RuleTable
-from .qnet import Batch, QNetwork, forward, sgd_step, sync_target, td_loss
+from .qnet import (Batch, QNetwork, forward, sgd_step, sync_target, target_bootstraps,
+                   td_loss)
 
 
 class TrainingError(RuntimeError):
@@ -44,6 +59,7 @@ class ReplayBuffer:
         self.rng = rng
         self._columns: Batch | None = None
         self._batch: Batch | None = None  # what sample() returns, refilled on every call
+        self.slots: np.ndarray | None = None  # the slot of each row of the last sample
         self._size = 0
         self._next = 0
 
@@ -77,13 +93,46 @@ class ReplayBuffer:
         into arrays the buffer owns: the next ``sample`` overwrites them."""
         if self._size == 0:
             raise TrainingError("cannot sample from an empty buffer")
-        idx = self.rng.integers(0, self._size, size=batch_size)
+        idx = self.slots = self.rng.integers(0, self._size, size=batch_size)
         if self._batch is None or len(self._batch.actions) != batch_size:
             self._batch = Batch(*(np.empty((batch_size, *c.shape[1:]), c.dtype)
                                   for c in self._columns))
         for column, out in zip(self._columns, self._batch):
             column.take(idx, axis=0, out=out, mode="clip")  # idx is in range already
         return self._batch
+
+    def next_rows(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """The next states and terminal flags stored in ``slots``."""
+        return self._columns.next_states[slots], self._columns.terminal[slots]
+
+
+class BootstrapCache:
+    """Each replay slot's bootstrap, ``target_bootstraps`` of its next state
+    under the target network, for as long as neither changes.
+
+    ``stale`` marks the slots whose value is not current: the caller marks a
+    slot it pushes to and, on a target sync, every slot.
+    """
+
+    # rows per target pass of a refresh; at 256 rows OpenBLAS split the basic
+    # preset's products across threads, which doubled a 2-core host's CPU time
+    CHUNK = 128
+
+    def __init__(self, capacity: int):
+        self.values = np.empty(capacity)
+        self.stale = np.ones(capacity, dtype=bool)
+
+    def take(self, buffer: ReplayBuffer, target: QNetwork, gamma: float) -> np.ndarray:
+        """The bootstraps of the rows of ``buffer``'s last sample. If one of its
+        slots is stale, every stale slot is refreshed first."""
+        slots = buffer.slots
+        if np.count_nonzero(self.stale[slots]):
+            stale = self.stale[:len(buffer)].nonzero()[0]
+            for start in range(0, len(stale), self.CHUNK):
+                rows = stale[start:start + self.CHUNK]
+                self.values[rows] = target_bootstraps(target, *buffer.next_rows(rows), gamma)
+            self.stale[stale] = False
+        return self.values[slots]
 
 
 @dataclass(frozen=True)
@@ -177,6 +226,8 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     target = net.clone()
     # transition k goes to slot k % capacity, and a run stores total_timesteps
     buffer = ReplayBuffer(min(config.buffer_capacity, config.total_timesteps), rng_buffer)
+    cache = BootstrapCache(buffer.capacity)
+    cache_rows = config.batch_size * config.target_sync_every  # see the module docstring
     trace = TrainingTrace()
 
     env.reset(rng_env)
@@ -199,6 +250,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
             stored_reward = float(np.clip(result.reward, -1.0, 1.0)) if config.clip_rewards \
                 else result.reward
             buffer.push(state, action, stored_reward, obs, result.terminal)
+            cache.stale[(t - 1) % buffer.capacity] = True
 
             episode_step += 1
             episode_reward += result.reward
@@ -216,8 +268,10 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
 
             if t > config.learning_starts and len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size)
+                bootstraps = (cache.take(buffer, target, config.gamma)
+                              if len(buffer) <= cache_rows else None)
                 try:
-                    bundle = td_loss(net, target, batch, config.gamma, bundle)
+                    bundle = td_loss(net, target, batch, config.gamma, bundle, bootstraps)
                     sgd_step(net, bundle, config.learning_rate)
                 except ValueError as exc:
                     raise TrainingError(f"training diverged at step {t}: {exc}; lower "
@@ -225,5 +279,6 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
                 last_loss = bundle.loss
             if t % config.target_sync_every == 0:
                 sync_target(net, target)
+                cache.stale[:] = True
 
     return net, trace

@@ -137,13 +137,26 @@ def forward(net: QNetwork, state) -> np.ndarray:
     return _forward_cached(net, x)[-1]
 
 
+def target_bootstraps(target: QNetwork, next_states: np.ndarray, terminal: np.ndarray,
+                      gamma: float) -> np.ndarray:
+    """gamma * max_a' Q_target(s', a') for each row of ``next_states``, 0 for a
+    terminal row: the part of the TD target that is not the reward, from one
+    pass of ``target`` over all the rows."""
+    next_q = _forward_cached(target, next_states)[-1]  # unchecked: a wrong width fails in dot
+    return gamma * next_q.max(axis=1) * (~terminal)
+
+
 def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float,
-            grads: GradientBundle | None = None) -> GradientBundle:
+            grads: GradientBundle | None = None,
+            bootstraps: np.ndarray | None = None) -> GradientBundle:
     """Mean squared TD error over a ``Batch`` or a sequence of transitions.
 
     y = r + gamma * max_a' Q_target(s', a'), or y = r for terminal rows; the
-    target branch is treated as a constant. ``grads``, a bundle an earlier call
-    for ``net`` returned, is overwritten and returned instead of a new one.
+    target branch is treated as a constant. ``bootstraps``, when given, holds
+    each row's ``target_bootstraps`` value (kept from an earlier pass of the
+    same target, say), and ``target`` is not run; else one pass over the
+    batch's next states computes them. ``grads``, a bundle an earlier call for
+    ``net`` returned, is overwritten and returned instead of a new one.
     """
     if not 0.0 <= gamma <= 1.0:
         raise QNetError(f"gamma must be in [0,1], got {gamma}")
@@ -152,8 +165,11 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float,
     if n == 0:
         raise QNetError("empty batch")
 
-    next_q = _forward_cached(target, next_states)[-1]  # unchecked: a wrong width fails in dot
-    y = rewards + gamma * next_q.max(axis=1) * (~terminal)
+    if bootstraps is None:
+        bootstraps = target_bootstraps(target, next_states, terminal, gamma)
+    elif np.shape(bootstraps) != (n,):
+        raise QNetError(f"{np.shape(bootstraps)} bootstraps for a batch of {n} rows")
+    y = rewards + bootstraps
 
     activations = _forward_cached(net, states)
     q = activations[-1]
@@ -294,7 +310,10 @@ def load_checkpoint(path) -> tuple[QNetwork, dict]:
     sizes = payload["sizes"]
     if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
         raise QNetError(f"checkpoint sizes {sizes} must be two or more positive integers")
-    net = QNetwork(sizes, payload["weights"], payload["biases"])
+    try:  # JSON holds integers of any size, and objects where numbers belong
+        net = QNetwork(sizes, payload["weights"], payload["biases"])
+    except (OverflowError, TypeError) as exc:
+        raise QNetError(f"checkpoint weights and biases must be float64 numbers: {exc}") from exc
     layers = list(zip(net.sizes[:-1], net.sizes[1:]))
     if len(net.weights) != len(layers) or len(net.biases) != len(layers):
         raise QNetError(f"checkpoint has {len(net.weights)} weight and {len(net.biases)} "

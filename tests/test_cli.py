@@ -25,6 +25,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_script(*argv) -> subprocess.CompletedProcess:
+    """``python -m tradefool.cli`` with ``argv``, stdin closed, output captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "tradefool.cli", *argv],
+                          stdin=subprocess.DEVNULL, capture_output=True, env=env)
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "bars.csv"
@@ -229,6 +238,21 @@ class TestAttack:
                        "--data", str(data_csv), "--preset", "basic-fgsm") == 1
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("array", ["weights", "biases"])
+    def test_checkpoint_number_beyond_float64_is_user_error(self, tmp_path, data_csv, trained,
+                                                           capsys, array):
+        # json reads 10**400 as an int; its OverflowError once exited 2
+        ckpt = json.loads((trained / "checkpoint.json").read_text())
+        entries = ckpt[array][-1]
+        (entries[0] if array == "weights" else entries)[0] = "HUGE"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt).replace('"HUGE"', "1" + "0" * 400))
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "attack", "--checkpoint", str(bad),
+                       "--data", str(data_csv), "--preset", "basic-fgsm") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["[1]", "3", "null"])
     def test_non_object_config_is_user_error(self, tmp_path, data_csv, trained, capsys,
                                              text):
@@ -408,6 +432,37 @@ class TestConfigShapes:
         assert f"unknown env kind {kind!r}; have ['basic', 'managed']" in err
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_empty_env_block_is_user_error_before_manifest(self, tmp_path, data_csv, trained,
+                                                           capsys, command):
+        # once taken as absent: train trained on the preset's env, attack used the
+        # checkpoint's; only a missing or null block is absent
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"env": {}}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--out", str(out), command, "--data", str(data_csv)]
+        if command == "attack":
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--preset", "basic-fgsm"]
+        else:
+            argv += ["--preset", "basic"]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == \
+            "error: bad env config: unknown env kind None; have ['basic', 'managed']\n"
+        assert not out.exists()
+
+    def test_empty_env_block_exits_1_from_the_command_line(self, tmp_path, data_csv, trained):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"env": {}}))
+        for command, args in [("train", ["--preset", "basic"]),
+                              ("attack", ["--checkpoint", str(trained / "checkpoint.json"),
+                                          "--preset", "basic-fgsm"])]:
+            out = tmp_path / command
+            proc = run_script("--config", str(cfg_path), "--out", str(out), command,
+                              "--data", str(data_csv), *args)
+            assert proc.returncode == 1
+            assert b"unknown env kind None" in proc.stderr
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, block, preset", [
         ("train", "trainer", ["basic"]), ("attack", "attack", ["basic-fgsm"])])
     def test_non_string_preset_is_user_error_naming_the_presets(
@@ -470,11 +525,7 @@ class TestConfigShapes:
             argv += ["--checkpoint", str(trained / "checkpoint.json"), "--preset", "basic-fgsm"]
         else:
             argv += ["--preset", "basic"]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "tradefool.cli", *argv],
-                              stdin=subprocess.DEVNULL, capture_output=True, env=env)
+        proc = run_script(*argv)
         assert proc.returncode == 1
         assert proc.stderr == f"error: config data.path must be a string, got {path!r}\n" \
             .encode()

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tradefool.dqn as dqn_module
 from tradefool.dqn import (
@@ -13,7 +15,7 @@ from tradefool.dqn import (
     select_action,
     train,
 )
-from tradefool.envs import BasicStockEnv, make_env
+from tradefool.envs import BasicStockEnv, StepResult, make_env
 from tradefool.harness import run_episode
 from tradefool.market_data import synthesize_bars
 from tradefool.presets import ENV, TRAINER
@@ -165,8 +167,12 @@ class ListReplayBuffer:
             self._next = (self._next + 1) % self.capacity
 
     def sample(self, batch_size):
-        idx = self.rng.integers(0, len(self._items), size=batch_size)
+        idx = self.slots = self.rng.integers(0, len(self._items), size=batch_size)
         return [self._items[i] for i in idx]
+
+    def next_rows(self, slots):  # sample's slots and this serve train's bootstrap cache
+        return (np.array([self._items[i].next_state for i in slots]),
+                np.array([self._items[i].terminal for i in slots], dtype=bool))
 
 
 def stack_batch(transitions):
@@ -395,8 +401,8 @@ class TestWorkspaceReuse:
         assert len(returned) == 800
         assert len({id(x) for x in returned}) == 2  # one bundle and one batch per run
 
-        def fresh_td_loss(net, target, batch, gamma, grads=None):
-            returned.append(td_loss(net, target, batch, gamma))
+        def fresh_td_loss(net, target, batch, gamma, grads=None, bootstraps=None):
+            returned.append(td_loss(net, target, batch, gamma, None, bootstraps))
             return returned[-1]
 
         def fresh_sample(self, batch_size):
@@ -408,6 +414,92 @@ class TestWorkspaceReuse:
         fresh = run("fresh.csv")
         assert len(returned) == 800 and len(fresh[2]) >= 300
         assert fresh == reused
+
+
+class ScriptedEnv:
+    """Plays back generated steps, ``(feature, reward, terminal)`` each; an
+    observation is ``[step index / 8, feature]``, so no two are equal. A reset
+    does not rewind the script."""
+
+    n_actions = 3
+    observation_dim = 2
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.index = 0
+
+    def reset(self, rng):
+        pass
+
+    def observation(self):
+        return np.array([self.index / 8.0, self.steps[self.index % len(self.steps)][0]])
+
+    def step(self, action):
+        _, reward, terminal = self.steps[self.index % len(self.steps)]
+        self.index += 1
+        return StepResult(reward, terminal)
+
+
+@st.composite
+def cache_runs(draw, crossing: bool):
+    """(config, steps) of a run whose buffer wraps while the cache runs or,
+    ``crossing``, outgrows the cache's size limit ``batch_size * target_sync_every``."""
+    batch_size = draw(st.integers(1, 4))
+    sync = draw(st.integers(1, 6))
+    limit = batch_size * sync
+    capacity = draw(st.integers(limit + 1, limit + 6) if crossing
+                    else st.integers(batch_size, limit))
+    starts = draw(st.integers(0, min(5, limit - 1)))  # the first update runs the cache
+    total = draw(st.integers(max(capacity, starts) + 1, capacity + 30))
+    config = TrainerConfig(total_timesteps=total, gamma=draw(st.floats(0.5, 1.0)),
+                           learning_rate=1e-2, buffer_capacity=capacity,
+                           learning_starts=starts, target_sync_every=sync,
+                           batch_size=batch_size, hidden_sizes=(8,),
+                           epsilon_decay_fraction=0.5)
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    steps = draw(st.lists(st.tuples(value, value, st.booleans()), min_size=1, max_size=total))
+    return config, steps
+
+
+class TestBootstrapCache:
+    @pytest.mark.parametrize("crossing", [False, True], ids=["wrapping", "crossing"])
+    @given(data=st.data())
+    def test_y_matches_each_rows_target_pass(self, crossing, data):
+        config, steps = data.draw(cache_runs(crossing))
+        limit = config.batch_size * config.target_sync_every
+        buffers, seen = [], {"cached": 0, "per_batch": 0}
+
+        def new_buffer(capacity, rng):
+            buffers.append(ReplayBuffer(capacity, rng))
+            return buffers[-1]
+
+        def spy(net, target, batch, gamma, grads=None, bootstraps=None):
+            # the y of each row from its own target pass over the slot's current next state
+            q_next = [forward(target, row).max() for row in batch.next_states]
+            parts = [(r, 0.0 if done else gamma * q)
+                     for r, q, done in zip(batch.rewards, q_next, batch.terminal)]
+            if len(buffers[-1]) > limit:
+                assert bootstraps is None
+                seen["per_batch"] += 1
+                bundle = td_loss(net, target, batch, gamma, grads, bootstraps)
+                # the y of one target pass over the batch, and so the loss, keep their bits
+                y = batch.rewards + gamma * forward(target, batch.next_states).max(axis=1) \
+                    * (~batch.terminal)
+                diff = forward(net, batch.states)[np.arange(len(y)), batch.actions] - y
+                assert bundle.loss == float(np.add.reduce(diff**2) / len(y))
+                return bundle
+            seen["cached"] += 1
+            for (r, b), y in zip(parts, batch.rewards + bootstraps):
+                assert abs(y - (r + b)) <= 1e-12 * (abs(r) + abs(b))
+            return td_loss(net, target, batch, gamma, grads, bootstraps)
+
+        with pytest.MonkeyPatch.context() as patch:
+            # refreshes of these few rows then take several passes, as larger buffers' do
+            patch.setattr(dqn_module.BootstrapCache, "CHUNK", data.draw(st.integers(1, 4)))
+            patch.setattr(dqn_module, "ReplayBuffer", new_buffer)
+            patch.setattr(dqn_module, "td_loss", spy)
+            train(ScriptedEnv(steps), config, seed=0)
+        assert seen["cached"] > 0 and (seen["per_batch"] > 0) == crossing
 
 
 def random_policy_reward(env, start: int, rng) -> float:

@@ -21,6 +21,7 @@ from tradefool.qnet import (
     save_checkpoint,
     sgd_step,
     sync_target,
+    target_bootstraps,
     td_loss,
 )
 
@@ -129,6 +130,18 @@ class TestTdLoss:
         batch = [Transition(np.zeros(1), 0, 0.0, np.zeros(1), True)]
         with pytest.raises(QNetError):
             td_loss(net, net.clone(), batch, 1.5)
+
+    def test_given_bootstraps_replace_the_target_pass(self):
+        rng = np.random.default_rng(4)
+        net, target = (QNetwork.initialize([3, 5, 2], rng) for _ in range(2))
+        batch = Batch(rng.normal(size=(6, 3)), rng.integers(2, size=6), rng.normal(size=6),
+                      rng.normal(size=(6, 3)), rng.random(6) < 0.5)
+        passed = td_loss(net, target, batch, 0.9)
+        given = td_loss(net, zero_net([3, 2]), batch, 0.9, None,
+                        target_bootstraps(target, batch.next_states, batch.terminal, 0.9))
+        assert given.loss == passed.loss and given.flat.tobytes() == passed.flat.tobytes()
+        with pytest.raises(QNetError, match=r"\(5,\) bootstraps for a batch of 6 rows"):
+            td_loss(net, target, batch, 0.9, None, np.zeros(5))
 
     @pytest.mark.parametrize("action", [2, -1])
     def test_rejects_an_action_outside_the_network(self, action):
@@ -566,4 +579,18 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(QNetError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", ["10" + "0" * 400, "{}"], ids=["1e400_integer", "object"])
+    @pytest.mark.parametrize("array", ["weights", "biases"])
+    def test_rejects_entries_that_are_not_float64_numbers(self, tmp_path, array, entry):
+        # each once raised OverflowError or TypeError, which the CLI exits 2 on
+        net = QNetwork.initialize([2, 3], np.random.default_rng(11))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        payload = json.loads(path.read_text())
+        entries = payload[array][0]
+        (entries[0] if array == "weights" else entries)[0] = "ENTRY"
+        path.write_text(json.dumps(payload).replace('"ENTRY"', entry))
+        with pytest.raises(QNetError, match="must be float64 numbers"):
             load_checkpoint(path)
