@@ -485,7 +485,6 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
         best_priority, best_l2, best = _PRIORITY[FAILURE], np.inf, None
         bound = math.inf  # a row at the best's priority whose squared offset is above this loses
         iteration, spec = 0, config.spec
-        outcomes = {}  # induced action: its outcome, classified once per attempt
         for proposals, qs in generator(net, config, observation, tuple_slice, x_orig, k, label):
             candidates = project_constraints(proposals, x_orig, spec)
             if qs is None:  # every row needs a forward pass
@@ -503,10 +502,8 @@ def run_perturbation_attack(net, observation, config: AttackConfig, tuple_slice,
             squares = np.einsum("ij,ij->i", offsets, offsets).tolist()  # no overflow warning
             for j, induced in enumerate(qs.argmax(axis=1).tolist()):
                 iteration += 1
-                outcome = outcomes.get(induced)
-                if outcome is None:
-                    outcome = outcomes[induced] = classify_outcome(
-                        original_action, induced, config.mode, target, action_types)
+                outcome = classify_outcome(original_action, induced, config.mode, target,
+                                           action_types)
                 priority = _PRIORITY[outcome]
                 if priority < best_priority or priority == best_priority and squares[j] > bound:
                     continue

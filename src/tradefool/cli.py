@@ -24,7 +24,7 @@ from . import __version__, presets
 from .attacks import AttackConfig, AttackError
 from .dqn import TrainingError, train
 from .envs import EnvError, make_env
-from .harness import run_sweep
+from .harness import check_pairing, run_sweep
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
 
@@ -196,17 +196,10 @@ def cmd_attack(args) -> int:
     if env_block is None:
         raise UserError("no env config in checkpoint meta or config file")
     env = build_env(env_block, _load_market(data_path))
-    if env.observation_dim != net.input_dim or env.n_actions != net.n_actions:
-        raise UserError(
-            f"checkpoint ({net.input_dim} inputs, {net.n_actions} actions) does not match "
-            f"env ({env.observation_dim} inputs, {env.n_actions} actions)")
-    if len(base.k_scale) != env.tuple_dim:
-        raise UserError(f"bad attack config: k_scale has {len(base.k_scale)} entries, "
-                        f"the env's feature tuple has {env.tuple_dim}")
-    needs = {"relative_price": "relative", "indicator": "indicator"}.get(base.constraint)
-    if base.method != "delay" and needs not in (None, env.features.mode):
-        raise UserError(f"bad attack config: constraint {base.constraint!r} needs "
-                        f"{needs} features, the env has {env.features.mode} features")
+    try:  # the chance list varies only the chance, so base stands for every job
+        check_pairing(net, env, base)
+    except AttackError as exc:
+        raise UserError(str(exc)) from exc
 
     chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
     seeds = _parse_list(args.seeds, int) if args.seeds is not None else [args.seed]

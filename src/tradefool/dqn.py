@@ -15,9 +15,10 @@ its slot stale, a sync marks every slot stale, and a sample that draws a
 stale slot first refreshes every stale slot, ``BootstrapCache.CHUNK`` rows
 per target pass, so a refresh holds the activations of at most that many
 rows whatever the buffer's size. Above that size a refresh would forward more
-rows than the batches it serves, and ``td_loss`` runs the target over each
-batch's next states instead. A refresh forwards rows in other batch shapes
-than a per-batch pass, which moves b in its last bits only.
+rows than the batches it serves, and the cache runs the target over each
+batch's next states instead, the only time they are gathered. A refresh
+forwards rows in other batch shapes than a per-batch pass, which moves b in
+its last bits only.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.rng = rng
         self._columns: Batch | None = None
-        self._batch: Batch | None = None  # what sample() returns, refilled on every call
         self.slots: np.ndarray | None = None  # the slot of each row of the last sample
         self._size = 0
         self._next = 0
@@ -89,17 +89,14 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int) -> Batch:
-        """``batch_size`` transitions drawn uniformly with replacement, gathered
-        into arrays the buffer owns: the next ``sample`` overwrites them."""
+        """``batch_size`` transitions drawn uniformly with replacement, their
+        slots kept in ``slots``; ``next_states`` and ``terminal`` are None, for
+        ``next_rows(slots)`` to gather when they are needed."""
         if self._size == 0:
             raise TrainingError("cannot sample from an empty buffer")
         idx = self.slots = self.rng.integers(0, self._size, size=batch_size)
-        if self._batch is None or len(self._batch.actions) != batch_size:
-            self._batch = Batch(*(np.empty((batch_size, *c.shape[1:]), c.dtype)
-                                  for c in self._columns))
-        for column, out in zip(self._columns, self._batch):
-            column.take(idx, axis=0, out=out, mode="clip")  # idx is in range already
-        return self._batch
+        states, actions, rewards = (column.take(idx, axis=0) for column in self._columns[:3])
+        return Batch(states, actions, rewards, None, None)
 
     def next_rows(self, slots) -> tuple[np.ndarray, np.ndarray]:
         """The next states and terminal flags stored in ``slots``."""
@@ -108,7 +105,8 @@ class ReplayBuffer:
 
 class BootstrapCache:
     """Each replay slot's bootstrap, ``target_bootstraps`` of its next state
-    under the target network, for as long as neither changes.
+    under the target network, for as long as neither changes, while the buffer
+    holds at most ``limit`` rows.
 
     ``stale`` marks the slots whose value is not current: the caller marks a
     slot it pushes to and, on a target sync, every slot.
@@ -118,14 +116,18 @@ class BootstrapCache:
     # preset's products across threads, which doubled a 2-core host's CPU time
     CHUNK = 128
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, limit: int):
+        self.limit = limit
         self.values = np.empty(capacity)
         self.stale = np.ones(capacity, dtype=bool)
 
     def take(self, buffer: ReplayBuffer, target: QNetwork, gamma: float) -> np.ndarray:
-        """The bootstraps of the rows of ``buffer``'s last sample. If one of its
-        slots is stale, every stale slot is refreshed first."""
+        """The bootstraps of the rows of ``buffer``'s last sample: above ``limit``
+        rows from one target pass over them, else from the cache, after a
+        refresh of every stale slot if one of theirs is stale."""
         slots = buffer.slots
+        if len(buffer) > self.limit:
+            return target_bootstraps(target, *buffer.next_rows(slots), gamma)
         if np.count_nonzero(self.stale[slots]):
             stale = self.stale[:len(buffer)].nonzero()[0]
             for start in range(0, len(stale), self.CHUNK):
@@ -226,8 +228,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
     target = net.clone()
     # transition k goes to slot k % capacity, and a run stores total_timesteps
     buffer = ReplayBuffer(min(config.buffer_capacity, config.total_timesteps), rng_buffer)
-    cache = BootstrapCache(buffer.capacity)
-    cache_rows = config.batch_size * config.target_sync_every  # see the module docstring
+    cache = BootstrapCache(buffer.capacity, config.batch_size * config.target_sync_every)
     trace = TrainingTrace()
 
     env.reset(rng_env)
@@ -268,8 +269,7 @@ def train(env, config: TrainerConfig, seed: int) -> tuple[QNetwork, TrainingTrac
 
             if t > config.learning_starts and len(buffer) >= config.batch_size:
                 batch = buffer.sample(config.batch_size)
-                bootstraps = (cache.take(buffer, target, config.gamma)
-                              if len(buffer) <= cache_rows else None)
+                bootstraps = cache.take(buffer, target, config.gamma)
                 try:
                     bundle = td_loss(net, target, batch, config.gamma, bundle, bootstraps)
                     sgd_step(net, bundle, config.learning_rate)

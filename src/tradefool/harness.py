@@ -28,6 +28,7 @@ from .attacks import (
     PARTIAL,
     SUCCESS,
     AttackConfig,
+    AttackError,
     delay_attack,
     least_q_target,
     run_perturbation_attack,
@@ -87,14 +88,35 @@ def _greedy(net: QNetwork, obs) -> int:
     return int(forward(net, obs).argmax())
 
 
+def check_pairing(net: QNetwork, env, config: AttackConfig | None) -> None:
+    """Raise ``AttackError`` unless ``net`` has ``env``'s input and action counts
+    and ``config``, unless None, one ``k_scale`` entry per entry of the env's tuple
+    and, for a perturbation attack, a constraint made for the env's features."""
+    if env.observation_dim != net.input_dim or env.n_actions != net.n_actions:
+        raise AttackError(
+            f"checkpoint ({net.input_dim} inputs, {net.n_actions} actions) does not match "
+            f"env ({env.observation_dim} inputs, {env.n_actions} actions)")
+    if config is None:
+        return
+    if len(config.k_scale) != env.tuple_dim:
+        raise AttackError(f"bad attack config: k_scale has {len(config.k_scale)} entries, "
+                          f"the env's feature tuple has {env.tuple_dim}")
+    needs = {"relative_price": "relative", "indicator": "indicator"}.get(config.constraint)
+    if config.method != "delay" and needs not in (None, env.features.mode):
+        raise AttackError(f"bad attack config: constraint {config.constraint!r} needs "
+                          f"{needs} features, the env has {env.features.mode} features")
+
+
 def run_episode(net: QNetwork, env, seed: int, config: AttackConfig | None = None):
     """One greedy episode: a control with ``config=None``, else under the
     configured observation-channel attack. Returns (RunRecord, AttackLedger).
+    ``check_pairing`` runs before the episode starts.
 
     The episode (env start) and the chance gate derive from ``seed``; an
     explicit ``config.seed`` overrides the gate stream only, so the same
     episode can be replayed under different attack randomness.
     """
+    check_pairing(net, env, config)
     env_stream, gate_stream = np.random.SeedSequence(seed).spawn(2)
     if config is not None and config.seed is not None:
         gate_stream = np.random.SeedSequence(config.seed)

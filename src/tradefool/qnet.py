@@ -85,8 +85,8 @@ class Batch(NamedTuple):
     states: np.ndarray  # (n, input_dim)
     actions: np.ndarray  # (n,) intp
     rewards: np.ndarray  # (n,) float64
-    next_states: np.ndarray  # (n, input_dim)
-    terminal: np.ndarray  # (n,) bool
+    next_states: np.ndarray | None  # (n, input_dim); None if td_loss gets bootstraps
+    terminal: np.ndarray | None  # (n,) bool; None if td_loss gets bootstraps
 
 
 def _as_batch(batch) -> Batch:
@@ -154,9 +154,9 @@ def td_loss(net: QNetwork, target: QNetwork, batch, gamma: float,
     y = r + gamma * max_a' Q_target(s', a'), or y = r for terminal rows; the
     target branch is treated as a constant. ``bootstraps``, when given, holds
     each row's ``target_bootstraps`` value (kept from an earlier pass of the
-    same target, say), and ``target`` is not run; else one pass over the
-    batch's next states computes them. ``grads``, a bundle an earlier call for
-    ``net`` returned, is overwritten and returned instead of a new one.
+    same target, say), and ``target`` and the batch's ``next_states`` and
+    ``terminal`` go unread; else one target pass computes them. ``grads``, a
+    bundle an earlier call for ``net`` returned, is overwritten and returned.
     """
     if not 0.0 <= gamma <= 1.0:
         raise QNetError(f"gamma must be in [0,1], got {gamma}")
@@ -261,14 +261,12 @@ def input_gradient(net: QNetwork, state, loss_spec: str, action: int,
 
 
 def sgd_step(net: QNetwork, grads: GradientBundle, learning_rate: float) -> QNetwork:
-    """In-place plain SGD update; returns the mutated network. The step is
-    scaled in ``grads`` itself: its gradients come back times ``learning_rate``."""
+    """In-place plain SGD update; returns the mutated network."""
     if learning_rate <= 0:
         raise QNetError(f"learning rate must be > 0, got {learning_rate}")
     if grads.flat.shape != net.params.shape:
         raise QNetError(f"{grads.flat.size} gradients for {net.params.size} parameters")
-    grads.flat *= learning_rate
-    net.params -= grads.flat
+    net.params -= learning_rate * grads.flat
     net.check_finite()
     return net
 

@@ -586,6 +586,17 @@ class TestConstraintFitsEnv:
         assert "constraint" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_for_another_env_is_user_error_before_manifest(
+            self, tmp_path, data_csv, managed_checkpoint, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"env": {"kind": "basic"}}))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg_path), "--out", str(out), "attack",
+                       "--checkpoint", str(managed_checkpoint), "--data", str(data_csv),
+                       "--preset", "delay", "--seeds", "0") == 1
+        assert "does not match env" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("agent, config", [
         ("basic", {"attack": {"preset": "managed-fgsm", "constraint": "none"}}),
         ("managed", {"attack": {"preset": "basic-fgsm", "constraint": "none"}}),

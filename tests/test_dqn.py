@@ -19,7 +19,7 @@ from tradefool.envs import BasicStockEnv, StepResult, make_env
 from tradefool.harness import run_episode
 from tradefool.market_data import synthesize_bars
 from tradefool.presets import ENV, TRAINER
-from tradefool.qnet import Batch, QNetwork, forward, td_loss
+from tradefool.qnet import Batch, QNetwork, forward, target_bootstraps, td_loss
 
 
 def small_config(**overrides):
@@ -106,10 +106,11 @@ class TestReplayBuffer:
             buf.push(*self.transition(i))
             assert len(buf) <= 3
         batch = buf.sample(200)
+        next_states, _ = buf.next_rows(buf.slots)
         assert set(batch.rewards.tolist()) == {4.0, 5.0, 6.0}
         # the columns stay aligned row by row
         assert np.array_equal(batch.states[:, 0], batch.rewards)
-        assert np.array_equal(batch.next_states[:, 0], batch.rewards)
+        assert np.array_equal(next_states[:, 0], batch.rewards)
 
     def test_sampling_uniform_over_contents(self):
         buf = ReplayBuffer(4, np.random.default_rng(5))
@@ -203,9 +204,13 @@ class TestReplayMatchesListReference:
             if step % 3:
                 continue
             batch, reference = columnar.sample(7), listed.sample(7)
+            assert batch.next_states is None and batch.terminal is None  # gathered on demand
+            gathered = Batch(*batch[:3], *columnar.next_rows(columnar.slots))
             assert all(same_bits(got, want)
-                       for got, want in zip(batch, stack_batch(reference)))
-            got, want = td_loss(net, target, batch, 0.9), td_loss(net, target, reference, 0.9)
+                       for got, want in zip(gathered, stack_batch(reference)))
+            bootstraps = target_bootstraps(target, gathered.next_states, gathered.terminal, 0.9)
+            got = td_loss(net, target, batch, 0.9, None, bootstraps)
+            want = td_loss(net, target, reference, 0.9)
             assert got.loss == want.loss
             assert all(same_bits(g, w) for g, w in zip(got.weight_grads + got.bias_grads,
                                                        want.weight_grads + want.bias_grads))
@@ -377,7 +382,7 @@ class TestWorkspaceReuse:
         # 400 updates across 4 target syncs, rewards clipped
         config = small_config(total_timesteps=450, learning_starts=50, target_sync_every=100,
                               clip_rewards=True, exploration=exploration)
-        td_loss, sample = dqn_module.td_loss, ReplayBuffer.sample
+        td_loss = dqn_module.td_loss
         returned = []
 
         def run(name):
@@ -391,28 +396,18 @@ class TestWorkspaceReuse:
             returned.append(td_loss(*args))
             return returned[-1]
 
-        def spy_sample(self, batch_size):
-            returned.append(sample(self, batch_size))
-            return returned[-1]
-
         monkeypatch.setattr(dqn_module, "td_loss", spy_td_loss)
-        monkeypatch.setattr(ReplayBuffer, "sample", spy_sample)
         reused = run("reused.csv")
-        assert len(returned) == 800
-        assert len({id(x) for x in returned}) == 2  # one bundle and one batch per run
+        assert len(returned) == 400
+        assert len({id(x) for x in returned}) == 1  # one bundle per run
 
         def fresh_td_loss(net, target, batch, gamma, grads=None, bootstraps=None):
             returned.append(td_loss(net, target, batch, gamma, None, bootstraps))
             return returned[-1]
 
-        def fresh_sample(self, batch_size):
-            returned.append(Batch(*(column.copy() for column in sample(self, batch_size))))
-            return returned[-1]
-
         monkeypatch.setattr(dqn_module, "td_loss", fresh_td_loss)
-        monkeypatch.setattr(ReplayBuffer, "sample", fresh_sample)
         fresh = run("fresh.csv")
-        assert len(returned) == 800 and len(fresh[2]) >= 300
+        assert len(returned) == 400 and len(fresh[2]) >= 300
         assert fresh == reused
 
 
@@ -474,17 +469,19 @@ class TestBootstrapCache:
             return buffers[-1]
 
         def spy(net, target, batch, gamma, grads=None, bootstraps=None):
+            assert batch.next_states is None and batch.terminal is None  # never gathered
             # the y of each row from its own target pass over the slot's current next state
-            q_next = [forward(target, row).max() for row in batch.next_states]
+            next_states, terminal = buffers[-1].next_rows(buffers[-1].slots)
+            q_next = [forward(target, row).max() for row in next_states]
             parts = [(r, 0.0 if done else gamma * q)
-                     for r, q, done in zip(batch.rewards, q_next, batch.terminal)]
+                     for r, q, done in zip(batch.rewards, q_next, terminal)]
             if len(buffers[-1]) > limit:
-                assert bootstraps is None
                 seen["per_batch"] += 1
                 bundle = td_loss(net, target, batch, gamma, grads, bootstraps)
                 # the y of one target pass over the batch, and so the loss, keep their bits
-                y = batch.rewards + gamma * forward(target, batch.next_states).max(axis=1) \
-                    * (~batch.terminal)
+                y = batch.rewards + gamma * forward(target, next_states).max(axis=1) \
+                    * (~terminal)
+                assert (batch.rewards + bootstraps).tobytes() == y.tobytes()
                 diff = forward(net, batch.states)[np.arange(len(y)), batch.actions] - y
                 assert bundle.loss == float(np.add.reduce(diff**2) / len(y))
                 return bundle

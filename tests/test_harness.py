@@ -52,17 +52,17 @@ def short_envs(bars):
 
 
 def hair_trigger_net(observation_dim, window):
-    """Two-action net reading rel_high of the newest and 2nd-newest tuples.
+    """Three-action net reading rel_high of the newest and 2nd-newest tuples.
 
-    On flat bars Q = (0, 10*(h_new + h_prev) - 0.001): any upward nudge of a
-    rel_high flips the action, and a persisted perturbation keeps flipping it
-    one step later, exercising the NCN path.
+    On flat bars Q = (0, 10*(h_new + h_prev) - 0.001, -1): any upward nudge of
+    a rel_high flips the action, and a persisted perturbation keeps flipping it
+    one step later, exercising the NCN path. Action 2 is never greedy.
     """
-    weights = np.zeros((observation_dim, 2))
+    weights = np.zeros((observation_dim, 3))
     weights[(window - 1) * 3, 1] = 10.0
     weights[(window - 2) * 3, 1] = 10.0
-    return QNetwork(sizes=[observation_dim, 2], weights=[weights],
-                    biases=[np.array([0.0, -0.001])])
+    return QNetwork(sizes=[observation_dim, 3], weights=[weights],
+                    biases=[np.array([0.0, -0.001, -1.0])])
 
 
 class TestRunControl:
@@ -204,6 +204,33 @@ class TestRunAttacked:
         with pytest.raises(AttackError):
             run_episode(net, env, 1, replace(preset("basic-fgsm"), chance=2.0))
         assert env.cursor == -1  # no episode started
+
+    def test_constraint_for_the_other_features_raises_before_the_first_step(self):
+        # an indicator-feature preset on relative-price features
+        env = BasicStockEnv(synthesize_bars(3000, seed=1))
+        net = QNetwork.initialize([32, 8, 3], np.random.default_rng(0))
+        with pytest.raises(AttackError, match="'indicator' needs indicator features"):
+            run_episode(net, env, 0, preset("managed-fgsm", chance=1.0))
+        assert env.cursor == -1  # no episode started
+
+    @pytest.mark.parametrize("name, variant", [
+        ("basic-fgsm", "box"), ("basic-cw", "scaled"), ("basic-cw", "box")],
+        ids=["fgsm", "cw_scaled", "cw_box"])
+    def test_k_scale_of_another_length_raises_before_the_first_step(self, bars, net, name,
+                                                                     variant):
+        env = BasicStockEnv(bars)
+        config = preset(name, cw_variant=variant, k_scale=(1.0, 1.0))
+        with pytest.raises(AttackError, match="k_scale has 2 entries"):
+            run_episode(net, env, 0, config)
+        assert env.cursor == -1
+
+    def test_net_of_another_env_raises_before_the_first_step(self, bars, net):
+        env = ManagedRiskEnv(bars)
+        assert env.observation_dim != net.input_dim
+        for config in (None, preset("delay")):
+            with pytest.raises(AttackError, match="does not match env"):
+                run_episode(net, env, 0, config)
+            assert env.cursor == -1
 
     def test_ledger_deterministic_under_fixed_seed(self, bars, net):
         env = BasicStockEnv(bars)
