@@ -57,12 +57,9 @@ class ConstraintSpec:
         lo = np.asarray(self.box_low, dtype=np.float64)
         hi = np.asarray(self.box_high, dtype=np.float64)
         if lo.size == 1:
-            lo = np.full(dim, lo[0])
-            hi = np.full(dim, hi[0])
+            lo, hi = np.full(dim, lo[0]), np.full(dim, hi[0])
         if lo.size != dim:
             raise AttackError(f"constraint box is {lo.size}-dimensional, tuple is {dim}")
-        if np.any(hi <= lo):
-            raise AttackError("constraint box must have positive width")
         return lo, hi
 
 

@@ -21,10 +21,10 @@ import os
 import sys
 
 from . import __version__, presets
-from .attacks import AttackConfig, AttackError
+from .attacks import AttackError
 from .dqn import TrainingError, train
 from .envs import EnvError, make_env
-from .harness import check_pairing, run_sweep
+from .harness import check_sweep, run_sweep, sweep_jobs
 from .market_data import MarketDataError, load_csv, synthesize_bars, write_bars_csv
 from .qnet import load_checkpoint, save_checkpoint
 
@@ -53,12 +53,9 @@ def build_env(env_block: dict, market):
 
 def file_digest(path) -> str:
     hasher = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(65536), b""):
-                hasher.update(chunk)
-    except OSError as exc:
-        raise UserError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(65536), b""):
+            hasher.update(chunk)
     return hasher.hexdigest()
 
 
@@ -196,30 +193,13 @@ def cmd_attack(args) -> int:
     if env_block is None:
         raise UserError("no env config in checkpoint meta or config file")
     env = build_env(env_block, _load_market(data_path))
-    try:  # the chance list varies only the chance, so base stands for every job
-        check_pairing(net, env, base)
-    except AttackError as exc:
-        raise UserError(str(exc)) from exc
-
     chances = _parse_list(args.chances, float) if args.chances is not None else [1.0]
     seeds = _parse_list(args.seeds, int) if args.seeds is not None else [args.seed]
-    if any(seed < 0 for seed in seeds):
-        raise UserError(f"seeds must be >= 0, got {seeds}")
-    jobs: list[tuple[str, AttackConfig | None, int]] = []
-    label = args.preset or base.method
-    for seed in seeds:
-        runs = [(f"control-s{seed}", None)]
-        if base.method == "delay":  # delay ignores the chance list
-            runs.append((f"{label}-s{seed}", base))
-        else:
-            runs += [(f"{label}-{base.mode}-c{chance:g}-s{seed}",
-                      _config("attack", presets.attack, {**attack_block, "chance": chance}))
-                     for chance in chances]
-        for name, config in runs:
-            if any(name == job[0] for job in jobs):  # the second run would overwrite the first
-                raise UserError(f"two runs would share the name {name!r}; "
-                                "give distinct seeds and chances")
-            jobs.append((name, config, seed))
+    try:
+        jobs = sweep_jobs(base, args.preset or base.method, chances, seeds)
+        check_sweep(net, env, jobs)
+    except AttackError as exc:
+        raise UserError(str(exc)) from exc
     out_dir = args.out or "."
     append_manifest(out_dir, {
         "command": "attack", "config_path": args.config,
@@ -338,7 +318,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     except BrokenPipeError:  # stdout's reader left; every command prints after its files
         return 1
-    except UserError as exc:
+    except (UserError, OSError) as exc:  # OSError: a file that fails past the checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - internal invariant violation

@@ -18,7 +18,7 @@ import csv
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,22 +247,49 @@ def _run_meta(config: AttackConfig | None) -> dict:
     return {"method": config.method, "mode": config.mode, "chance": config.chance}
 
 
+Job = tuple[str, AttackConfig | None, int]  # (run name, config or None for a control, seed)
+
+
+def sweep_jobs(base: AttackConfig, label: str, chances: list[float],
+               seeds: list[int]) -> list[Job]:
+    """Per seed a control ``control-s{seed}``, then a delay ``{label}-s{seed}``
+    or ``base`` at each chance as ``{label}-{mode}-c{chance:g}-s{seed}``."""
+    attacked = ([(f"{label}-s", base)] if base.method == "delay" else
+                [(f"{label}-{base.mode}-c{chance:g}-s", replace(base, chance=chance))
+                 for chance in chances])
+    return [job for seed in seeds for job in [(f"control-s{seed}", None, seed)] +
+            [(f"{prefix}{seed}", config, seed) for prefix, config in attacked]]
+
+
+def check_sweep(net: QNetwork, env, jobs: list[Job]) -> None:
+    """Raise ``AttackError`` unless every job passes ``check_pairing``, has a
+    seed >= 0, and has a name no other job has (its run directory)."""
+    for _, config, _ in jobs:
+        check_pairing(net, env, config)
+    for at, (name, _, seed) in enumerate(jobs):
+        if seed < 0:
+            raise AttackError(f"seeds must be >= 0, got {seed} for run {name!r}")
+        if any(name == job[0] for job in jobs[:at]):  # the later run would overwrite it
+            raise AttackError(f"two runs would share the name {name!r}; "
+                              "give distinct seeds and chances")
+
+
 def max_sweep_workers() -> int:
     """Sweeps run on the calling thread, one job after another."""
     return 1
 
 
-def run_sweep(net: QNetwork, env, jobs: list[tuple[str, AttackConfig | None, int]],
-              out_dir) -> dict[str, dict]:
+def run_sweep(net: QNetwork, env, jobs: list[Job], out_dir) -> dict[str, dict]:
     """Run (name, config, seed) jobs one after another on ``env`` and export
     one report each, with a run.json that names the job's method, mode,
-    chance and seed, written before the report.
+    chance and seed, written before the report. ``check_sweep`` runs first.
 
     config=None runs a control. Controls run first, so each attacked job is
     paired with the control of its seed for difference curves. Each episode
     resets ``env``, so reusing it gives the same runs as a fresh env per job.
     Returns {job name: summary dict} in sorted-name order.
     """
+    check_sweep(net, env, jobs)
     controls: dict[int, RunRecord] = {}
     summaries: dict[str, dict] = {}
     for name, config, seed in sorted(jobs, key=lambda job: job[1] is not None):

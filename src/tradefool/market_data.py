@@ -118,14 +118,12 @@ class FeatureSeries:
         return self.values[index]
 
 
-def load_csv(path, schema: dict[str, str] | None = None) -> Market:
-    """Load a market from a CSV with a header row.
-
-    ``schema`` maps canonical column names (timestamp/open/high/low/close/volume)
-    to the file's column names; identity by default. Volume is optional and
-    defaults to 0. Rows must already be in strictly increasing timestamp order;
-    out-of-order data is an error, not silently reordered. Blank lines are
-    skipped; "row N" in an error counts the header as row 1 and skips them too.
+def load_csv(path) -> Market:
+    """Load a market from a CSV whose header row names the columns timestamp,
+    open, high, low, close and, optionally, volume (0 when absent). Rows must
+    already be in strictly increasing timestamp order; out-of-order data is an
+    error, not silently reordered. Blank lines are skipped; "row N" in an
+    error counts the header as row 1 and skips them too.
 
     The rows are parsed in one ``np.loadtxt`` pass. If that pass fails, warns
     or finds no rows, the file is read again by ``_load_csv_rows``, the row
@@ -133,7 +131,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
     the same errors. A file that is not UTF-8 text is an error.
     """
     with _open_csv(path) as handle:
-        _, positions = _read_header(path, csv.reader(handle), schema)
+        _, positions = _read_header(path, csv.reader(handle))
         names = [name for name in _CANONICAL_COLUMNS if positions[name] is not None]
         dtype = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)
                           for name in names])
@@ -149,7 +147,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> Market:
         except (ValueError, Warning):
             bars = None
     if bars is None or len(bars) == 0:
-        return _load_csv_rows(path, schema)
+        return _load_csv_rows(path)
     market = Market(*(bars[name] if name in names else np.zeros(len(bars))
                       for name in _CANONICAL_COLUMNS))
     _check_bars(path, market)
@@ -170,28 +168,26 @@ def _open_csv(path):
             raise MarketDataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_header(path, reader, schema: dict[str, str] | None) -> tuple[int, dict]:
+def _read_header(path, reader) -> tuple[int, dict]:
     """The number of header fields, and the position of each canonical column
     among them (``None`` for a missing volume)."""
     header = next(reader, None)
     if header is None:
         raise MarketDataError(f"{path}: empty file")
-    schema = schema or {}
-    colmap = {name: schema.get(name, name) for name in _CANONICAL_COLUMNS}
     # a repeated column name means its last column, as with csv.DictReader
     position = {name: i for i, name in enumerate(header)}
     for required in _CANONICAL_COLUMNS[:5]:
-        if colmap[required] not in position:
-            raise MarketDataError(f"{path}: missing column {colmap[required]!r}")
-    return len(header), {name: position.get(colmap[name]) for name in _CANONICAL_COLUMNS}
+        if required not in position:
+            raise MarketDataError(f"{path}: missing column {required!r}")
+    return len(header), {name: position.get(name) for name in _CANONICAL_COLUMNS}
 
 
-def _load_csv_rows(path, schema: dict[str, str] | None = None) -> Market:
+def _load_csv_rows(path) -> Market:
     """``load_csv`` one row at a time: the first row that does not parse is
     named in the error, after any invalid bar before it."""
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        width, positions = _read_header(path, reader, schema)
+        width, positions = _read_header(path, reader)
         t_at, o_at, h_at, l_at, c_at, v_at = positions.values()
         timestamps, values = array("q"), array("d")
         row_number = 1  # header

@@ -561,6 +561,23 @@ class TestOutputPath:
         assert "too short" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_output_unwritable_after_manifest_is_user_error(self, tmp_path, data_csv, trained,
+                                                            capsys, command):
+        # checkpoint.json a directory, or runs a file: each once exited 2
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "train":
+            (out / "checkpoint.json").mkdir()
+            argv = ["train", "--preset", "basic", "--data", str(data_csv)]
+        else:
+            (out / "runs").write_text("kept")
+            argv = ["attack", "--checkpoint", str(trained / "checkpoint.json"),
+                    "--data", str(data_csv), "--preset", "basic-fgsm"]
+        assert run_cli("--config", str(trained / "config.json"), "--out", str(out), *argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out / "manifest.jsonl").is_file()
+
 
 @pytest.fixture(scope="module")
 def managed_checkpoint(tmp_path_factory):

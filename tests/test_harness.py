@@ -17,6 +17,7 @@ from tradefool.harness import (
     export_report,
     run_episode,
     run_sweep,
+    sweep_jobs,
 )
 from tradefool.market_data import synthesize_bars
 from tradefool.presets import attack as preset
@@ -412,6 +413,28 @@ class TestSweep:
         # a config is checked when it is built, so no sweep job can hold a bad one
         with pytest.raises(AttackError, match="chance"):
             replace(preset("basic-fgsm"), chance=2.0)
+
+    def test_jobs_per_seed_a_control_then_each_chance_or_one_delay(self):
+        fgsm = preset("basic-fgsm", mode="targeted")
+        assert sweep_jobs(fgsm, "basic-fgsm", [0.1, 0.5], [0, 1]) == [
+            (f"{name}-s{seed}", config, seed) for seed in (0, 1) for name, config in [
+                ("control", None),
+                ("basic-fgsm-targeted-c0.1", preset("basic-fgsm", mode="targeted", chance=0.1)),
+                ("basic-fgsm-targeted-c0.5", preset("basic-fgsm", mode="targeted", chance=0.5))]]
+        delay = preset("delay")
+        assert sweep_jobs(delay, "delay", [0.1, 0.5], [0, 1]) == [
+            ("control-s0", None, 0), ("delay-s0", delay, 0),
+            ("control-s1", None, 1), ("delay-s1", delay, 1)]
+
+    @pytest.mark.parametrize("jobs, match", [
+        ([("a", None, 0), ("a", preset("basic-fgsm"), 1)], "two runs would share the name 'a'"),
+        ([("control-s0", None, 0), ("control-s-1", None, -1)], "seeds must be >= 0, got -1"),
+        ([("control-s0", None, 0), ("fgsm", preset("basic-fgsm", k_scale=(1.0, 1.0)), 0)],
+         "k_scale has 2 entries")])
+    def test_bad_job_list_rejected_before_any_episode(self, bars, net, tmp_path, jobs, match):
+        with pytest.raises(AttackError, match=match):
+            run_sweep(net, BasicStockEnv(bars), jobs, tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
 
     def test_reused_managed_env_matches_fresh_env(self, bars):
         reused = ManagedRiskEnv(bars, episode_cap=60)

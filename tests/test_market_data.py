@@ -91,13 +91,6 @@ class TestLoadCsv:
         with pytest.raises(MarketDataError, match=r"bars\.csv: not UTF-8 text"):
             load_csv(path)
 
-    def test_schema_mapping(self, tmp_path):
-        path = tmp_path / "bars.csv"
-        write_csv(path, ["60,10,11,9,10.5"], header="ts,o,h,l,c")
-        market = load_csv(path, schema={"timestamp": "ts", "open": "o", "high": "h",
-                                        "low": "l", "close": "c"})
-        assert market.high[0] == 11
-
     @given(st.integers(1, 12), st.data(),
            st.sampled_from(["inf", "nan", "zero_price", "negative_volume", "high_below_close",
                             "repeated_timestamp", "short_row"]),
@@ -145,18 +138,16 @@ EXTRA_LINES = [" ", "\t", "  \t", "# note", '""']
 @st.composite
 def csv_files(draw):
     """CSV text built from the parts the fast path and the row loop must agree
-    on, with the schema that names its columns (or None). Each field, row and
-    gap between rows goes wrong with chance ``noise``/20: a token, a bad quote,
-    a wrong field count or extra lines. At 0 every file with rows loads."""
+    on. Each field, row and gap between rows goes wrong with chance
+    ``noise``/20: a token, a bad quote, a wrong field count or extra lines. At
+    0 every file with rows loads."""
     noise = draw(st.sampled_from([0, 1, 4]))
 
     def noisy():
         return draw(st.integers(0, 19)) < noise
 
     columns = list(COLUMNS if draw(st.booleans()) else COLUMNS[:5])
-    schema = {name: name[0] + "_col" for name in COLUMNS} if draw(st.booleans()) else None
-    canonical = {(schema or {}).get(name, name): name for name in COLUMNS}
-    header = draw(st.permutations([(schema or {}).get(name, name) for name in columns]))
+    header = draw(st.permutations(columns))
     if draw(st.booleans()):  # a repeated name: only its last column is read
         repeated = draw(st.sampled_from(header))
         header.insert(draw(st.integers(0, header.index(repeated))), repeated)
@@ -171,12 +162,12 @@ def csv_files(draw):
                "low": repr(9.0 + i), "close": repr(10.5 + i), "volume": repr(0.5 * i)}
         fields = []
         for at, name in enumerate(header):
-            if name not in canonical or last[name] != at:
+            if name not in COLUMNS or last[name] != at:
                 fields.append(draw(st.sampled_from(["x", "1", "-1"])))
                 continue
-            text = bar[canonical[name]]
+            text = bar[name]
             if noisy():
-                text = draw(st.sampled_from(TIMESTAMP_TOKENS if canonical[name] == "timestamp"
+                text = draw(st.sampled_from(TIMESTAMP_TOKENS if name == "timestamp"
                                             else VALUE_TOKENS))
             forms = FIELD_FORMS + BAD_FIELD_FORMS if noisy() else FIELD_FORMS
             fields.append(draw(st.sampled_from(forms)).format(text))
@@ -190,13 +181,13 @@ def csv_files(draw):
             lines.append("")  # skipped by both paths
         if noisy():
             lines.extend(draw(st.lists(st.sampled_from(EXTRA_LINES), min_size=1, max_size=2)))
-    return newline.join(lines) + newline, schema
+    return newline.join(lines) + newline
 
 
-def load_outcome(load, path, schema):
+def load_outcome(load, path):
     """The market's columns as (dtype, bytes), or the error text."""
     try:
-        market = load(path, schema)
+        market = load(path)
     except MarketDataError as exc:
         return str(exc)
     return [(getattr(market, name).dtype.str, getattr(market, name).tobytes())
@@ -206,33 +197,29 @@ def load_outcome(load, path, schema):
 class TestFastPathMatchesRowLoop:
     @settings(max_examples=300)
     @given(csv_files())
-    def test_same_market_or_same_error(self, tmp_path_factory, file):
-        text, schema = file
+    def test_same_market_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "bars.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert (load_outcome(load_csv, path, schema)
-                == load_outcome(market_data._load_csv_rows, path, schema))
+        assert load_outcome(load_csv, path) == load_outcome(market_data._load_csv_rows, path)
 
     def test_fast_path_loads_without_the_row_loop(self, tmp_path, monkeypatch):
-        def row_loop(path, schema=None):
+        def row_loop(path):
             raise AssertionError(f"{path} fell back to the row loop")
 
         market = synthesize_bars(300, drift=-5e-5, volatility=0.02, momentum=0.4, seed=5)
         write_bars_csv(market, tmp_path / "bars.csv")
         write_csv(tmp_path / "no_volume.csv", ["60,10,11,9,10.5", "120,10.5,11,10,10.8"],
                   header="timestamp,open,high,low,close")
-        write_csv(tmp_path / "schema.csv", ['"60",x,1,10,11,9,10.5', '"120",x,2,10.5,11,10,10.8'],
-                  header='"ts",c,vol,o,h,l,c')  # a repeated name reads its last column
+        write_csv(tmp_path / "repeated.csv", ['"60",x,1,10,11,9,10.5', '"120",x,2,10.5,11,10,10.8'],
+                  header='"timestamp",close,volume,open,high,low,close')  # the last close is read
         monkeypatch.setattr(market_data, "_load_csv_rows", row_loop)
         loaded = load_csv(tmp_path / "bars.csv")
         for name in COLUMNS:
             assert np.array_equal(getattr(loaded, name), getattr(market, name)), name
         assert load_csv(tmp_path / "no_volume.csv").volume.tolist() == [0.0, 0.0]
-        mapped = load_csv(tmp_path / "schema.csv", schema={
-            "timestamp": "ts", "open": "o", "high": "h", "low": "l", "close": "c",
-            "volume": "vol"})
-        assert mapped.timestamp.tolist() == [60, 120]
-        assert mapped.open.tolist() == [10.0, 10.5] and mapped.volume.tolist() == [1.0, 2.0]
+        repeated = load_csv(tmp_path / "repeated.csv")
+        assert repeated.timestamp.tolist() == [60, 120] and repeated.close.tolist() == [10.5, 10.8]
+        assert repeated.open.tolist() == [10.0, 10.5] and repeated.volume.tolist() == [1.0, 2.0]
 
 
 def relative_tuple(open_, high, low, close):
